@@ -48,10 +48,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _decoder_cfg(args, params: SystemParams) -> DecoderConfig:
-    return DecoderConfig.for_params(params)
-
-
 def cmd_keygen(args) -> int:
     params = _params_from_args(args)
     seed = _seed_bytes(args)
@@ -80,26 +76,17 @@ def cmd_encaps(args) -> int:
 def cmd_decaps(args) -> int:
     params, sk, _pk = files.read_key(args.key)
     c = files.read_ciphertext(args.ct, params)
-    cfg = _decoder_cfg(args, params)
+    k, outcome = decaps_with_diagnostics(sk, c, params)
+    files.write_shared_key(args.ss_out, k)
+    report = {"shared_key_file": args.ss_out}
     if args.diagnostics:
-        from .decoder import bgf_decode
-        from .kem import syndrome
-        outcome = bgf_decode(syndrome(c.c0, sk.h0), sk.h0, sk.h1, cfg,
-                             record_trace=bool(args.trace_csv))
         if args.trace_csv:
             with open(args.trace_csv, "w") as fh:
                 fh.write(IterationTrace.CSV_HEADER + "\n")
                 for row in outcome.trace:
                     fh.write(row.csv_row() + "\n")
-        k, _ = decaps_with_diagnostics(sk, c, params, cfg)
-        files.write_shared_key(args.ss_out, k)
-        sys.stdout.write(files.dumps_canonical(
-            {"shared_key_file": args.ss_out, "decoder_success": outcome.success,
-             "iterations": outcome.iterations_run}))
-    else:
-        k, _ = decaps_with_diagnostics(sk, c, params, cfg)
-        files.write_shared_key(args.ss_out, k)
-        sys.stdout.write(files.dumps_canonical({"shared_key_file": args.ss_out}))
+        report.update(decoder_success=outcome.success, iterations=outcome.iterations_run)
+    sys.stdout.write(files.dumps_canonical(report))
     return 0
 
 
@@ -183,7 +170,7 @@ def cmd_dfr(args) -> int:
     points = []
     for r in sorted(rs):
         params = params_with_r(base, r)
-        cfg = _decoder_cfg(args, params)
+        cfg = DecoderConfig.for_params(params)
         if args.verbose:
             progress = lambda t, f: print(f"r={params.r}: {t} trials, {f} failures",
                                           file=sys.stderr)

@@ -17,7 +17,7 @@ positions at once through a precomputed (w/2 x r) index table per block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,14 +26,20 @@ from .keys import ErrorPair, SystemParams
 from .ring import DensePoly, SparsePoly, _array_to_bits, _bits_to_array, mul_sparse
 
 
+# published BGF affine threshold constants (slope, intercept, floor) per level
+_LEVEL_THRESHOLDS = {"L1": (0.0069722, 13.530, 36), "L3": (0.005265, 15.2588, 52),
+                     "L5": (0.00402312, 17.8785, 69)}
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
     """Iteration count, thresholds, and first-iteration list handling.
 
-    The affine threshold constants are the published ones for the level-1
-    parameter set.  ``mask_threshold=None`` derives the re-check threshold
-    (w/2 + 1)/2 + 1 from the key weight at decode time.  ``black_gray=False``
-    turns every iteration into a plain bit-flipping step (regression guard).
+    The default affine threshold constants are the published level-1 ones;
+    :meth:`for_params` picks each level's.  ``mask_threshold=None`` derives
+    the re-check threshold (w/2 + 1)/2 + 1 from the key weight at decode
+    time.  ``black_gray=False`` turns every iteration into a plain
+    bit-flipping step (regression guard).
     """
 
     nb_iter: int = 5
@@ -55,11 +61,12 @@ class DecoderConfig:
         """Published constants for the standard levels; a majority rule otherwise.
 
         Reduced experimental parameter sets have syndromes far too short for
-        the level-1 affine constants (the floor alone would exceed the column
-        weight), so they fall back to a constant majority threshold.
+        the published affine constants (the floor alone would exceed the
+        column weight), so they fall back to a constant majority threshold.
         """
         if params.standard:
-            return cls()
+            slope, intercept, floor = _LEVEL_THRESHOLDS[params.level]
+            return cls(thr_slope=slope, thr_intercept=intercept, thr_floor=floor)
         floor = (params.w2 + 1) // 2 + 1
         return cls(thr_slope=0.0, thr_intercept=0.0, thr_floor=floor)
 
@@ -69,15 +76,7 @@ class DecoderConfig:
         return (w2 + 1) // 2 + 1
 
     def to_json_dict(self) -> dict:
-        return {
-            "nb_iter": self.nb_iter,
-            "tau": self.tau,
-            "thr_slope": self.thr_slope,
-            "thr_intercept": self.thr_intercept,
-            "thr_floor": self.thr_floor,
-            "mask_threshold": self.mask_threshold,
-            "black_gray": self.black_gray,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

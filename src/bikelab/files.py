@@ -16,7 +16,7 @@ import json
 
 from .errors import ParameterError, SchemaError
 from .keys import Ciphertext, PrivateKey, PublicKey, SharedKey, SystemParams, custom_params
-from .ring import DensePoly, SparsePoly
+from .ring import DensePoly, SparsePoly, mul_sparse
 
 
 def dumps_canonical(obj) -> str:
@@ -85,6 +85,8 @@ def read_key(path: str) -> tuple[SystemParams, PrivateKey, PublicKey]:
         sk.check_params(params)
     except ParameterError as exc:
         raise SchemaError(f"{path}: inconsistent key material ({exc})") from exc
+    if mul_sparse(h0, h) != h1.to_dense():
+        raise SchemaError(f"{path}: h_hex is not h1 * h0^-1 (h * h0 != h1)", field="h_hex")
     return params, sk, PublicKey(h=h)
 
 

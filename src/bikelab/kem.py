@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .errors import NotInvertibleError, ParameterError
+from .errors import BudgetExhaustedError, NotInvertibleError, ParameterError
 from .keys import Ciphertext, ErrorPair, PrivateKey, PublicKey, SharedKey, SystemParams
 from .ring import DensePoly, SparsePoly, mul_sparse
 
@@ -33,6 +33,8 @@ TAG_CHECKED_SUBSEED = 0x43
 TAG_WEAK = 0x57
 TAG_TRIAL = 0x54
 TAG_CLI_SEED = 0x5E
+
+KEYGEN_BUDGET = 100  # h0 draws before keygen gives up; a validated ring needs one
 
 
 class XofStream:
@@ -128,17 +130,14 @@ def keygen(params: SystemParams, seed: bytes) -> tuple[PrivateKey, PublicKey]:
     h0_stream = XofStream(TAG_KEYGEN_H0, [seed])
     h1 = SparsePoly(ring, sample_fixed_weight(XofStream(TAG_KEYGEN_H1, [seed]), params.r, params.w2))
     sigma = sample_sigma(seed, params)
-    while True:
+    for _ in range(KEYGEN_BUDGET):
         h0 = SparsePoly(ring, sample_fixed_weight(h0_stream, params.r, params.w2))
         try:
             h0_inv = h0.to_dense().invert()
-            break
         except NotInvertibleError:
-            # cannot happen on a validated ring; retrying on the same stream
-            # protects experimental moduli
-            continue
-    h = mul_sparse(h1, h0_inv)
-    return PrivateKey(h0=h0, h1=h1, sigma=sigma), PublicKey(h=h)
+            continue  # never on a validated ring; experimental moduli redraw h0
+        return PrivateKey(h0=h0, h1=h1, sigma=sigma), PublicKey(h=mul_sparse(h1, h0_inv))
+    raise BudgetExhaustedError(f"no invertible h0 in {KEYGEN_BUDGET} draws (r={params.r})")
 
 
 def hash_H(m: bytes, params: SystemParams) -> ErrorPair:
@@ -201,16 +200,17 @@ def decaps_with_diagnostics(sk: PrivateKey, c: Ciphertext, params: SystemParams,
     """Decapsulate and also return the decoder outcome.
 
     The outcome is measurement-only (for the failure-rate laboratory and the
-    CLI diagnostics flag); the returned shared key is exactly what
-    :func:`decaps` produces.
+    CLI diagnostics flag) and carries the per-iteration trace; the returned
+    shared key is exactly what :func:`decaps` produces.
     """
+    # call-time import: perfbench wraps bikelab.decoder.bgf_decode after import
     from .decoder import DecoderConfig, bgf_decode
 
     sk.check_params(params)
     c.check_params(params)
     cfg = decoder_cfg if decoder_cfg is not None else DecoderConfig.for_params(params)
     s = syndrome(c.c0, sk.h0)
-    outcome = bgf_decode(s, sk.h0, sk.h1, cfg)
+    outcome = bgf_decode(s, sk.h0, sk.h1, cfg, record_trace=True)
     e_prime = outcome.error
     m_prime = _xor_bytes(c.c1, hash_L(e_prime, params))
     if hash_H(m_prime, params) != e_prime:

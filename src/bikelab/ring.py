@@ -216,7 +216,8 @@ class DensePoly:
     bits: int
 
     def __post_init__(self):
-        assert 0 <= self.bits <= self.ring.mask, "pad bits above r must stay zero"
+        if not 0 <= self.bits <= self.ring.mask:
+            raise ParameterError(f"coefficient bits must lie in [0, 2^{self.ring.r})")
 
     # -- constructors -------------------------------------------------------
 

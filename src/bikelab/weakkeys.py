@@ -18,6 +18,7 @@ choice, so sampling the class uniformly requires it (and the measured
 failure rates of the family depend on the other block staying random).
 Every generator re-verifies its defining property before returning and
 resamples on the rare collision, so outputs are correct by construction.
+Spectra and block overlaps both come from :func:`difference_counts`.
 Key-space fractions for the families are computed exactly with big-integer
 binomials; only their log2 is exposed as a float.
 """
@@ -26,6 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BudgetExhaustedError, ParameterError
 from .kem import TAG_WEAK, XofStream, sample_fixed_weight, sample_sigma
@@ -38,6 +41,28 @@ _RESAMPLE_BUDGET = 1000
 def distance(i: int, j: int, r: int) -> int:
     """Cyclic distance between positions i and j, in [0, r/2]."""
     return min((i - j + r) % r, (j - i + r) % r)
+
+
+def pair_differences(p, q, r: int) -> np.ndarray:
+    """(p_j - q_k) mod r for every pair, flattened in (j, k) scan order."""
+    p = np.fromiter(p, dtype=np.int64)
+    q = np.fromiter(q, dtype=np.int64)
+    return ((p[:, None] - q) % r).ravel()
+
+
+def difference_counts(p, q, r: int) -> np.ndarray:
+    """out[s] = #{(j, k) : p_j - q_k = s (mod r)}, i.e. |a & x^s b| for supports p of a, q of b."""
+    return np.bincount(pair_differences(p, q, r), minlength=r)
+
+
+def distance_multiplicities(supp, r: int) -> np.ndarray:
+    """out[d] = number of support pairs at cyclic distance d, for d in [0, r/2]."""
+    out = difference_counts(supp, supp, r)[: r // 2 + 1]
+    out[0] = 0
+    # a pair lands on s and r - s; on even r both are r/2 at the halfway distance
+    if r % 2 == 0:
+        out[r // 2] //= 2
+    return out
 
 
 def _draw_index(stream: XofStream, n: int) -> int:
@@ -67,19 +92,13 @@ class DistanceSpectrum:
 
 
 def spectrum_of_support(supp, r: int, U: int | None = None) -> DistanceSpectrum:
-    """Spectrum by direct pair enumeration; works for any r >= 2 (even included)."""
+    """Spectrum from the folded pair-difference histogram; any r >= 2 (even included)."""
     if U is None:
         U = r // 2
     if not 1 <= U <= r // 2:
         raise ParameterError(f"U must be in [1, {r // 2}]")
-    mult = dict.fromkeys(range(1, U + 1), 0)
-    supp = tuple(supp)
-    for a in range(len(supp)):
-        for b in range(a + 1, len(supp)):
-            d = distance(supp[a], supp[b], r)
-            if 1 <= d <= U:
-                mult[d] += 1
-    return DistanceSpectrum(r=r, U=U, mult=mult)
+    mult = distance_multiplicities(supp, r)[1 : U + 1].tolist()
+    return DistanceSpectrum(r=r, U=U, mult=dict(zip(range(1, U + 1), mult)))
 
 
 def spectrum(h: SparsePoly, U: int | None = None) -> DistanceSpectrum:
@@ -198,7 +217,7 @@ def gen_type2(params: SystemParams, d: int, m: int, seed: bytes) -> PrivateKey:
         while len(support) < w2:
             support.add(_draw_index(stream, r))
         block = SparsePoly.from_indices(ring, support)
-        if spectrum(block, r // 2).mult[d] == m:
+        if distance_multiplicities(block.support, r)[d] == m:
             structured = block
             break
     else:
@@ -223,17 +242,16 @@ def gen_type3(params: SystemParams, m: int, seed: bytes) -> PrivateKey:
         shared = [h0.support[i] for i in picked]
         rot = _draw_index(stream, r)
         support = {(p + rot) % r for p in shared}
-        h0_dense = h0.to_dense()
         while len(support) < w2:
             cand = _draw_index(stream, r)
             if cand in support:
                 continue
-            if (h0_dense.bits >> ((cand - rot) % r)) & 1:
+            if (cand - rot) % r in h0.support:
                 continue  # would inflate the overlap at the planted alignment
             support.add(cand)
         h1 = SparsePoly.from_indices(ring, support)
         align = (-rot) % r
-        if h0_dense.star(h1.to_dense().shift(align)).weight() == m:
+        if difference_counts(h0.support, h1.support, r)[align] == m:
             return PrivateKey(h0=h0, h1=h1, sigma=sample_sigma(seed, params))
     raise BudgetExhaustedError("type-3 overlap kept colliding")
 

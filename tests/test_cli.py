@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from bikelab import NotInvertibleError, SchemaError, decoder, files
 from bikelab.cli import main
+from bikelab.ring import DensePoly
 from bikelab.weakkeys import spectrum
-from bikelab import files
 
 TOY_ARGS = ["--r", "613", "--w", "30", "--t", "14"]
 
@@ -60,6 +61,15 @@ class TestKeygen:
         code, _, err = run_cli(capsys, "keygen", "--r", "613", "--seed", "1",
                                "--key-out", str(tmp_path / "k.json"))
         assert code == 2
+
+    def test_uninvertible_h0_budget_exhausted(self, tmp_path, capsys, monkeypatch):
+        def never_invertible(self):
+            raise NotInvertibleError("forced")
+        monkeypatch.setattr(DensePoly, "invert", never_invertible)
+        code, _, err = run_cli(capsys, "keygen", *TOY_ARGS, "--seed", "1",
+                               "--key-out", str(tmp_path / "k.json"))
+        assert code == 4
+        assert "budget exhausted" in err
 
 
 class TestKemRoundTrip:
@@ -130,6 +140,42 @@ class TestKemRoundTrip:
                              "--ct", str(tmp_path / "absent.json"),
                              "--ss-out", str(tmp_path / "ss.json"))
         assert code == 3
+
+    def test_flipped_public_key_bit_schema_error(self, tmp_path, capsys, keyfile):
+        # h_hex must satisfy h * h0 = h1; one flipped bit breaks the identity
+        blob = read_json(keyfile)
+        h = bytearray.fromhex(blob["h_hex"])
+        h[0] ^= 1
+        blob["h_hex"] = h.hex()
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(blob, fh)
+        with pytest.raises(SchemaError):
+            files.read_key(bad)
+        code, _, err = run_cli(capsys, "keycheck", "--key", bad)
+        assert code == 3
+        assert "h_hex" in err
+
+    def test_diagnostics_decode_once(self, tmp_path, capsys, keyfile, monkeypatch):
+        calls = []
+        real = decoder.bgf_decode
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(decoder, "bgf_decode", counting)
+        ct = str(tmp_path / "ct.json")
+        trace = str(tmp_path / "trace.csv")
+        run_cli(capsys, "encaps", "--key", keyfile, "--seed", "5",
+                "--ct-out", ct, "--ss-out", str(tmp_path / "ss.json"))
+        code, out, _ = run_cli(capsys, "decaps", "--key", keyfile, "--ct", ct,
+                               "--ss-out", str(tmp_path / "ss2.json"),
+                               "--diagnostics", "--trace-csv", trace)
+        assert code == 0
+        assert len(calls) == 1
+        rows = open(trace).read().strip().splitlines()[1:]
+        assert len(rows) == json.loads(out)["iterations"]
+        assert read_json(str(tmp_path / "ss.json")) == read_json(str(tmp_path / "ss2.json"))
 
     def test_trace_csv(self, tmp_path, capsys, keyfile):
         ct = str(tmp_path / "ct.json")

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from bikelab import (DecoderConfig, DecoderWorkspace, ParameterError,
-                     bgf_decode, compute_upc, custom_params, threshold, verify)
+                     bgf_decode, compute_upc, custom_params, level_params, threshold,
+                     verify)
 from bikelab.keys import ErrorPair
 from bikelab.ring import DensePoly, RingParams, SparsePoly, mul_sparse
 
@@ -36,6 +37,16 @@ class TestThreshold:
         cfg = DecoderConfig()
         expected = math.ceil(max(0.0069722 * 10000 + 13.530, 36.0))
         assert threshold(10000, cfg) == expected == 84
+
+    def test_level_constants(self):
+        # published BGF constants per level; L1 keeps the dataclass defaults
+        assert DecoderConfig.for_params(level_params(1)) == DecoderConfig()
+        l3 = DecoderConfig.for_params(level_params(3))
+        assert (l3.thr_slope, l3.thr_intercept, l3.thr_floor) == (0.005265, 15.2588, 52)
+        l5 = DecoderConfig.for_params(level_params(5))
+        assert (l5.thr_slope, l5.thr_intercept, l5.thr_floor) == (0.00402312, 17.8785, 69)
+        assert l3.nb_iter == l5.nb_iter == DecoderConfig().nb_iter
+        assert l3.tau == l5.tau == DecoderConfig().tau
 
     def test_custom_floor(self):
         cfg = DecoderConfig(thr_slope=0.0, thr_intercept=0.0, thr_floor=9)

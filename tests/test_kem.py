@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from bikelab import (Ciphertext, ParameterError, custom_params, decaps,
+from bikelab import (BudgetExhaustedError, Ciphertext, NotInvertibleError,
+                     ParameterError, custom_params, decaps,
                      decaps_with_diagnostics, encaps, hash_H, hash_K, hash_L, keygen,
                      level_params, sample_fixed_weight, sample_private_key, syndrome)
 from bikelab.kem import TAG_ENCAPS_M, XofStream, expand_u64_seed
@@ -70,6 +71,13 @@ class TestKeygen:
     def test_seed_length_checked(self, toy_params):
         with pytest.raises(ParameterError):
             keygen(toy_params, b"short")
+
+    def test_retry_is_bounded(self, toy_params, monkeypatch):
+        def never_invertible(self):
+            raise NotInvertibleError("forced")
+        monkeypatch.setattr(DensePoly, "invert", never_invertible)
+        with pytest.raises(BudgetExhaustedError):
+            keygen(toy_params, expand_u64_seed(5))
 
 
 class TestHashes:
@@ -151,6 +159,16 @@ class TestEncapsDecaps:
         for i in range(3):
             c, k = encaps(pk, l1_params, expand_u64_seed(200 + i))
             assert decaps(sk, c, l1_params) == k
+
+    @pytest.mark.parametrize("level", [3, 5])
+    def test_round_trip_l3_l5(self, level):
+        # each level decodes with its own published threshold constants
+        params = level_params(level)
+        sk, pk = keygen(params, expand_u64_seed(20 + level))
+        c, k = encaps(pk, params, expand_u64_seed(30 + level))
+        k2, outcome = decaps_with_diagnostics(sk, c, params)
+        assert outcome.success
+        assert k2 == k
 
     def test_tampered_c1_rejects_to_sigma_key(self, toy_params):
         sk, pk = keygen(toy_params, expand_u64_seed(10))

@@ -6,7 +6,7 @@ from bikelab import (BudgetExhaustedError, KeyCheckConfig, ParameterError,
 from bikelab.kem import expand_u64_seed
 from bikelab.keycheck import CrossBlockIntersection, KeyVerdict, PerBlockMultiplicity
 from bikelab.keys import PrivateKey
-from bikelab.ring import SparsePoly
+from bikelab.ring import RingParams, SparsePoly
 
 TOY = custom_params(r=1019, w=42, t=30)
 T10 = KeyCheckConfig(threshold_T=10)
@@ -14,6 +14,31 @@ T10 = KeyCheckConfig(threshold_T=10)
 
 def seed(i: int) -> bytes:
     return expand_u64_seed(1000 + i)
+
+
+def reference_verdict(h0: SparsePoly, h1: SparsePoly, t: int) -> KeyVerdict:
+    """Independent oracle: every count is an overlap of dense rotations.
+
+    The multiplicity of distance d in a block h is |h & x^d h| (r is odd, so
+    no distance is its own mirror); the largest multiplicity wins, ties to
+    the smallest d.  The cross-block overlap at shift s is |h0 & x^s h1|,
+    tried in (j, k) scan order over the shifts p_j - q_k.
+    """
+    r = h0.ring.r
+    for block, h in enumerate((h0, h1)):
+        dense = h.to_dense()
+        mult = [dense.star(dense.shift(d)).weight() for d in range(1, r // 2 + 1)]
+        best = max(mult)
+        if best > t:
+            return KeyVerdict("Weak", PerBlockMultiplicity(block, mult.index(best) + 1, best))
+    d0, d1 = h0.to_dense(), h1.to_dense()
+    for pj in h0.support:
+        for pk in h1.support:
+            shift = (pj - pk) % r
+            size = d0.star(d1.shift(shift)).weight()
+            if size > t:
+                return KeyVerdict("Weak", CrossBlockIntersection(shift, size))
+    return KeyVerdict("Normal")
 
 
 class TestVerdictShape:
@@ -111,6 +136,29 @@ class TestKeyCheckSoundness:
         h1 = SparsePoly(ring, tuple(range(501, 501 + 2 * TOY.w2, 2)))
         verdict = key_check(h0, h1, KeyCheckConfig(threshold_T=TOY.w2 - 1))
         assert isinstance(verdict, KeyVerdict)
+
+
+class TestRotationOracle:
+    def test_full_verdict_matches_oracle(self):
+        keys = []
+        for i in range(4):
+            keys += [sample_private_key(TOY, seed(300 + i)),
+                     gen_type1(TOY, 12, 1 + i, i, seed(300 + i)),
+                     gen_type2(TOY, 2 + i, 10 + i % 3, seed(300 + i)),
+                     gen_type3(TOY, 10 + i % 3, seed(300 + i))]
+        kinds = set()
+        for key in keys:
+            for t in (3, 10, 11):
+                verdict = key_check(key.h0, key.h1, KeyCheckConfig(threshold_T=t))
+                assert verdict == reference_verdict(key.h0, key.h1, t)
+                kinds.add(type(verdict.reason))
+        assert kinds == {PerBlockMultiplicity, CrossBlockIntersection, type(None)}
+
+    def test_blocks_from_different_rings_rejected(self):
+        h0 = SparsePoly(TOY.ring, tuple(range(TOY.w2)))
+        h1 = SparsePoly(RingParams(1021), tuple(range(TOY.w2)))
+        with pytest.raises(ParameterError):
+            key_check(h0, h1, T10)
 
 
 class TestKeygenChecked:

@@ -183,6 +183,13 @@ class TestSquareShiftStarWeight:
         assert a.star(a).bits == a.bits
         assert a.star(DensePoly.zero(ring13)).bits == 0
 
+    def test_bits_above_r_rejected(self, ring13):
+        # a ParameterError, not an assert that vanishes under python -O
+        with pytest.raises(ParameterError):
+            DensePoly(ring13, 1 << ring13.r)
+        with pytest.raises(ParameterError):
+            DensePoly(ring13, -1)
+
     def test_star_hand_example_r7(self):
         ring = RingParams(7)
         assert poly(ring, 0, 1).star(poly(ring, 1, 2)).bits == poly(ring, 1).bits

@@ -12,7 +12,8 @@ from bikelab import (ParameterError, count_type1,
                      reconstruct_from_spectrum, spectrum, spectrum_of_support)
 from bikelab.kem import expand_u64_seed
 from bikelab.ring import RingParams, SparsePoly
-from bikelab.weakkeys import DistanceSpectrum, WeakKeySpec, canonical_orbit
+from bikelab.weakkeys import (DistanceSpectrum, WeakKeySpec, canonical_orbit,
+                              difference_counts)
 
 TOY = custom_params(r=1019, w=42, t=30)
 
@@ -83,6 +84,22 @@ class TestSpectrum:
     def test_u_validation(self):
         with pytest.raises(ParameterError):
             spectrum_of_support((0, 1), 31, U=16)
+
+
+class TestDifferenceCounts:
+    def test_counts_are_rotation_overlaps_r31(self):
+        # out[s] = |a & x^s b| for two unrelated supports
+        ring = RingParams(31)
+        rng = random.Random(3)
+        for _ in range(20):
+            a = SparsePoly(ring, tuple(sorted(rng.sample(range(31), 7))))
+            b = SparsePoly(ring, tuple(sorted(rng.sample(range(31), 7))))
+            counts = difference_counts(a.support, b.support, 31)
+            da, db = a.to_dense(), b.to_dense()
+            assert counts.tolist() == [da.star(db.shift(s)).weight() for s in range(31)]
+
+    def test_empty_support(self):
+        assert difference_counts((), (3, 5), 13).tolist() == [0] * 13
 
 
 def structured_blocks(key, predicate):
