@@ -79,12 +79,12 @@ def cmd_decaps(args) -> int:
     k, outcome = decaps_with_diagnostics(sk, c, params)
     files.write_shared_key(args.ss_out, k)
     report = {"shared_key_file": args.ss_out}
+    if args.trace_csv:
+        with open(args.trace_csv, "w") as fh:
+            fh.write(IterationTrace.CSV_HEADER + "\n")
+            for row in outcome.trace:
+                fh.write(row.csv_row() + "\n")
     if args.diagnostics:
-        if args.trace_csv:
-            with open(args.trace_csv, "w") as fh:
-                fh.write(IterationTrace.CSV_HEADER + "\n")
-                for row in outcome.trace:
-                    fh.write(row.csv_row() + "\n")
         report.update(decoder_success=outcome.success, iterations=outcome.iterations_run)
     sys.stdout.write(files.dumps_canonical(report))
     return 0

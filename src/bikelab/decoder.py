@@ -9,9 +9,12 @@ additionally keeps a Black list (positions just flipped) and a Gray list
 against a fixed mask threshold after refreshing the syndrome.
 
 Position k of block b participates in the parity checks indexed by
-{(k + s) mod r : s in support(h_b)}, so its upc is the number of ones the
-current syndrome has on that set.  The hot loop gathers these counts for all
-positions at once through a precomputed (w/2 x r) index table per block.
+{(k + p) mod r : p in support(h_b)}, so its upc is the number of ones the
+current syndrome s has on that set.  Over the doubled syndrome
+s2 = s || s that is entry k of the contiguous slice s2[p : p + r], so a
+block's upc vector is the sum of its w/2 slices (the rotate-and-add UPC of
+Drucker, Gueron and Kostic), accumulated in the smallest unsigned type that
+holds w/2.  No per-key state is built.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .keys import ErrorPair, SystemParams
-from .ring import DensePoly, SparsePoly, _array_to_bits, _bits_to_array, mul_sparse
+from .ring import (DensePoly, SparsePoly, _array_to_bits, _bits_to_array, _check_same_ring,
+                   mul_sparse)
 
 
 # published BGF affine threshold constants (slope, intercept, floor) per level
@@ -109,38 +113,28 @@ def threshold(syndrome_weight: int, cfg: DecoderConfig) -> int:
                          float(cfg.thr_floor)))
 
 
-class DecoderWorkspace:
-    """Per-key gather tables; reusable across sequential decodes of one key."""
-
-    def __init__(self, h0: SparsePoly, h1: SparsePoly):
-        if h0.ring.r != h1.ring.r:
-            raise ParameterError("key blocks live in different rings")
-        self.r = h0.ring.r
-        self.h0 = h0
-        self.h1 = h1
-        self.tables = [self._table(h0), self._table(h1)]
-
-    def _table(self, h: SparsePoly) -> np.ndarray:
-        r = self.r
-        supp = np.asarray(h.support, dtype=np.int32)
-        tbl = supp[:, None] + np.arange(r, dtype=np.int32)[None, :]
-        tbl[tbl >= r] -= r
-        return tbl
-
-    def upc(self, s_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unsatisfied-check counts per position for each block."""
-        return (s_arr[self.tables[0]].sum(axis=0, dtype=np.int32),
-                s_arr[self.tables[1]].sum(axis=0, dtype=np.int32))
+def _upc_blocks(s_bits: int, h0: SparsePoly, h1: SparsePoly) -> list[np.ndarray]:
+    """Unsatisfied-check counts per position for each block under syndrome s_bits."""
+    r = h0.ring.r
+    s2 = np.tile(_bits_to_array(s_bits, r), 2)
+    out = []
+    for h in (h0, h1):
+        acc = np.zeros(r, dtype=np.min_scalar_type(h.weight()))
+        for p in h.support:
+            acc += s2[p:p + r]
+        out.append(acc)
+    return out
 
 
-def compute_upc(s: DensePoly, h0: SparsePoly, h1: SparsePoly,
-                workspace: DecoderWorkspace | None = None) -> np.ndarray:
-    """upc for all 2r positions (block 0 first) under syndrome s."""
-    ws = workspace if workspace is not None else DecoderWorkspace(h0, h1)
-    if s.ring.r != ws.r:
+def compute_upc(s: DensePoly, h0: SparsePoly, h1: SparsePoly) -> np.ndarray:
+    """upc for all 2r positions (block 0 first) under syndrome s.
+
+    The dtype is the smallest unsigned integer type that holds w/2.
+    """
+    _check_same_ring(h0, h1)
+    if s.ring.r != h0.ring.r:
         raise ParameterError("syndrome ring does not match the key")
-    u0, u1 = ws.upc(_bits_to_array(s.bits, ws.r))
-    return np.concatenate([u0, u1])
+    return np.concatenate(_upc_blocks(s.bits, h0, h1))
 
 
 def verify(e: ErrorPair, h0: SparsePoly, h1: SparsePoly, s: DensePoly) -> bool:
@@ -150,19 +144,19 @@ def verify(e: ErrorPair, h0: SparsePoly, h1: SparsePoly, s: DensePoly) -> bool:
 
 
 def bgf_decode(s: DensePoly, h0: SparsePoly, h1: SparsePoly, cfg: DecoderConfig,
-               workspace: DecoderWorkspace | None = None,
                record_trace: bool = False) -> DecodeOutcome:
     """Recover the error pair whose syndrome is s, or report failure.
 
-    Deterministic in all inputs; the workspace only caches index tables and
-    never changes the result.
+    Deterministic in all inputs.  Each iteration re-multiplies the current
+    error estimate by the key to get the residual syndrome, and takes the
+    upc of every position as a sum of slices of that syndrome doubled.
     """
     if h0.weight() != h1.weight():
         raise ParameterError("key blocks must have equal weight")
+    _check_same_ring(h0, h1)
     if s.ring.r != h0.ring.r:
         raise ParameterError("syndrome ring does not match the key")
-    ws = workspace if workspace is not None else DecoderWorkspace(h0, h1)
-    r = ws.r
+    r = h0.ring.r
     mask_thr = cfg.mask_threshold_for(h0.weight())
     s_in = s.bits
 
@@ -172,7 +166,7 @@ def bgf_decode(s: DensePoly, h0: SparsePoly, h1: SparsePoly, cfg: DecoderConfig,
     def residual_syndrome() -> int:
         acc = s_in
         for b in (0, 1):
-            blk = ws.h0 if b == 0 else ws.h1
+            blk = h0 if b == 0 else h1
             e_bits = _array_to_bits(e_arr[b])
             if e_bits:
                 acc ^= mul_sparse(blk, DensePoly(s.ring, e_bits)).bits
@@ -184,9 +178,8 @@ def bgf_decode(s: DensePoly, h0: SparsePoly, h1: SparsePoly, cfg: DecoderConfig,
         if s_cur == 0:
             break
         iterations = it
-        s_arr = _bits_to_array(s_cur, r)
         thr = threshold(s_cur.bit_count(), cfg)
-        upc = ws.upc(s_arr)
+        upc = _upc_blocks(s_cur, h0, h1)
 
         flips = 0
         black = [None, None]
@@ -204,7 +197,7 @@ def bgf_decode(s: DensePoly, h0: SparsePoly, h1: SparsePoly, cfg: DecoderConfig,
             n_black = int(black[0].sum() + black[1].sum())
             n_gray = int(gray[0].sum() + gray[1].sum())
             for masks in (black, gray):
-                upc = ws.upc(_bits_to_array(residual_syndrome(), r))
+                upc = _upc_blocks(residual_syndrome(), h0, h1)
                 for b in (0, 1):
                     step_mask = masks[b] & (upc[b] >= mask_thr)
                     e_arr[b] ^= step_mask

@@ -14,6 +14,7 @@ continued fraction so the statistics need no external dependency).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
-from .decoder import DecoderConfig, DecoderWorkspace, bgf_decode
+from .decoder import DecoderConfig, bgf_decode
 from .errors import ParameterError, SchemaError
 from .kem import TAG_ENCAPS_M, TAG_TRIAL, XofStream, hash_H, sample_private_key
 from .keys import ErrorPair, PrivateKey, SystemParams
@@ -157,27 +158,21 @@ def trial_seeds(master_seed: int, index: int) -> tuple[bytes, bytes]:
 
 
 def run_trial(params: SystemParams, key_class, error_source, cfg: DecoderConfig,
-              master_seed: int, index: int,
-              workspace: DecoderWorkspace | None = None) -> bool:
+              master_seed: int, index: int) -> bool:
     """True when the decoder fails to recover the planted error."""
     key_seed, err_seed = trial_seeds(master_seed, index)
     key = key_class.sample(params, key_seed)
     err = error_source.sample(params, err_seed)
     s = mul_sparse(key.h0, err.e0.to_dense()) + mul_sparse(key.h1, err.e1.to_dense())
-    if workspace is None or not isinstance(key_class, FixedKey):
-        workspace = DecoderWorkspace(key.h0, key.h1)
-    outcome = bgf_decode(s, key.h0, key.h1, cfg, workspace=workspace)
+    outcome = bgf_decode(s, key.h0, key.h1, cfg)
     return not outcome.success
 
 
 def _count_failures_range(params, key_class, error_source, cfg, master_seed,
                           start: int, count: int) -> int:
-    workspace = None
-    if isinstance(key_class, FixedKey):
-        workspace = DecoderWorkspace(key_class.key.h0, key_class.key.h1)
     failures = 0
     for i in range(start, start + count):
-        if run_trial(params, key_class, error_source, cfg, master_seed, i, workspace):
+        if run_trial(params, key_class, error_source, cfg, master_seed, i):
             failures += 1
     return failures
 
@@ -211,8 +206,9 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
     cfg = decoder_cfg if decoder_cfg is not None else DecoderConfig.for_params(params)
 
     trials = failures = 0
+    tag = _checkpoint_tag(params, key_class, error_source, cfg, master_seed, batch_size)
     if checkpoint_path and os.path.exists(checkpoint_path):
-        trials, failures = _load_checkpoint(checkpoint_path, params, master_seed)
+        trials, failures = _load_checkpoint(checkpoint_path, tag)
     if trials == 0 and stop.satisfied(0, 0):
         raise ParameterError("stop rule is satisfied before any trial runs")
 
@@ -233,8 +229,10 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
             trials += todo
             if progress is not None:
                 progress(trials, failures)
-            if checkpoint_path and checkpoint_every and trials % checkpoint_every == 0:
-                _save_checkpoint(checkpoint_path, params, master_seed, trials, failures)
+            # a batch may step over several multiples of checkpoint_every
+            if (checkpoint_path and checkpoint_every
+                    and trials // checkpoint_every > (trials - todo) // checkpoint_every):
+                _save_checkpoint(checkpoint_path, tag, trials, failures)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -250,14 +248,22 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
 
 # -- checkpoints ---------------------------------------------------------------
 
-def _checkpoint_tag(params: SystemParams, master_seed: int) -> str:
-    return f"r={params.r},w={params.w},t={params.t},seed={master_seed}"
+def _checkpoint_tag(params: SystemParams, key_class, error_source, cfg: DecoderConfig,
+                    master_seed: int, batch_size: int) -> str:
+    """Digest of everything that fixes the trial outcomes; only the stop rule may change.
+
+    A fixed key's label is only a name, so its supports are bound too.
+    """
+    experiment = {"params": params.to_json_dict(), "key_class": key_class.describe(),
+                  "error_source": error_source.describe(), "decoder": cfg.to_json_dict(),
+                  "master_seed": master_seed, "batch_size": batch_size}
+    if isinstance(key_class, FixedKey):
+        experiment["key"] = [key_class.key.h0.support, key_class.key.h1.support]
+    return hashlib.sha256(json.dumps(experiment, sort_keys=True).encode()).hexdigest()
 
 
-def _save_checkpoint(path: str, params: SystemParams, master_seed: int,
-                     trials: int, failures: int) -> None:
-    blob = {"schema_version": RECORD_SCHEMA_VERSION,
-            "tag": _checkpoint_tag(params, master_seed),
+def _save_checkpoint(path: str, tag: str, trials: int, failures: int) -> None:
+    blob = {"schema_version": RECORD_SCHEMA_VERSION, "tag": tag,
             "trials_done": trials, "failures": failures}
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -265,10 +271,10 @@ def _save_checkpoint(path: str, params: SystemParams, master_seed: int,
     os.replace(tmp, path)
 
 
-def _load_checkpoint(path: str, params: SystemParams, master_seed: int) -> tuple[int, int]:
+def _load_checkpoint(path: str, tag: str) -> tuple[int, int]:
     with open(path) as fh:
         blob = json.load(fh)
-    if blob.get("tag") != _checkpoint_tag(params, master_seed):
+    if blob.get("tag") != tag:
         raise SchemaError("checkpoint belongs to a different experiment", field="tag")
     return int(blob["trials_done"]), int(blob["failures"])
 

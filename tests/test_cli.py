@@ -190,6 +190,20 @@ class TestKemRoundTrip:
         assert lines[0] == "iter,syndrome_weight,threshold,flips,black,gray"
         assert len(lines) >= 2
 
+    def test_trace_csv_without_diagnostics(self, tmp_path, capsys, keyfile):
+        ct = str(tmp_path / "ct.json")
+        trace = str(tmp_path / "trace.csv")
+        run_cli(capsys, "encaps", "--key", keyfile, "--seed", "5",
+                "--ct-out", ct, "--ss-out", str(tmp_path / "ss.json"))
+        code, out, _ = run_cli(capsys, "decaps", "--key", keyfile, "--ct", ct,
+                               "--ss-out", str(tmp_path / "ss2.json"),
+                               "--trace-csv", trace)
+        assert code == 0
+        assert set(json.loads(out)) == {"shared_key_file"}
+        lines = open(trace).read().strip().splitlines()
+        assert lines[0] == "iter,syndrome_weight,threshold,flips,black,gray"
+        assert len(lines) >= 2
+
 
 class TestWeakkeyAndKeycheck:
     def test_weak_key_flagged(self, tmp_path, capsys):

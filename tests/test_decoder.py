@@ -1,11 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from bikelab import (DecoderConfig, DecoderWorkspace, ParameterError,
-                     bgf_decode, compute_upc, custom_params, level_params, threshold,
-                     verify)
+from bikelab import (DecoderConfig, ParameterError, bgf_decode, compute_upc,
+                     custom_params, level_params, threshold, verify)
 from bikelab.keys import ErrorPair
 from bikelab.ring import DensePoly, RingParams, SparsePoly, mul_sparse
 
@@ -94,6 +94,28 @@ class TestComputeUpc:
             got = compute_upc(s, h0, h1)
             assert got.tolist() == expected
 
+    @pytest.mark.parametrize("params", [level_params(1), level_params(3), level_params(5),
+                                        custom_params(r=1019, w=514, t=20)],
+                             ids=["L1", "L3", "L5", "w2_257"])
+    def test_matches_index_gather(self, params):
+        # index-table gather: position k of block b reads s at (k + p) mod r
+        # for each p in supp(h_b); dense syndromes push w2=257 counts past 255
+        ring, r = params.ring, params.r
+        rng = random.Random(params.r)
+        h0, h1, *_ = random_instance(params, rng, (0, 0))
+        syndromes = [DensePoly.all_ones(ring)]
+        for _ in range(4):
+            syndromes.append(DensePoly(ring, rng.getrandbits(r)))
+            syndromes.append(DensePoly(ring, rng.getrandbits(r) | rng.getrandbits(r)))
+        for s in syndromes:
+            s_arr = np.array([(s.bits >> i) & 1 for i in range(r)], dtype=np.int64)
+            expected = np.concatenate(
+                [s_arr[(np.array(h.support)[:, None] + np.arange(r)[None, :]) % r].sum(axis=0)
+                 for h in (h0, h1)])
+            got = compute_upc(s, h0, h1)
+            assert got.dtype == (np.uint8 if params.w2 < 256 else np.uint16)
+            assert got.tolist() == expected.tolist()
+
 
 class TestVerify:
     def test_trivials(self, toy_params):
@@ -143,8 +165,8 @@ class TestBgfDecode:
         cfg = DecoderConfig.for_params(toy_params)
         rng = random.Random(10)
         h0, h1, e0, e1, s = random_instance(toy_params, rng, (7, 7))
-        a = bgf_decode(s, h0, h1, cfg)
-        b = bgf_decode(s, h0, h1, cfg, workspace=DecoderWorkspace(h0, h1))
+        a = bgf_decode(s, h0, h1, cfg, record_trace=True)
+        b = bgf_decode(s, h0, h1, cfg, record_trace=True)
         assert a == b
 
     def test_rotation_equivariance_r13(self):
@@ -223,6 +245,16 @@ class TestBgfDecode:
         wrong = DensePoly.zero(RingParams(13))
         with pytest.raises(ParameterError):
             bgf_decode(wrong, h0, h1, DecoderConfig())
+
+    def test_blocks_from_different_rings(self, toy_params):
+        rng = random.Random(15)
+        h0, *_ = random_instance(toy_params, rng, (7, 7))
+        other = custom_params(r=617, w=toy_params.w, t=toy_params.t)
+        h1, *_ = random_instance(other, rng, (7, 7))
+        with pytest.raises(ParameterError):
+            bgf_decode(DensePoly.zero(toy_params.ring), h0, h1, DecoderConfig())
+        with pytest.raises(ParameterError):
+            compute_upc(DensePoly.zero(toy_params.ring), h0, h1)
 
     def test_weight_mismatch(self, toy_params):
         ring = toy_params.ring

@@ -216,6 +216,39 @@ class TestRunDfr:
             run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, master_seed=999,
                     checkpoint_path=path, checkpoint_every=16)
 
+    def test_checkpoint_bound_to_key_class(self, tmp_path):
+        from bikelab.errors import SchemaError
+        path = str(tmp_path / "ckpt.json")
+        params = custom_params(r=1019, w=42, t=30)
+        stop = StopRule(min_trials=0, min_failures=10**9, max_trials=16)
+        weak = WeakKeys(WeakKeySpec(1, f=15, d=1))
+        run_dfr(params, weak, HonestErrors(), stop, master_seed=14, batch_size=8,
+                checkpoint_path=path, checkpoint_every=8)
+        with pytest.raises(SchemaError):
+            run_dfr(params, NormalKeys(), HonestErrors(), stop, master_seed=14,
+                    batch_size=8, checkpoint_path=path, checkpoint_every=8)
+
+    def test_checkpoint_bound_to_fixed_key_supports(self, tmp_path):
+        from bikelab.errors import SchemaError
+        path = str(tmp_path / "ckpt.json")
+        stop = StopRule(min_trials=0, min_failures=10**9, max_trials=16)
+        key_a = sample_private_key(TOY, expand_u64_seed(1))
+        key_b = sample_private_key(TOY, expand_u64_seed(2))
+        run_dfr(TOY, FixedKey(key_a, "k.json"), PsiErrors(3), stop, master_seed=14,
+                checkpoint_path=path, checkpoint_every=16)
+        with pytest.raises(SchemaError):
+            run_dfr(TOY, FixedKey(key_b, "k.json"), PsiErrors(3), stop, master_seed=14,
+                    checkpoint_path=path, checkpoint_every=16)
+
+    def test_checkpoint_saved_when_batches_step_over_multiples(self, tmp_path):
+        # 256-trial batches never land on a multiple of 100
+        path = str(tmp_path / "ckpt.json")
+        stop = StopRule(min_trials=0, min_failures=10**9, max_trials=512)
+        res = run_dfr(TOY, NormalKeys(), HonestErrors(), stop, master_seed=17,
+                      batch_size=256, checkpoint_path=path, checkpoint_every=100)
+        blob = json.load(open(path))
+        assert (blob["trials_done"], blob["failures"]) == (512, res.failures)
+
 
 class TestRecord:
     def test_schema_fields_frozen(self):
