@@ -168,6 +168,7 @@ def cmd_dfr(args) -> int:
 
     records = []
     points = []
+    dropped = []   # r values left out of the extrapolation, with the reason
     for r in sorted(rs):
         params = params_with_r(base, r)
         cfg = DecoderConfig.for_params(params)
@@ -184,13 +185,21 @@ def cmd_dfr(args) -> int:
         records.append(dfrlab.make_record(result, cfg, stop, timestamp))
         if result.failures > 0:
             points.append((params.r, math.log2(result.dfr_point)))
+        else:
+            dropped.append({"r": params.r, "reason": f"0 failures in {result.trials} "
+                            "trials, so log2 DFR is -inf"})
 
     out: dict = {"records": records, "extrapolation": None, "pw": None}
     if args.extrapolate_to is not None:
         if len(points) < 2:
-            raise ParameterError("extrapolation needs two r values with failures")
+            zero = ", ".join(str(d["r"]) for d in dropped) or "none"
+            raise ParameterError("extrapolation needs two r values with failures "
+                                 f"(r without failures: {zero})")
         extra = dfrlab.extrapolate(points[-2], points[-1], args.extrapolate_to)
-        out["extrapolation"] = extra.to_json_dict()
+        dropped += [{"r": r, "reason": "the line runs through the two largest r with "
+                     "failures"} for r, _ in points[:-2]]
+        dropped.sort(key=lambda d: d["r"])
+        out["extrapolation"] = {**extra.to_json_dict(), "dropped": dropped}
         if args.eta_from:
             target = params_with_r(base, args.extrapolate_to)
             log2_eta = _parse_eta_from(args.eta_from, target)

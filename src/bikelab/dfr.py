@@ -208,7 +208,7 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
     trials = failures = 0
     tag = _checkpoint_tag(params, key_class, error_source, cfg, master_seed, batch_size)
     if checkpoint_path and os.path.exists(checkpoint_path):
-        trials, failures = _load_checkpoint(checkpoint_path, tag)
+        trials, failures = _load_checkpoint(checkpoint_path, tag, stop.max_trials)
     if trials == 0 and stop.satisfied(0, 0):
         raise ParameterError("stop rule is satisfied before any trial runs")
 
@@ -271,12 +271,20 @@ def _save_checkpoint(path: str, tag: str, trials: int, failures: int) -> None:
     os.replace(tmp, path)
 
 
-def _load_checkpoint(path: str, tag: str) -> tuple[int, int]:
+def _load_checkpoint(path: str, tag: str, max_trials: int) -> tuple[int, int]:
     with open(path) as fh:
         blob = json.load(fh)
-    if blob.get("tag") != tag:
+    if not isinstance(blob, dict) or blob.get("tag") != tag:
         raise SchemaError("checkpoint belongs to a different experiment", field="tag")
-    return int(blob["trials_done"]), int(blob["failures"])
+    for name in ("trials_done", "failures"):
+        if type(blob.get(name)) is not int or blob[name] < 0:
+            raise SchemaError(f"checkpoint {name} must be a nonnegative integer", field=name)
+    trials, failures = blob["trials_done"], blob["failures"]
+    if failures > trials:
+        raise SchemaError("checkpoint has more failures than trials", field="failures")
+    if trials > max_trials:
+        raise ParameterError(f"checkpoint holds {trials} trials, above max_trials={max_trials}")
+    return trials, failures
 
 
 # -- exact binomial confidence interval ----------------------------------------

@@ -1,8 +1,9 @@
 """The acceptance gate: one test per release criterion, tolerances pinned.
 
 Each test prints a summary line; the terminal summary block (see conftest)
-repeats one PASS/FAIL line per criterion.  Expected wall time for the whole
-module is a few minutes, dominated by the full-parameter KEM round trips.
+repeats one PASS/FAIL line per criterion.  The whole module takes about
+40-55 s on a 2-vCPU VM; criterion 4's 1000 level-1 KEM round trips take
+18-25 s of it.
 """
 
 import json

@@ -292,6 +292,26 @@ class TestDfrCommand:
         assert blob["extrapolation"]["r_target"] == 12323
         assert "log2_pw" in blob["pw"]
 
+    def test_extrapolation_lists_dropped_r(self, capsys):
+        # normal keys at t=18: r=523, 541 and 547 fail, r=1019 does not in 64 trials
+        args = ["dfr", "--r", "523", "--w", "30", "--t", "18", "--rs", "523,541,547,1019",
+                "--max-trials", "64", "--min-failures", "1000000", "--seed", "13",
+                "--no-timestamp"]
+        code, out, _ = run_cli(capsys, *args, "--extrapolate-to", "12323")
+        assert code == 0
+        blob = json.loads(out)
+        assert [rec["failures"] > 0 for rec in blob["records"]] == [True, True, True, False]
+        extra = blob["extrapolation"]
+        assert [p[0] for p in extra["points"]] == [541, 547]
+        assert extra["dropped"] == [
+            {"r": 523, "reason": "the line runs through the two largest r with failures"},
+            {"r": 1019, "reason": "0 failures in 64 trials, so log2 DFR is -inf"}]
+
+        code, _, err = run_cli(capsys, *args[:8], "523,1019", *args[9:],
+                               "--extrapolate-to", "12323")
+        assert code == 2
+        assert "1019" in err
+
     def test_equal_rs_rejected(self, capsys):
         code, _, err = run_cli(capsys, "dfr", "--rs", "100,100", "--max-trials", "8")
         assert code == 2

@@ -240,6 +240,41 @@ class TestRunDfr:
             run_dfr(TOY, FixedKey(key_b, "k.json"), PsiErrors(3), stop, master_seed=14,
                     checkpoint_path=path, checkpoint_every=16)
 
+    def test_checkpoint_above_max_trials_rejected(self, tmp_path):
+        # resuming 64 done trials under a cap of 32 would report 64 trials
+        path = str(tmp_path / "ckpt.json")
+        run_dfr(TOY, NormalKeys(), HonestErrors(),
+                StopRule(min_trials=0, min_failures=10**9, max_trials=64),
+                master_seed=19, batch_size=16, checkpoint_path=path, checkpoint_every=16)
+        with pytest.raises(ParameterError, match="max_trials"):
+            run_dfr(TOY, NormalKeys(), HonestErrors(),
+                    StopRule(min_trials=0, min_failures=10**9, max_trials=32),
+                    master_seed=19, batch_size=16, checkpoint_path=path,
+                    checkpoint_every=16)
+
+    @pytest.mark.parametrize("edit", [
+        {"failures": 17}, {"trials_done": -16}, {"failures": -1},
+        {"failures": 1.5}, {"trials_done": "16"}, {"trials_done": None},
+        {"failures": None}], ids=["failures_above_trials", "negative_trials",
+                                  "negative_failures", "float_failures", "string_trials",
+                                  "missing_trials", "missing_failures"])
+    def test_checkpoint_inconsistent_counts_rejected(self, tmp_path, edit):
+        from bikelab.errors import SchemaError
+        path = str(tmp_path / "ckpt.json")
+        stop = StopRule(min_trials=0, min_failures=10**9, max_trials=32)
+        run_dfr(TOY, NormalKeys(), HonestErrors(),
+                StopRule(min_trials=0, min_failures=10**9, max_trials=16),
+                master_seed=20, batch_size=16, checkpoint_path=path, checkpoint_every=16)
+        blob = json.load(open(path))
+        assert blob["trials_done"] == 16
+        blob.update(edit)
+        blob = {k: v for k, v in blob.items() if v is not None}   # None: field missing
+        with open(path, "w") as fh:
+            json.dump(blob, fh)
+        with pytest.raises(SchemaError):
+            run_dfr(TOY, NormalKeys(), HonestErrors(), stop, master_seed=20,
+                    batch_size=16, checkpoint_path=path, checkpoint_every=16)
+
     def test_checkpoint_saved_when_batches_step_over_multiples(self, tmp_path):
         # 256-trial batches never land on a multiple of 100
         path = str(tmp_path / "ckpt.json")

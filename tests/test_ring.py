@@ -1,12 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bikelab import (NotInvertibleError, ParameterError, RingParams, invert_counted,
                      invert_oracle, iti_mul_bound, mul_sparse)
-from bikelab.ring import DensePoly, SparsePoly
+from bikelab.ring import _SPARSE_MUL_CUTOFF, DensePoly, SparsePoly
 
 from conftest import random_dense, random_odd_dense
 
@@ -21,6 +22,15 @@ def schoolbook_mul(a: DensePoly, b: DensePoly) -> DensePoly:
             acc ^= ((a.bits >> j) & 1) & ((b.bits >> ((i - j) % r)) & 1)
         out |= acc << i
     return DensePoly(a.ring, out)
+
+
+def rotate_xor_mul(a: DensePoly, b: DensePoly) -> DensePoly:
+    """Second oracle, fast enough for r in the thousands: XOR b rotated by each i in supp(a)."""
+    r = a.ring.r
+    acc = 0
+    for i in a.support():
+        acc ^= b.bits << int(i)
+    return DensePoly(a.ring, (acc >> r) ^ (acc & a.ring.mask))
 
 
 def poly(ring, *powers) -> DensePoly:
@@ -86,19 +96,31 @@ class TestMul:
             a, b = random_dense(ring, rng), random_dense(ring, rng)
             assert (a * b).bits == schoolbook_mul(a, b).bits
 
-    def test_spread_path_matches_schoolbook(self):
-        # force both operands past the sparse cutoff so the lane product runs
-        ring = RingParams(1283)
+    @pytest.mark.parametrize("r", [1283, 10009, 12323, 24659, 40973])
+    def test_fft_path_matches_rotate_xor(self, r):
+        # both operands past the sparse cutoff, so the FFT product runs; in
+        # all-ones squared every convolution sum reaches r, the worst case
+        # for rounding, and the product is all-ones again because r is odd
+        ring = RingParams(r)
         rng = random.Random(5)
-        for _ in range(5):
-            a = DensePoly(ring, rng.getrandbits(ring.r) & ring.mask)
-            b = DensePoly(ring, rng.getrandbits(ring.r) & ring.mask)
-            assert a.weight() > 512 and b.weight() > 512
-            sparse_route = 0
-            for s in a.support():
-                sparse_route ^= (b.bits << int(s))
-            sparse_route = (sparse_route >> ring.r) ^ (sparse_route & ring.mask)
-            assert (a * b).bits == sparse_route
+        ones = DensePoly.all_ones(ring)
+        pairs = [(ones, ones)] + [(random_dense(ring, rng), random_dense(ring, rng))
+                                  for _ in range(5)]
+        for a, b in pairs:
+            assert min(a.weight(), b.weight()) > _SPARSE_MUL_CUTOFF
+            assert (a * b).bits == rotate_xor_mul(a, b).bits
+        assert (ones * ones).bits == ring.mask
+
+    def test_fft_exactness_guard_raises(self, monkeypatch):
+        ring = RingParams(1283)
+        rng = random.Random(18)
+        a, b = random_dense(ring, rng), random_dense(ring, rng)
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+        with pytest.raises(FloatingPointError):
+            a * b
+        with pytest.raises(FloatingPointError):
+            invert_counted(random_odd_dense(ring, rng))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, (1 << 13) - 1), st.integers(0, (1 << 13) - 1),
