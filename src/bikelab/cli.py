@@ -36,8 +36,20 @@ def _params_from_args(args) -> SystemParams:
     return level_params(args.level)
 
 
-def _seed_bytes(args) -> bytes:
-    return expand_u64_seed(args.seed)
+def _add_params(p) -> None:
+    # the parameter group that _params_from_args reads
+    p.add_argument("--level", type=int, default=1, choices=(1, 3, 5))
+    p.add_argument("--r", type=int, help="custom block size (with --w and --t)")
+    p.add_argument("--w", type=int, help="custom row weight")
+    p.add_argument("--t", type=int, help="custom error weight")
+    p.add_argument("--l", type=int, default=256, help="shared key bits")
+
+
+def _int(text: str, error: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParameterError(error) from exc
 
 
 def _emit(args, text: str) -> None:
@@ -50,7 +62,7 @@ def _emit(args, text: str) -> None:
 
 def cmd_keygen(args) -> int:
     params = _params_from_args(args)
-    seed = _seed_bytes(args)
+    seed = expand_u64_seed(args.seed)
     if args.check:
         cfg = KeyCheckConfig(threshold_T=args.check_threshold)
         sk, pk, rejected = keygen_checked(params, seed, cfg, budget=args.check_budget)
@@ -65,7 +77,7 @@ def cmd_keygen(args) -> int:
 
 def cmd_encaps(args) -> int:
     params, pk = files.read_public_key(args.key)
-    c, k = encaps(pk, params, _seed_bytes(args))
+    c, k = encaps(pk, params, expand_u64_seed(args.seed))
     files.write_ciphertext(args.ct_out, c)
     files.write_shared_key(args.ss_out, k)
     sys.stdout.write(files.dumps_canonical(
@@ -92,14 +104,8 @@ def cmd_decaps(args) -> int:
 
 def cmd_weakkey_gen(args) -> int:
     params = _params_from_args(args)
-    spec = WeakKeySpec(
-        args.type,
-        f=args.f,
-        d=args.d if args.d is not None else 1,
-        l_shift=args.shift,
-        m=args.m,
-    )
-    sk = spec.generate(params, _seed_bytes(args))
+    spec = WeakKeySpec(args.type, f=args.f, d=args.d, l_shift=args.shift, m=args.m)
+    sk = spec.generate(params, expand_u64_seed(args.seed))
     # weak keys drive decoding experiments, but publishing h keeps the file
     # usable with encaps as well
     h = mul_sparse(sk.h1, sk.h0.to_dense().invert())
@@ -139,7 +145,7 @@ def _parse_error_source(text: str):
     if text == "honest":
         return dfrlab.HonestErrors()
     if text.startswith("psi:"):
-        return dfrlab.PsiErrors(int(text[len("psi:"):]))
+        return dfrlab.PsiErrors(_int(text[len("psi:"):], f"bad psi distance in {text!r}"))
     raise ParameterError(f"unknown error source {text!r}")
 
 
@@ -158,7 +164,8 @@ def _parse_eta_from(text: str, params: SystemParams) -> float:
 
 def cmd_dfr(args) -> int:
     base = _params_from_args(args)
-    rs = [int(x) for x in args.rs.split(",")] if args.rs else [base.r]
+    rs = ([_int(x, f"bad --rs value {x!r}") for x in args.rs.split(",")] if args.rs
+          else [base.r])
     if len(set(rs)) != len(rs):
         raise ParameterError("--rs values must be distinct")
     stop = dfrlab.StopRule(min_trials=args.min_trials, min_failures=args.min_failures,
@@ -247,46 +254,31 @@ def _parse_range(text: str) -> list[int]:
         if step <= 0 or stop < start:
             raise ParameterError(f"bad range {text!r}")
         return list(range(start, stop + 1, step))
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise ParameterError(f"bad range {text!r}") from exc
+    return [_int(x, f"bad range {text!r}") for x in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="bikelab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed_default=0):
-        p.add_argument("--level", type=int, default=1, choices=(1, 3, 5))
-        p.add_argument("--r", type=int, help="custom block size (with --w and --t)")
-        p.add_argument("--w", type=int, help="custom row weight")
-        p.add_argument("--t", type=int, help="custom error weight")
-        p.add_argument("--l", type=int, default=256, help="shared key bits")
-        p.add_argument("--seed", type=int, default=seed_default, help="64-bit seed")
-        p.add_argument("--out", help="write primary output here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--verbose", action="store_true")
-
-    p = sub.add_parser("keygen", help="generate a key pair")
-    add_common(p)
+    # no abbreviations: "decaps --t 14" would otherwise be read as --trace-csv 14
+    p = sub.add_parser("keygen", help="generate a key pair", allow_abbrev=False)
+    _add_params(p)
+    p.add_argument("--seed", type=int, default=0, help="64-bit seed")
     p.add_argument("--key-out", required=True)
     p.add_argument("--check", action="store_true", help="reject weak candidates")
-    p.add_argument("--no-check", dest="check", action="store_false")
     p.add_argument("--check-threshold", type=int, default=10)
     p.add_argument("--check-budget", type=int, default=100)
     p.set_defaults(func=cmd_keygen)
 
-    p = sub.add_parser("encaps", help="encapsulate a shared key")
-    add_common(p)
+    p = sub.add_parser("encaps", help="encapsulate a shared key", allow_abbrev=False)
+    p.add_argument("--seed", type=int, default=0, help="64-bit seed")
     p.add_argument("--key", required=True, help="key file (only params and h used)")
     p.add_argument("--ct-out", required=True)
     p.add_argument("--ss-out", required=True)
     p.set_defaults(func=cmd_encaps)
 
-    p = sub.add_parser("decaps", help="decapsulate a ciphertext")
-    add_common(p)
+    p = sub.add_parser("decaps", help="decapsulate a ciphertext", allow_abbrev=False)
     p.add_argument("--key", required=True)
     p.add_argument("--ct", required=True)
     p.add_argument("--ss-out", required=True)
@@ -297,25 +289,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weakkey", help="weak-key utilities")
     wk_sub = p.add_subparsers(dest="weakkey_command", required=True)
-    g = wk_sub.add_parser("gen", help="generate a weak key")
-    add_common(g)
+    g = wk_sub.add_parser("gen", help="generate a weak key", allow_abbrev=False)
+    _add_params(g)
+    g.add_argument("--seed", type=int, default=0, help="64-bit seed")
     g.add_argument("--type", type=int, required=True, choices=(1, 2, 3))
     g.add_argument("--f", type=int)
-    g.add_argument("--d", type=int)
+    g.add_argument("--d", type=int, default=1)
     g.add_argument("--shift", type=int, default=0)
     g.add_argument("--m", type=int)
     g.add_argument("--key-out", required=True)
     g.add_argument("--spectrum-csv", help="write the h0 distance spectrum CSV")
     g.set_defaults(func=cmd_weakkey_gen)
 
-    p = sub.add_parser("keycheck", help="classify a key as Weak or Normal")
-    add_common(p)
+    p = sub.add_parser("keycheck", help="classify a key as Weak or Normal", allow_abbrev=False)
     p.add_argument("--key", required=True)
     p.add_argument("--threshold", type=int, default=10)
+    p.add_argument("--out", help="write the verdict here instead of stdout")
     p.set_defaults(func=cmd_keycheck)
 
-    p = sub.add_parser("dfr", help="measure decoding failure rates")
-    add_common(p)
+    p = sub.add_parser("dfr", help="measure decoding failure rates", allow_abbrev=False)
+    _add_params(p)
+    p.add_argument("--seed", type=int, default=0, help="64-bit seed")
     p.add_argument("--key-class", default="normal",
                    help='"normal", "weak:type1:f=40,d=1", or "fixed:key.json"')
     p.add_argument("--error-source", default="honest", help='"honest" or "psi:D"')
@@ -329,14 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report the q * eta * DFR advantage product")
     p.add_argument("--no-timestamp", action="store_true",
                    help="blank the timestamp field (reproducible records)")
+    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--verbose", action="store_true", help="per-r progress on stderr")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", help="write the records here instead of stdout")
     p.set_defaults(func=cmd_dfr)
 
-    p = sub.add_parser("eta", help="weak-key densities as CSV")
-    add_common(p)
+    p = sub.add_parser("eta", help="weak-key densities as CSV", allow_abbrev=False)
+    _add_params(p)
     p.add_argument("--type", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--param-range", required=True,
                    help='f or m values: "5:40:5" or "5,10,15"')
     p.add_argument("--s", type=int, default=2, help="run-block count for type 2")
+    p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_eta)
 
     return top

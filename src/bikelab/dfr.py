@@ -20,7 +20,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .decoder import DecoderConfig, bgf_decode
@@ -38,8 +38,6 @@ DEFAULT_BATCH_SIZE = 256
 
 @dataclass(frozen=True)
 class NormalKeys:
-    kind: str = field(default="normal", init=False)
-
     def sample(self, params: SystemParams, seed: bytes) -> PrivateKey:
         return sample_private_key(params, seed)
 
@@ -50,7 +48,6 @@ class NormalKeys:
 @dataclass(frozen=True)
 class WeakKeys:
     spec: WeakKeySpec
-    kind: str = field(default="weak", init=False)
 
     def sample(self, params: SystemParams, seed: bytes) -> PrivateKey:
         return self.spec.generate(params, seed)

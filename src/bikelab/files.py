@@ -129,11 +129,3 @@ def read_ciphertext(path: str, params: SystemParams) -> Ciphertext:
 
 def write_shared_key(path: str, k: SharedKey) -> None:
     write_json(path, {"shared_key_hex": k.data.hex()})
-
-
-def read_shared_key(path: str) -> SharedKey:
-    blob = load_json(path)
-    try:
-        return SharedKey(bytes.fromhex(_need(blob, "shared_key_hex", path)))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: malformed shared key ({exc})") from exc

@@ -51,10 +51,7 @@ class SystemParams:
 
     @cached_property
     def ring(self) -> RingParams:
-        try:
-            return RingParams.for_kem(self.r)
-        except ParameterError:
-            return RingParams(self.r)
+        return RingParams(self.r)
 
     def to_json_dict(self) -> dict:
         return {

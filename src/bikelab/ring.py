@@ -19,7 +19,7 @@ permutation i -> i*2^k mod r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -59,16 +59,13 @@ def is_kem_grade(r: int) -> bool:
 
 @dataclass(frozen=True)
 class RingParams:
-    """Circulant block size r, with a flag recording the invertibility check.
+    """Circulant block size r.
 
-    ``kem_validated`` does not take part in equality: it only records whether
-    the "r prime and 2 primitive modulo r" property was verified, which
-    guarantees every odd-weight element other than the all-ones vector is
-    invertible.
+    ``for_kem`` also checks that r is prime with 2 primitive modulo r, which
+    makes every odd-weight element other than the all-ones vector invertible.
     """
 
     r: int
-    kem_validated: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.r < 3 or self.r % 2 == 0:
@@ -78,7 +75,7 @@ class RingParams:
     def for_kem(cls, r: int) -> "RingParams":
         if not is_kem_grade(r):
             raise ParameterError(f"r={r} is not prime with 2 as a primitive root")
-        return cls(r, kem_validated=True)
+        return cls(r)
 
     @cached_property
     def mask(self) -> int:
@@ -323,7 +320,8 @@ def mul_sparse(a: SparsePoly, b: DensePoly) -> DensePoly:
     acc = 0
     for s in a.support:
         acc ^= b.bits << s
-    return DensePoly(b.ring, _fold(_fold(acc, r, mask), r, mask))
+    # s <= r - 1 and b.bits <= mask, so acc < 2^(2r-1) and one fold reduces it
+    return DensePoly(b.ring, _fold(acc, r, mask))
 
 
 def invert_counted(a: DensePoly) -> tuple[DensePoly, int]:

@@ -133,13 +133,6 @@ class WeakKeySpec:
             return gen_type2(params, self.d, self.m, seed)
         return gen_type3(params, self.m, seed)
 
-    def label(self) -> str:
-        if self.family == 1:
-            return f"type1:f={self.f},d={self.d},shift={self.l_shift}"
-        if self.family == 2:
-            return f"type2:d={self.d},m={self.m}"
-        return f"type3:m={self.m}"
-
     def to_json_dict(self) -> dict:
         return {"family": self.family, "f": self.f, "d": self.d,
                 "l_shift": self.l_shift, "m": self.m}

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from bikelab import NotInvertibleError, SchemaError, decoder, files
-from bikelab.cli import main
+from bikelab.cli import build_parser, main
 from bikelab.ring import DensePoly
 from bikelab.weakkeys import spectrum
 
@@ -337,6 +338,18 @@ class TestDfrCommand:
         code, _, _ = run_cli(capsys, "dfr", "--key-class", "bogus", "--max-trials", "8")
         assert code == 2
 
+    def test_non_integer_rs_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "dfr", "--r", "523", "--w", "30", "--t", "18",
+                               "--rs", "523,abc", "--max-trials", "8")
+        assert code == 2
+        assert "'abc'" in err
+
+    def test_non_integer_psi_distance_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "dfr", "--r", "523", "--w", "30", "--t", "18",
+                               "--error-source", "psi:x", "--max-trials", "8")
+        assert code == 2
+        assert "psi:x" in err
+
 
 class TestEtaCommand:
     def test_type1_table_column(self, capsys):
@@ -373,8 +386,87 @@ class TestEtaCommand:
 
     def test_out_file(self, tmp_path, capsys):
         path = str(tmp_path / "eta.csv")
-        code, out, _ = run_cli(capsys, "eta", "--type", "1", "--level", "1",
-                               "--param-range", "5,10", "--out", path)
+        argv = ["eta", "--type", "1", "--level", "1", "--param-range", "5,10"]
+        _, expected, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--out", path)
         assert code == 0
         assert out == ""
         assert open(path).read().startswith("family,param")
+        assert open(path, "rb").read() == expected.encode()
+
+
+PARAMS = {"--level", "--r", "--w", "--t", "--l"}
+ACCEPTED = {
+    "keygen": PARAMS | {"--seed", "--key-out", "--check", "--check-threshold",
+                        "--check-budget"},
+    "encaps": {"--seed", "--key", "--ct-out", "--ss-out"},
+    "decaps": {"--key", "--ct", "--ss-out", "--diagnostics", "--trace-csv"},
+    "weakkey gen": PARAMS | {"--seed", "--type", "--f", "--d", "--shift", "--m",
+                             "--key-out", "--spectrum-csv"},
+    "keycheck": {"--key", "--threshold", "--out"},
+    "dfr": PARAMS | {"--seed", "--key-class", "--error-source", "--min-trials",
+                     "--min-failures", "--max-trials", "--rs", "--extrapolate-to",
+                     "--eta-from", "--queries", "--no-timestamp", "--threads", "--verbose",
+                     "--format", "--out"},
+    "eta": PARAMS | {"--type", "--param-range", "--s", "--out"},
+}
+# each subcommand with its required arguments, so a parse error names the extra flag
+MINIMAL_ARGV = {
+    "keygen": ["keygen", "--key-out", "k.json"],
+    "encaps": ["encaps", "--key", "k.json", "--ct-out", "c.json", "--ss-out", "s.json"],
+    "decaps": ["decaps", "--key", "k.json", "--ct", "c.json", "--ss-out", "s.json"],
+    "weakkey gen": ["weakkey", "gen", "--type", "1", "--key-out", "k.json"],
+    "keycheck": ["keycheck", "--key", "k.json"],
+    "eta": ["eta", "--type", "1", "--param-range", "5"],
+}
+# flags each handler does not read, so each is a usage error
+REMOVED = {
+    "keygen": ["--out", "--format", "--threads", "--verbose", "--no-check"],
+    "encaps": [*sorted(PARAMS), "--out", "--format", "--threads", "--verbose"],
+    "decaps": [*sorted(PARAMS), "--seed", "--out", "--format", "--threads", "--verbose"],
+    "weakkey gen": ["--out", "--format", "--threads", "--verbose"],
+    "keycheck": [*sorted(PARAMS), "--seed", "--format", "--threads", "--verbose"],
+    "eta": ["--seed", "--format", "--threads", "--verbose"],
+}
+FLAG_VALUE = {"--level": ["3"], "--format": ["csv"], "--verbose": [], "--no-check": []}
+
+
+def accepted_flags(parser, prefix=""):
+    flags = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                flags.update(accepted_flags(child, f"{prefix} {name}".strip()))
+    own = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+    if own:
+        flags[prefix] = own
+    return flags
+
+
+class TestOptionSurface:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        assert accepted_flags(build_parser()) == ACCEPTED
+        assert sum(len(f) for f in ACCEPTED.values()) == 64
+
+    @pytest.mark.parametrize("command,flag",
+                             [(c, f) for c, flags in REMOVED.items() for f in flags])
+    def test_removed_flag_is_a_usage_error(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*MINIMAL_ARGV[command], flag, *FLAG_VALUE.get(flag, ["5"])])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["keycheck", "--key", "KEY"],
+        ["dfr", "--r", "523", "--w", "30", "--t", "18", "--max-trials", "32",
+         "--min-failures", "1000000", "--seed", "11", "--format", "csv"],
+    ], ids=["keycheck", "dfr"])
+    def test_out_file_matches_stdout(self, tmp_path, capsys, keyfile, argv):
+        argv = [keyfile if a == "KEY" else a for a in argv]
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "out"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert out == ""
+        assert path.read_bytes() == expected.encode()

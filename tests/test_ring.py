@@ -157,6 +157,14 @@ class TestMulSparse:
             b = random_dense(ring13, rng)
             assert mul_sparse(a, b).bits == (a.to_dense() * b).bits
 
+    @pytest.mark.parametrize("r", [3, 13, 101, 613])
+    def test_full_support_times_all_ones(self, r):
+        # the largest accumulator: index r - 1 shifts all r bits of b up to bit 2r - 2
+        ring = RingParams(r)
+        a = SparsePoly(ring, tuple(range(r)))
+        b = DensePoly(ring, ring.mask)
+        assert mul_sparse(a, b).bits == (a.to_dense() * b).bits == ring.mask
+
 
 class TestSquareShiftStarWeight:
     def test_square_trivials(self, ring13):
