@@ -12,6 +12,7 @@ import argparse
 import datetime
 import math
 import sys
+import time
 
 from . import dfr as dfrlab
 from . import files
@@ -162,6 +163,19 @@ def _parse_eta_from(text: str, params: SystemParams) -> float:
     raise ParameterError(f"--eta-from supports type1:f=N and type3:m=N, got {text!r}")
 
 
+def _progress_printer(r: int, max_trials: int):
+    """Per-batch stderr line: counts, running DFR with its 95% interval, ETA."""
+    started = time.monotonic()
+
+    def progress(trials: int, failures: int) -> None:
+        low, high = dfrlab.confidence_interval(failures, trials)
+        eta = (time.monotonic() - started) / trials * (max_trials - trials)
+        print(f"r={r}: {trials} trials, {failures} failures, dfr {failures / trials:.4g} "
+              f"[{low:.4g}, {high:.4g}], eta {eta:.1f} s to {max_trials} trials",
+              file=sys.stderr)
+    return progress
+
+
 def cmd_dfr(args) -> int:
     base = _params_from_args(args)
     rs = ([_int(x, f"bad --rs value {x!r}") for x in args.rs.split(",")] if args.rs
@@ -179,11 +193,7 @@ def cmd_dfr(args) -> int:
     for r in sorted(rs):
         params = params_with_r(base, r)
         cfg = DecoderConfig.for_params(params)
-        if args.verbose:
-            progress = lambda t, f: print(f"r={params.r}: {t} trials, {f} failures",
-                                          file=sys.stderr)
-        else:
-            progress = None
+        progress = _progress_printer(params.r, stop.max_trials) if args.verbose else None
         result = dfrlab.run_dfr(params, key_class, error_source, stop,
                                 master_seed=args.seed, parallelism=args.threads,
                                 decoder_cfg=cfg, progress=progress)
@@ -323,8 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report the q * eta * DFR advantage product")
     p.add_argument("--no-timestamp", action="store_true",
                    help="blank the timestamp field (reproducible records)")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--verbose", action="store_true", help="per-r progress on stderr")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes, at most one per usable CPU")
+    p.add_argument("--verbose", action="store_true",
+                   help="per-batch progress on stderr: running DFR, 95%% CI, ETA")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="write the records here instead of stdout")
     p.set_defaults(func=cmd_dfr)

@@ -15,6 +15,20 @@ s2 = s || s that is entry k of the contiguous slice s2[p : p + r], so a
 block's upc vector is the sum of its w/2 slices (the rotate-and-add UPC of
 Drucker, Gueron and Kostic), accumulated in the smallest unsigned type that
 holds w/2.  No per-key state is built.
+
+The form of a UPC pass depends on its size, the w rows of r bytes it reads.
+Up to ``_UPC_GATHER_BYTES`` it is one fancy gather of all w rows of a
+strided view of s2 and one sum (reduced sets such as r=523..1523); above it
+(L1, L3, L5) it stays w slice adds, which keep the working set in cache.
+The Black/Gray re-check needs the upc only where its mask is set.  On the
+slice side it reads just the (w/2) x |mask| entries s2[p + k] (black plus
+gray is 30-100 of the 24646 positions at L1); on the gather side, where
+gray covers a large share of r, one full pass is cheaper.
+
+The error estimate is one (2, r) uint8 array.  The residual syndrome is
+still re-computed by multiplying the estimate by the key, one ``mul_sparse``
+per non-zero block per evaluation, rather than updated from the flips: the
+benchmark pins ``ring.mul_sparse.calls``, so the call pattern stays.
 """
 
 from __future__ import annotations
@@ -33,6 +47,15 @@ from .ring import (DensePoly, SparsePoly, _array_to_bits, _bits_to_array, _check
 # published BGF affine threshold constants (slope, intercept, floor) per level
 _LEVEL_THRESHOLDS = {"L1": (0.0069722, 13.530, 36), "L3": (0.005265, 15.2588, 52),
                      "L5": (0.00402312, 17.8785, 69)}
+
+# Up to this many bytes gathered per UPC pass (w rows of r bytes), the pass is
+# one fancy gather of all w rows; above it, one slice add per row.  Measured
+# (numpy 2.4, 2-vCPU VM with a 2 MiB L2), UPC pass of both blocks, slices ->
+# gather: r=523 31 -> 9 us, r=1259 51 -> 11 us, r=1019 w/2=257 853 -> 113 us,
+# L1 207 -> 151 us, L3 402 -> 504 us, L5 763 -> 1259 us.  Whole decodes still
+# gain from the gather at 1.3 MB (r=9349, w/2=71) but lose at L1 (1.75 MB, 2.0
+# -> 2.4 ms), where the rows no longer fit in L2 beside the rest.
+_UPC_GATHER_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -113,28 +136,51 @@ def threshold(syndrome_weight: int, cfg: DecoderConfig) -> int:
                          float(cfg.thr_floor)))
 
 
-def _upc_blocks(s_bits: int, h0: SparsePoly, h1: SparsePoly) -> list[np.ndarray]:
-    """Unsatisfied-check counts per position for each block under syndrome s_bits."""
-    r = h0.ring.r
-    s2 = np.tile(_bits_to_array(s_bits, r), 2)
-    out = []
-    for h in (h0, h1):
-        acc = np.zeros(r, dtype=np.min_scalar_type(h.weight()))
-        for p in h.support:
+def _check_key(s: DensePoly, h0: SparsePoly, h1: SparsePoly) -> None:
+    if h0.weight() != h1.weight():
+        raise ParameterError("key blocks must have equal weight")
+    _check_same_ring(h0, h1)
+    if s.ring.r != h0.ring.r:
+        raise ParameterError("syndrome ring does not match the key")
+
+
+def _doubled(s_bits: int, r: int) -> np.ndarray:
+    """The syndrome s_bits written twice, s || s, as a uint8 array of length 2r."""
+    return _bits_to_array(s_bits | s_bits << r, 2 * r)
+
+
+def _gathers(supp: np.ndarray, r: int) -> bool:
+    """True when a UPC pass over supports supp is one gather (the size rule)."""
+    return supp.size * r <= _UPC_GATHER_BYTES
+
+
+def _upc_blocks(s2: np.ndarray, supp: np.ndarray) -> np.ndarray:
+    """(2, r) unsatisfied-check counts of both blocks from the doubled syndrome s2.
+
+    ``supp`` holds the support of h0 and of h1 as the rows of a (2, w/2) array.
+    """
+    r = s2.size // 2
+    dtype = np.min_scalar_type(supp.shape[1])
+    if _gathers(supp, r):
+        # row p of this (r + 1, r) view of s2 is the slice s2[p : p + r]
+        windows = np.ndarray((r + 1, r), np.uint8, s2, 0, (1, 1))
+        return windows[supp].sum(axis=1, dtype=dtype)
+    out = np.zeros((2, r), dtype=dtype)
+    for acc, row in zip(out, supp.tolist()):
+        for p in row:
             acc += s2[p:p + r]
-        out.append(acc)
     return out
 
 
 def compute_upc(s: DensePoly, h0: SparsePoly, h1: SparsePoly) -> np.ndarray:
     """upc for all 2r positions (block 0 first) under syndrome s.
 
-    The dtype is the smallest unsigned integer type that holds w/2.
+    The dtype is the smallest unsigned integer type that holds w/2.  The key
+    blocks must have equal weight, as for :func:`bgf_decode`.
     """
-    _check_same_ring(h0, h1)
-    if s.ring.r != h0.ring.r:
-        raise ParameterError("syndrome ring does not match the key")
-    return np.concatenate(_upc_blocks(s.bits, h0, h1))
+    _check_key(s, h0, h1)
+    supp = np.array([h0.support, h1.support], dtype=np.intp)
+    return _upc_blocks(_doubled(s.bits, s.ring.r), supp).reshape(-1)
 
 
 def verify(e: ErrorPair, h0: SparsePoly, h1: SparsePoly, s: DensePoly) -> bool:
@@ -147,27 +193,22 @@ def bgf_decode(s: DensePoly, h0: SparsePoly, h1: SparsePoly, cfg: DecoderConfig,
                record_trace: bool = False) -> DecodeOutcome:
     """Recover the error pair whose syndrome is s, or report failure.
 
-    Deterministic in all inputs.  Each iteration re-multiplies the current
-    error estimate by the key to get the residual syndrome, and takes the
-    upc of every position as a sum of slices of that syndrome doubled.
+    Deterministic in all inputs.  Each evaluation of the residual syndrome
+    re-multiplies the current error estimate by the key, one ``mul_sparse``
+    per non-zero block, and each UPC pass reads the doubled residual.
     """
-    if h0.weight() != h1.weight():
-        raise ParameterError("key blocks must have equal weight")
-    _check_same_ring(h0, h1)
-    if s.ring.r != h0.ring.r:
-        raise ParameterError("syndrome ring does not match the key")
+    _check_key(s, h0, h1)
     r = h0.ring.r
+    supp = np.array([h0.support, h1.support], dtype=np.intp)
+    gather = _gathers(supp, r)
     mask_thr = cfg.mask_threshold_for(h0.weight())
-    s_in = s.bits
-
-    e_arr = [np.zeros(r, dtype=np.uint8), np.zeros(r, dtype=np.uint8)]
+    e = np.zeros((2, r), dtype=np.uint8)
     trace: list[IterationTrace] = []
 
     def residual_syndrome() -> int:
-        acc = s_in
-        for b in (0, 1):
-            blk = h0 if b == 0 else h1
-            e_bits = _array_to_bits(e_arr[b])
+        acc = s.bits
+        for blk, row in zip((h0, h1), e):
+            e_bits = _array_to_bits(row)
             if e_bits:
                 acc ^= mul_sparse(blk, DensePoly(s.ring, e_bits)).bits
         return acc
@@ -178,40 +219,36 @@ def bgf_decode(s: DensePoly, h0: SparsePoly, h1: SparsePoly, cfg: DecoderConfig,
         if s_cur == 0:
             break
         iterations = it
-        thr = threshold(s_cur.bit_count(), cfg)
-        upc = _upc_blocks(s_cur, h0, h1)
-
-        flips = 0
-        black = [None, None]
-        gray = [None, None]
-        for b in (0, 1):
-            flip_mask = upc[b] >= thr
-            if it == 1 and cfg.black_gray:
-                black[b] = flip_mask
-                gray[b] = (upc[b] >= thr - cfg.tau) & ~flip_mask
-            e_arr[b] ^= flip_mask
-            flips += int(flip_mask.sum())
-
+        weight = s_cur.bit_count()
+        thr = threshold(weight, cfg)
+        upc = _upc_blocks(_doubled(s_cur, r), supp)
+        black = upc >= thr
+        e ^= black
+        flips = int(np.count_nonzero(black))
         n_black = n_gray = 0
         if it == 1 and cfg.black_gray:
-            n_black = int(black[0].sum() + black[1].sum())
-            n_gray = int(gray[0].sum() + gray[1].sum())
-            for masks in (black, gray):
-                upc = _upc_blocks(residual_syndrome(), h0, h1)
-                for b in (0, 1):
-                    step_mask = masks[b] & (upc[b] >= mask_thr)
-                    e_arr[b] ^= step_mask
-                    flips += int(step_mask.sum())
+            n_black = flips
+            gray = (upc >= thr - cfg.tau) & ~black
+            n_gray = int(np.count_nonzero(gray))
+            for mask in (black, gray):
+                s2 = _doubled(residual_syndrome(), r)
+                if gather:
+                    step = mask & (_upc_blocks(s2, supp) >= mask_thr)
+                else:
+                    # upc only where the mask is set: (w/2) x |mask| entries
+                    blk, pos = np.nonzero(mask)
+                    step = np.zeros_like(mask)
+                    step[blk, pos] = s2[supp[blk].T + pos].sum(axis=0) >= mask_thr
+                e ^= step
+                flips += int(np.count_nonzero(step))
 
         if record_trace:
-            trace.append(IterationTrace(iteration=it, syndrome_weight=s_cur.bit_count(),
+            trace.append(IterationTrace(iteration=it, syndrome_weight=weight,
                                         threshold=thr, flips=flips,
                                         black=n_black, gray=n_gray))
 
     success = residual_syndrome() == 0
-    err = ErrorPair(
-        e0=SparsePoly(s.ring, tuple(int(i) for i in np.nonzero(e_arr[0])[0])),
-        e1=SparsePoly(s.ring, tuple(int(i) for i in np.nonzero(e_arr[1])[0])),
-    )
+    err = ErrorPair(e0=SparsePoly(s.ring, tuple(np.flatnonzero(e[0]).tolist())),
+                    e1=SparsePoly(s.ring, tuple(np.flatnonzero(e[1]).tolist())))
     return DecodeOutcome(success=success, error=err, iterations_run=iterations,
                          trace=tuple(trace) if record_trace else None)

@@ -180,6 +180,13 @@ def _worker(task) -> int:
                                  master_seed, start, count)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
             master_seed: int, parallelism: int = 1,
             decoder_cfg: DecoderConfig | None = None,
@@ -191,8 +198,8 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
 
     ``batch_size`` fixes the granularity at which the stop rule is evaluated
     and must not change between runs that are meant to reproduce each other;
-    ``parallelism`` only splits batches across processes and never affects
-    the outcome.
+    ``parallelism`` only splits batches across processes, at most one per
+    usable CPU, and never affects the outcome.
     """
     if parallelism < 1:
         raise ParameterError("parallelism must be >= 1")
@@ -210,7 +217,10 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
         raise ParameterError("stop rule is satisfied before any trial runs")
 
     started = time.monotonic()
-    pool = ProcessPoolExecutor(max_workers=parallelism) if parallelism > 1 else None
+    # under the fork start method the executor starts all max_workers at the
+    # first submit, so never ask for more workers than there are CPUs
+    workers = min(parallelism, _usable_cpus())
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         while not stop.satisfied(trials, failures):
             todo = min(batch_size, stop.max_trials - trials)
@@ -218,7 +228,7 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
                 failures += _count_failures_range(params, key_class, error_source,
                                                   cfg, master_seed, trials, todo)
             else:
-                chunk = (todo + parallelism - 1) // parallelism
+                chunk = (todo + workers - 1) // workers
                 tasks = [(params, key_class, error_source, cfg, master_seed,
                           trials + lo, min(chunk, todo - lo))
                          for lo in range(0, todo, chunk)]
@@ -340,6 +350,10 @@ def _betainc_inv(a: float, b: float, p: float) -> float:
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # no double lies strictly between lo and hi, so no later step can
+            # move the result off mid
+            return mid
         if _betainc(a, b, mid) < p:
             lo = mid
         else:

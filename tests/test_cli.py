@@ -1,9 +1,10 @@
 import argparse
 import json
+import re
 
 import pytest
 
-from bikelab import NotInvertibleError, SchemaError, decoder, files
+from bikelab import NotInvertibleError, SchemaError, confidence_interval, decoder, files
 from bikelab.cli import build_parser, main
 from bikelab.ring import DensePoly
 from bikelab.weakkeys import spectrum
@@ -279,6 +280,40 @@ class TestDfrCommand:
                 rec["wall_time_s"] = None
             return blob
         assert strip_wall(out1) == strip_wall(out2)
+
+    def test_verbose_reports_running_dfr_interval_and_eta(self, capsys):
+        args = ["dfr", "--r", "523", "--w", "30", "--t", "18", "--max-trials", "80",
+                "--min-failures", "1000000", "--seed", "12", "--no-timestamp",
+                "--format", "csv"]
+        code, quiet_out, quiet_err = run_cli(capsys, *args)
+        assert code == 0 and quiet_err == ""
+        code, out, err = run_cli(capsys, *args, "--verbose")
+        assert code == 0
+        assert out == quiet_out  # the CSV summary carries no wall time
+        line = re.compile(r"r=523: (\d+) trials, (\d+) failures, dfr (\S+) "
+                          r"\[(\S+), (\S+)\], eta (\d+\.\d) s to 80 trials")
+        rows = [line.fullmatch(x) for x in err.splitlines()]
+        assert all(rows) and len(rows) == 1  # one default-size batch covers 80 trials
+        trials, failures = int(rows[-1][1]), int(rows[-1][2])
+        assert trials == 80 and f"{trials},{failures}," in out
+        low, high = confidence_interval(failures, trials)
+        assert rows[-1].groups()[2:] == (f"{failures / trials:.4g}", f"{low:.4g}",
+                                         f"{high:.4g}", "0.0")
+
+    def test_verbose_line_per_batch(self, capsys):
+        args = ["dfr", "--r", "101", "--w", "14", "--t", "6", "--max-trials", "600",
+                "--min-failures", "1000000", "--seed", "12", "--no-timestamp"]
+        code, out, err = run_cli(capsys, *args, "--verbose")
+        assert code == 0
+        counts = [int(x.split(" trials,")[0].split(": ")[1]) for x in err.splitlines()]
+        assert counts == [256, 512, 600]
+        etas = [float(x.split("eta ")[1].split(" s")[0]) for x in err.splitlines()]
+        assert etas[-1] == 0.0 and min(etas) >= 0.0
+        _, quiet, _ = run_cli(capsys, *args)
+        blobs = [json.loads(text) for text in (out, quiet)]
+        for blob in blobs:
+            blob["records"][0]["wall_time_s"] = None
+        assert blobs[0] == blobs[1]
 
     def test_rs_sweep_with_extrapolation_and_eta(self, capsys):
         code, out, _ = run_cli(

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from bikelab import (DecoderConfig, ParameterError, bgf_decode, compute_upc,
-                     custom_params, level_params, threshold, verify)
+                     custom_params, decoder, level_params, threshold, verify)
+from bikelab.decoder import DecodeOutcome, IterationTrace
+from bikelab.dfr import HonestErrors
+from bikelab.kem import expand_u64_seed, sample_private_key
 from bikelab.keys import ErrorPair
 from bikelab.ring import DensePoly, RingParams, SparsePoly, mul_sparse
+from bikelab.weakkeys import gen_psi_d_error, gen_type1
 
 
 def make_syndrome(h0, h1, e0, e1):
@@ -22,6 +26,78 @@ def random_instance(params, rng, weight_split):
     e0 = SparsePoly(ring, tuple(sorted(rng.sample(range(params.r), w0))))
     e1 = SparsePoly(ring, tuple(sorted(rng.sample(range(params.r), w1))))
     return h0, h1, e0, e1, make_syndrome(h0, h1, e0, e1)
+
+
+def reference_bgf_decode(s, h0, h1, cfg, mul=mul_sparse):
+    """BGF with a full slice-sum UPC pass for every step, residual by multiplication.
+
+    The decoder's earlier body, kept as the oracle: per-block uint8 error
+    arrays, the residual re-multiplied through ``mul`` at each evaluation,
+    and the first iteration's Black/Gray re-check done by full UPC passes.
+    """
+    r = h0.ring.r
+    mask_thr = cfg.mask_threshold_for(h0.weight())
+
+    def upc_blocks(s_bits):
+        s2 = np.tile(np.array([(s_bits >> i) & 1 for i in range(r)], dtype=np.uint8), 2)
+        out = []
+        for h in (h0, h1):
+            acc = np.zeros(r, dtype=np.min_scalar_type(h.weight()))
+            for p in h.support:
+                acc += s2[p:p + r]
+            out.append(acc)
+        return out
+
+    e_arr = [np.zeros(r, dtype=np.uint8), np.zeros(r, dtype=np.uint8)]
+
+    def residual_syndrome():
+        acc = s.bits
+        for blk, row in zip((h0, h1), e_arr):
+            e_bits = sum(1 << int(i) for i in np.nonzero(row)[0])
+            if e_bits:
+                acc ^= mul(blk, DensePoly(s.ring, e_bits)).bits
+        return acc
+
+    trace = []
+    iterations = 0
+    for it in range(1, cfg.nb_iter + 1):
+        s_cur = residual_syndrome()
+        if s_cur == 0:
+            break
+        iterations = it
+        thr = threshold(s_cur.bit_count(), cfg)
+        upc = upc_blocks(s_cur)
+        flips = 0
+        black, gray = [None, None], [None, None]
+        for b in (0, 1):
+            flip_mask = upc[b] >= thr
+            if it == 1 and cfg.black_gray:
+                black[b] = flip_mask
+                gray[b] = (upc[b] >= thr - cfg.tau) & ~flip_mask
+            e_arr[b] ^= flip_mask
+            flips += int(flip_mask.sum())
+        n_black = n_gray = 0
+        if it == 1 and cfg.black_gray:
+            n_black = int(black[0].sum() + black[1].sum())
+            n_gray = int(gray[0].sum() + gray[1].sum())
+            for masks in (black, gray):
+                upc = upc_blocks(residual_syndrome())
+                for b in (0, 1):
+                    step_mask = masks[b] & (upc[b] >= mask_thr)
+                    e_arr[b] ^= step_mask
+                    flips += int(step_mask.sum())
+        trace.append(IterationTrace(iteration=it, syndrome_weight=s_cur.bit_count(),
+                                    threshold=thr, flips=flips, black=n_black, gray=n_gray))
+    success = residual_syndrome() == 0
+    err = ErrorPair(*(SparsePoly(s.ring, tuple(int(i) for i in np.nonzero(row)[0]))
+                      for row in e_arr))
+    return DecodeOutcome(success=success, error=err, iterations_run=iterations,
+                         trace=tuple(trace))
+
+
+def distances(h):
+    r = h.ring.r
+    return {min((a - b) % r, (b - a) % r) for a in h.support for b in h.support if a != b}
 
 
 class TestThreshold:
@@ -95,8 +171,9 @@ class TestComputeUpc:
             assert got.tolist() == expected
 
     @pytest.mark.parametrize("params", [level_params(1), level_params(3), level_params(5),
-                                        custom_params(r=1019, w=514, t=20)],
-                             ids=["L1", "L3", "L5", "w2_257"])
+                                        custom_params(r=1019, w=514, t=20),
+                                        custom_params(r=1259, w=42, t=30)],
+                             ids=["L1", "L3", "L5", "w2_257", "r1259"])
     def test_matches_index_gather(self, params):
         # index-table gather: position k of block b reads s at (k + p) mod r
         # for each p in supp(h_b); dense syndromes push w2=257 counts past 255
@@ -115,6 +192,14 @@ class TestComputeUpc:
             got = compute_upc(s, h0, h1)
             assert got.dtype == (np.uint8 if params.w2 < 256 else np.uint16)
             assert got.tolist() == expected.tolist()
+
+
+    def test_unequal_block_weights_rejected(self, toy_params):
+        ring = toy_params.ring
+        h0 = SparsePoly(ring, tuple(range(toy_params.w2)))
+        h1 = SparsePoly(ring, tuple(range(toy_params.w2 - 2)))
+        with pytest.raises(ParameterError):
+            compute_upc(DensePoly.zero(ring), h0, h1)
 
 
 class TestVerify:
@@ -262,6 +347,110 @@ class TestBgfDecode:
         h1 = SparsePoly(ring, tuple(range(toy_params.w2 - 2)))
         with pytest.raises(ParameterError):
             bgf_decode(DensePoly.zero(ring), h0, h1, DecoderConfig())
+
+
+def _cases(params, n, weak_f=None):
+    """n (h0, h1, e) instances; the key is fresh per case, weak when weak_f is set."""
+    out = []
+    for i in range(n):
+        seed = expand_u64_seed(1000 * params.r + i)
+        key = (gen_type1(params, weak_f, 1, 0, seed) if weak_f
+               else sample_private_key(params, seed))
+        out.append((key.h0, key.h1, HonestErrors().sample(params, seed[::-1])))
+    return out
+
+
+def _psi_cases(params, n):
+    """One fixed key; psi errors alternate between inside and outside D(h0)."""
+    key = sample_private_key(params, expand_u64_seed(params.r))
+    inside = sorted(distances(key.h0))
+    outside = [d for d in range(1, params.r // 2) if d not in inside]
+    out = []
+    for i in range(n):
+        d = inside[i % len(inside)] if i % 2 == 0 else outside[7 * i % len(outside)]
+        out.append((key.h0, key.h1, gen_psi_d_error(params, d, expand_u64_seed(i))))
+    return out
+
+
+R523 = custom_params(r=523, w=30, t=18)
+R1259 = custom_params(r=1259, w=42, t=30)
+
+
+class TestAgainstReference:
+    """Equal outcomes, traces and mul_sparse calls to the full-pass reference."""
+
+    @staticmethod
+    def check(cases, cfg, monkeypatch):
+        calls = {"decoder": 0, "reference": 0}
+
+        def counted(who):
+            def mul(a, b):
+                calls[who] += 1
+                return mul_sparse(a, b)
+            return mul
+
+        monkeypatch.setattr(decoder, "mul_sparse", counted("decoder"))
+        outcomes = set()
+        for h0, h1, e in cases:
+            s = make_syndrome(h0, h1, e.e0, e.e1)
+            got = bgf_decode(s, h0, h1, cfg, record_trace=True)
+            want = reference_bgf_decode(s, h0, h1, cfg, mul=counted("reference"))
+            assert got == want
+            outcomes.add(got.success)
+        assert calls["decoder"] == calls["reference"] > 0
+        return outcomes
+
+    @pytest.mark.parametrize("params,gathers", [(R523, True), (R1259, True),
+                                                (level_params(1), False),
+                                                (level_params(3), False)],
+                             ids=["r523", "r1259", "L1", "L3"])
+    def test_size_rule_sides(self, params, gathers):
+        supp = np.zeros((2, params.w2), dtype=np.intp)
+        assert decoder._gathers(supp, params.r) == gathers
+
+    @pytest.mark.parametrize("params", [R523, R1259], ids=["r523", "r1259"])
+    def test_reduced_normal_keys(self, params, monkeypatch):
+        outcomes = self.check(_cases(params, 40), DecoderConfig.for_params(params),
+                              monkeypatch)
+        if params is R523:
+            assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("params", [R523, R1259], ids=["r523", "r1259"])
+    def test_reduced_weak_type1_keys(self, params, monkeypatch):
+        self.check(_cases(params, 30, weak_f=10), DecoderConfig.for_params(params),
+                   monkeypatch)
+
+    @pytest.mark.parametrize("params", [R523, R1259], ids=["r523", "r1259"])
+    def test_reduced_psi_errors_in_and_out_of_spectrum(self, params, monkeypatch):
+        self.check(_psi_cases(params, 40), DecoderConfig.for_params(params), monkeypatch)
+
+    def test_l1_normal_keys(self, monkeypatch):
+        params = level_params(1)
+        assert self.check(_cases(params, 6), DecoderConfig.for_params(params),
+                          monkeypatch) == {True}
+
+    def test_l1_weak_type1_keys(self, monkeypatch):
+        params = level_params(1)
+        assert False in self.check(_cases(params, 8, weak_f=35),
+                                   DecoderConfig.for_params(params), monkeypatch)
+
+    def test_l3_decode(self, monkeypatch):
+        params = level_params(3)
+        self.check(_cases(params, 1), DecoderConfig.for_params(params), monkeypatch)
+
+    @pytest.mark.parametrize("params", [R1259, level_params(1)], ids=["r1259", "L1"])
+    def test_without_black_gray(self, params, monkeypatch):
+        cfg = DecoderConfig.for_params(params)
+        plain = DecoderConfig(thr_slope=cfg.thr_slope, thr_intercept=cfg.thr_intercept,
+                              thr_floor=cfg.thr_floor, black_gray=False)
+        self.check(_cases(params, 4, weak_f=10), plain, monkeypatch)
+
+    @pytest.mark.parametrize("params", [R1259, level_params(1)], ids=["r1259", "L1"])
+    def test_explicit_mask_threshold(self, params, monkeypatch):
+        cfg = DecoderConfig.for_params(params)
+        masked = DecoderConfig(thr_slope=cfg.thr_slope, thr_intercept=cfg.thr_intercept,
+                               thr_floor=cfg.thr_floor, mask_threshold=params.w2 // 3)
+        self.check(_cases(params, 4, weak_f=10), masked, monkeypatch)
 
 
 class TestConfig:

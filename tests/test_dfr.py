@@ -8,6 +8,7 @@ from bikelab import (DecoderConfig, FixedKey, HonestErrors, NormalKeys, Paramete
                      PsiErrors, StopRule, WeakKeys, avg_dfr_decompose,
                      confidence_interval, custom_params, extrapolate, pw_check,
                      run_dfr, sample_private_key)
+from bikelab import dfr
 from bikelab.dfr import (SUMMARY_CSV_HEADER, make_record, run_trial, summary_csv_row,
                          trial_seeds)
 from bikelab.kem import expand_u64_seed
@@ -22,6 +23,28 @@ def scipy_clopper_pearson(k, n, level=0.95):
     low = 0.0 if k == 0 else stats.beta.ppf(alpha / 2, k, n - k + 1)
     high = 1.0 if k == n else stats.beta.ppf(1 - alpha / 2, k + 1, n - k)
     return low, high
+
+
+def full_bisection(a, b, p):
+    # the inverse without its early stop: always 200 halvings
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if dfr._betainc(a, b, mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def full_bisection_interval(k, n, level=0.95):
+    alpha = 1 - level
+    low = 0.0 if k == 0 else full_bisection(k, n - k + 1, alpha / 2)
+    high = 1.0 if k == n else full_bisection(k + 1, n - k, 1 - alpha / 2)
+    return low, high
+
+
+SCIPY_GRID = [(1, 10), (5, 50), (17, 200), (999, 1000), (1000, 10**6), (3, 100000)]
 
 
 class TestConfidenceInterval:
@@ -40,13 +63,29 @@ class TestConfidenceInterval:
         assert low == pytest.approx(9.4e-4, abs=0.02e-3)
         assert high == pytest.approx(1.06e-3, abs=0.02e-3)
 
-    @pytest.mark.parametrize("k,n", [(1, 10), (5, 50), (17, 200), (999, 1000),
-                                     (1000, 10**6), (3, 100000)])
+    @pytest.mark.parametrize("k,n", SCIPY_GRID)
     def test_matches_scipy_reference(self, k, n):
         got = confidence_interval(k, n)
         want = scipy_clopper_pearson(k, n)
         assert got[0] == pytest.approx(want[0], abs=1e-9)
         assert got[1] == pytest.approx(want[1], abs=1e-9)
+
+    @pytest.mark.parametrize("k,n", SCIPY_GRID + [(0, 5), (3, 5), (5, 5), (363, 500),
+                                                  (1, 10**6)])
+    def test_early_stop_is_bit_identical(self, k, n):
+        assert confidence_interval(k, n) == full_bisection_interval(k, n)
+
+    def test_bisection_stops_when_it_cannot_move(self, monkeypatch):
+        calls = [0]
+        real = dfr._betainc
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(dfr, "_betainc", counting)
+        confidence_interval(10, 100)
+        assert calls[0] <= 2 * 64  # a double has 53 significant bits
 
     def test_width_shrinks_with_trials(self):
         widths = []
@@ -161,6 +200,30 @@ class TestRunDfr:
         par = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, parallelism=4, **kwargs)
         assert seq.failures == par.failures
         assert seq.trials == par.trials
+
+    @pytest.mark.parametrize("cpus,workers", [({0, 1, 2}, [3]), ({0}, [])])
+    def test_pool_capped_at_usable_cpus(self, monkeypatch, cpus, workers):
+        created = []
+
+        class RecordingPool:
+            # stands in for the executor: records the size, runs tasks in process
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(dfr, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(dfr.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        stop = StopRule(min_trials=0, min_failures=10**9, max_trials=40)
+        kwargs = dict(master_seed=8, batch_size=16)
+        wide = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, parallelism=5000, **kwargs)
+        assert created == workers
+        seq = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, parallelism=1, **kwargs)
+        assert (wide.trials, wide.failures) == (seq.trials, seq.failures)
 
     def test_fixed_key_and_psi_source(self):
         key = sample_private_key(TOY, expand_u64_seed(99))
