@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import math
 import sys
 import time
@@ -163,15 +164,29 @@ def _parse_eta_from(text: str, params: SystemParams) -> float:
     raise ParameterError(f"--eta-from supports type1:f=N and type3:m=N, got {text!r}")
 
 
-def _progress_printer(r: int, max_trials: int):
+def _expected_stop(stop: dfrlab.StopRule, trials: int, failures: int) -> int:
+    """Expected stopping count at the running rate: the earlier of the trial cap
+    and the first count >= min_trials whose expected failures reach min_failures."""
+    if stop.satisfied(trials, failures):
+        return trials
+    needed = stop.min_trials
+    if stop.min_failures > 0:
+        if failures == 0:
+            return stop.max_trials
+        needed = max(needed, -(-stop.min_failures * trials // failures))
+    return min(stop.max_trials, needed)
+
+
+def _progress_printer(r: int, stop: dfrlab.StopRule):
     """Per-batch stderr line: counts, running DFR with its 95% interval, ETA."""
     started = time.monotonic()
 
     def progress(trials: int, failures: int) -> None:
         low, high = dfrlab.confidence_interval(failures, trials)
-        eta = (time.monotonic() - started) / trials * (max_trials - trials)
+        target = _expected_stop(stop, trials, failures)
+        eta = (time.monotonic() - started) / trials * (target - trials)
         print(f"r={r}: {trials} trials, {failures} failures, dfr {failures / trials:.4g} "
-              f"[{low:.4g}, {high:.4g}], eta {eta:.1f} s to {max_trials} trials",
+              f"[{low:.4g}, {high:.4g}], eta {eta:.1f} s to {target} trials",
               file=sys.stderr)
     return progress
 
@@ -193,7 +208,7 @@ def cmd_dfr(args) -> int:
     for r in sorted(rs):
         params = params_with_r(base, r)
         cfg = DecoderConfig.for_params(params)
-        progress = _progress_printer(params.r, stop.max_trials) if args.verbose else None
+        progress = _progress_printer(params.r, stop) if args.verbose else None
         result = dfrlab.run_dfr(params, key_class, error_source, stop,
                                 master_seed=args.seed, parallelism=args.threads,
                                 decoder_cfg=cfg, progress=progress)
@@ -249,6 +264,10 @@ def cmd_eta(args) -> int:
             cnt, eta = count_type3_upper(params, v), eta_type3(params, v)
             s_field = ""
         lines.append(f"{args.type},{v},{s_field},{cnt.log2:.6f},{eta:.6f}")
+        if eta > 0:
+            print(f"note: type {args.type} param {v}: log2_eta {eta:.2f} > 0, the count "
+                  "bound exceeds the key space, so this row is not a density",
+                  file=sys.stderr)
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -279,14 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="reject weak candidates")
     p.add_argument("--check-threshold", type=int, default=10)
     p.add_argument("--check-budget", type=int, default=100)
-    p.set_defaults(func=cmd_keygen)
+    p.set_defaults(handler="cmd_keygen")
 
     p = sub.add_parser("encaps", help="encapsulate a shared key", allow_abbrev=False)
     p.add_argument("--seed", type=int, default=0, help="64-bit seed")
     p.add_argument("--key", required=True, help="key file (only params and h used)")
     p.add_argument("--ct-out", required=True)
     p.add_argument("--ss-out", required=True)
-    p.set_defaults(func=cmd_encaps)
+    p.set_defaults(handler="cmd_encaps")
 
     p = sub.add_parser("decaps", help="decapsulate a ciphertext", allow_abbrev=False)
     p.add_argument("--key", required=True)
@@ -295,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagnostics", action="store_true",
                    help="also report decoder success/failure")
     p.add_argument("--trace-csv", help="write per-iteration decoder trace CSV")
-    p.set_defaults(func=cmd_decaps)
+    p.set_defaults(handler="cmd_decaps")
 
     p = sub.add_parser("weakkey", help="weak-key utilities")
     wk_sub = p.add_subparsers(dest="weakkey_command", required=True)
@@ -309,13 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=int)
     g.add_argument("--key-out", required=True)
     g.add_argument("--spectrum-csv", help="write the h0 distance spectrum CSV")
-    g.set_defaults(func=cmd_weakkey_gen)
+    g.set_defaults(handler="cmd_weakkey_gen")
 
     p = sub.add_parser("keycheck", help="classify a key as Weak or Normal", allow_abbrev=False)
     p.add_argument("--key", required=True)
     p.add_argument("--threshold", type=int, default=10)
     p.add_argument("--out", help="write the verdict here instead of stdout")
-    p.set_defaults(func=cmd_keycheck)
+    p.set_defaults(handler="cmd_keycheck")
 
     p = sub.add_parser("dfr", help="measure decoding failure rates", allow_abbrev=False)
     _add_params(p)
@@ -339,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-batch progress on stderr: running DFR, 95%% CI, ETA")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="write the records here instead of stdout")
-    p.set_defaults(func=cmd_dfr)
+    p.set_defaults(handler="cmd_dfr")
 
     p = sub.add_parser("eta", help="weak-key densities as CSV", allow_abbrev=False)
     _add_params(p)
@@ -348,16 +367,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help='f or m values: "5:40:5" or "5,10,15"')
     p.add_argument("--s", type=int, default=2, help="run-block count for type 2")
     p.add_argument("--out", help="write the CSV here instead of stdout")
-    p.set_defaults(func=cmd_eta)
+    p.set_defaults(handler="cmd_eta")
 
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # by name, so a wrapper set on this module's cmd_* after the first call is used
+        return globals()[args.handler](args)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2

@@ -40,8 +40,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .keys import ErrorPair, SystemParams
-from .ring import (DensePoly, SparsePoly, _array_to_bits, _bits_to_array, _check_same_ring,
-                   mul_sparse)
+from .ring import DensePoly, SparsePoly, _bits_to_array, _check_same_ring, mul_sparse
 
 
 # published BGF affine threshold constants (slope, intercept, floor) per level
@@ -207,8 +206,8 @@ def bgf_decode(s: DensePoly, h0: SparsePoly, h1: SparsePoly, cfg: DecoderConfig,
 
     def residual_syndrome() -> int:
         acc = s.bits
-        for blk, row in zip((h0, h1), e):
-            e_bits = _array_to_bits(row)
+        for blk, row in zip((h0, h1), np.packbits(e, axis=1, bitorder="little")):
+            e_bits = int.from_bytes(row.tobytes(), "little")
             if e_bits:
                 acc ^= mul_sparse(blk, DensePoly(s.ring, e_bits)).bits
         return acc
@@ -233,14 +232,14 @@ def bgf_decode(s: DensePoly, h0: SparsePoly, h1: SparsePoly, cfg: DecoderConfig,
             for mask in (black, gray):
                 s2 = _doubled(residual_syndrome(), r)
                 if gather:
-                    step = mask & (_upc_blocks(s2, supp) >= mask_thr)
+                    hits = np.flatnonzero(mask & (_upc_blocks(s2, supp) >= mask_thr))
                 else:
                     # upc only where the mask is set: (w/2) x |mask| entries
-                    blk, pos = np.nonzero(mask)
-                    step = np.zeros_like(mask)
-                    step[blk, pos] = s2[supp[blk].T + pos].sum(axis=0) >= mask_thr
-                e ^= step
-                flips += int(np.count_nonzero(step))
+                    hits = np.flatnonzero(mask)
+                    blk, pos = np.divmod(hits, r)
+                    hits = hits[s2[supp[blk].T + pos].sum(axis=0) >= mask_thr]
+                e.reshape(-1)[hits] ^= 1   # hits index the flat (2r,) view of e
+                flips += hits.size
 
         if record_trace:
             trace.append(IterationTrace(iteration=it, syndrome_weight=weight,
@@ -248,7 +247,8 @@ def bgf_decode(s: DensePoly, h0: SparsePoly, h1: SparsePoly, cfg: DecoderConfig,
                                         black=n_black, gray=n_gray))
 
     success = residual_syndrome() == 0
-    err = ErrorPair(e0=SparsePoly(s.ring, tuple(np.flatnonzero(e[0]).tolist())),
-                    e1=SparsePoly(s.ring, tuple(np.flatnonzero(e[1]).tolist())))
+    # e holds only 0/1, so its bool view is exact and takes numpy's fast nonzero
+    e0, e1 = (tuple(np.flatnonzero(row).tolist()) for row in e.view(bool))
+    err = ErrorPair(e0=SparsePoly(s.ring, e0), e1=SparsePoly(s.ring, e1))
     return DecodeOutcome(success=success, error=err, iterations_run=iterations,
                          trace=tuple(trace) if record_trace else None)

@@ -17,7 +17,9 @@ big-endian 4-byte length followed by the field bytes.  Domain tags:
 from __future__ import annotations
 
 import hashlib
+import struct
 
+from . import decoder
 from .errors import BudgetExhaustedError, NotInvertibleError, ParameterError
 from .keys import Ciphertext, ErrorPair, PrivateKey, PublicKey, SharedKey, SystemParams
 from .ring import DensePoly, SparsePoly, mul_sparse
@@ -70,6 +72,10 @@ class XofStream:
     def read_u32(self) -> int:
         return int.from_bytes(self.read(4), "little")
 
+    def read_u32s(self, k: int) -> tuple[int, ...]:
+        """k little-endian 32-bit words, as k calls of :meth:`read_u32` would give."""
+        return struct.unpack(f"<{k}I", self.read(4 * k))
+
     def read_bits(self, nbits: int) -> bytes:
         """ceil(nbits/8) bytes with bits above nbits cleared in the last byte."""
         raw = bytearray(self.read((nbits + 7) // 8))
@@ -90,16 +96,18 @@ def sample_fixed_weight(stream: XofStream, n_total: int, weight: int) -> tuple[i
 
     Reads little-endian 32-bit values; values at or above the largest multiple
     of n_total below 2^32 are rejected (no modulo bias), as are duplicates.
+    Each round reads as many words as indices are missing: a word adds at most
+    one index, so no word is read that a one-word-at-a-time loop would skip,
+    and the stream ends where that loop would leave it.
     """
     if weight > n_total:
         raise ParameterError(f"weight {weight} exceeds domain size {n_total}")
     limit = (1 << 32) // n_total * n_total
     chosen: set[int] = set()
     while len(chosen) < weight:
-        v = stream.read_u32()
-        if v >= limit:
-            continue
-        chosen.add(v % n_total)
+        for v in stream.read_u32s(weight - len(chosen)):
+            if v < limit:
+                chosen.add(v % n_total)
     return tuple(sorted(chosen))
 
 
@@ -203,14 +211,11 @@ def decaps_with_diagnostics(sk: PrivateKey, c: Ciphertext, params: SystemParams,
     CLI diagnostics flag) and carries the per-iteration trace; the returned
     shared key is exactly what :func:`decaps` produces.
     """
-    # call-time import: perfbench wraps bikelab.decoder.bgf_decode after import
-    from .decoder import DecoderConfig, bgf_decode
-
     sk.check_params(params)
     c.check_params(params)
-    cfg = decoder_cfg if decoder_cfg is not None else DecoderConfig.for_params(params)
+    cfg = decoder_cfg if decoder_cfg is not None else decoder.DecoderConfig.for_params(params)
     s = syndrome(c.c0, sk.h0)
-    outcome = bgf_decode(s, sk.h0, sk.h1, cfg, record_trace=True)
+    outcome = decoder.bgf_decode(s, sk.h0, sk.h1, cfg, record_trace=True)
     e_prime = outcome.error
     m_prime = _xor_bytes(c.c1, hash_L(e_prime, params))
     if hash_H(m_prime, params) != e_prime:

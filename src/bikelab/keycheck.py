@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kem
 from .errors import BudgetExhaustedError, ParameterError
 from .kem import TAG_CHECKED_SUBSEED, XofStream, keygen
 from .keys import PrivateKey, PublicKey, SystemParams
@@ -102,13 +103,10 @@ def keygen_checked(params: SystemParams, seed: bytes, cfg: KeyCheckConfig,
     Candidates are screened on their sampled blocks before the public key is
     derived, so rejected candidates never pay for an inversion.
     """
-    # call-time import: perfbench wraps bikelab.kem.sample_private_key after import
-    from .kem import sample_private_key
-
     rejected = 0
     for i in range(budget):
         sub_seed = XofStream(TAG_CHECKED_SUBSEED, [seed, i.to_bytes(4, "big")]).read(32)
-        candidate = sample_private_key(params, sub_seed)
+        candidate = kem.sample_private_key(params, sub_seed)
         if key_check(candidate.h0, candidate.h1, cfg).is_weak:
             rejected += 1
             continue

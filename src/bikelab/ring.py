@@ -102,7 +102,8 @@ def _array_to_bits(arr: np.ndarray) -> int:
 
 
 def _support_of(v: int, r: int) -> np.ndarray:
-    return np.nonzero(_bits_to_array(v, r))[0]
+    # the bool view of the 0/1 array takes numpy's fast nonzero path
+    return np.flatnonzero(_bits_to_array(v, r).view(bool))
 
 
 def _fold(v: int, r: int, mask: int) -> int:

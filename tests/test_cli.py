@@ -4,8 +4,9 @@ import re
 
 import pytest
 
-from bikelab import NotInvertibleError, SchemaError, confidence_interval, decoder, files
-from bikelab.cli import build_parser, main
+from bikelab import (NotInvertibleError, SchemaError, StopRule, cli, confidence_interval,
+                     decoder, files)
+from bikelab.cli import _expected_stop, build_parser, main
 from bikelab.ring import DensePoly
 from bikelab.weakkeys import spectrum
 
@@ -315,6 +316,47 @@ class TestDfrCommand:
             blob["records"][0]["wall_time_s"] = None
         assert blobs[0] == blobs[1]
 
+    def test_verbose_eta_runs_to_the_failure_minimum(self, capsys):
+        # the first 256-trial batch already meets --min-failures 20
+        args = ["dfr", "--r", "523", "--w", "30", "--t", "18", "--min-failures", "20",
+                "--seed", "3", "--no-timestamp"]
+        code, out, err = run_cli(capsys, *args, "--verbose")
+        assert code == 0
+        rec = json.loads(out)["records"][0]
+        assert (rec["trials"], rec["failures"]) == (256, 113)
+        assert err.splitlines() == [
+            "r=523: 256 trials, 113 failures, dfr 0.4414 [0.3796, 0.5046], "
+            "eta 0.0 s to 256 trials"]
+
+    def test_expected_stop_is_the_earlier_of_cap_and_failure_minimum(self):
+        stop = StopRule(min_trials=300, min_failures=50, max_trials=1000)
+        assert _expected_stop(stop, 100, 0) == 1000    # no rate yet: the cap
+        assert _expected_stop(stop, 100, 10) == 500    # 50 failures at 10/100
+        assert _expected_stop(stop, 100, 30) == 300    # the trial minimum
+        assert _expected_stop(stop, 100, 3) == 1000    # the cap comes first
+        assert _expected_stop(stop, 300, 60) == 300    # already met: stops here
+        assert _expected_stop(StopRule(min_trials=300, min_failures=0), 100, 0) == 300
+
+    def test_two_campaigns_in_one_process_see_a_late_wrapper(self, capsys, monkeypatch):
+        args = ["dfr", "--r", "523", "--w", "30", "--t", "18", "--max-trials", "40",
+                "--min-failures", "1000000", "--seed", "14", "--no-timestamp"]
+        code, first, _ = run_cli(capsys, *args)
+        assert code == 0
+        calls = []
+        original = cli.cmd_dfr
+
+        def wrapper(parsed):
+            calls.append(parsed.seed)
+            return original(parsed)
+        monkeypatch.setattr(cli, "cmd_dfr", wrapper)
+        code, second, _ = run_cli(capsys, *args)
+        assert code == 0 and calls == [14]
+        records = [json.loads(text)["records"] for text in (first, second)]
+        for recs in records:
+            for rec in recs:
+                rec["wall_time_s"] = None
+        assert records[0] == records[1]
+
     def test_rs_sweep_with_extrapolation_and_eta(self, capsys):
         code, out, _ = run_cli(
             capsys, "dfr", "--r", "523", "--w", "30", "--t", "18",
@@ -414,6 +456,29 @@ class TestEtaCommand:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[1].split(",")[2] == "3"
+
+    @pytest.mark.parametrize("argv,values", [
+        (["--type", "1", "--level", "1", "--param-range", "0:3"],
+         ["27.18", "19.74", "12.28", "4.80"]),
+        (["--type", "3", "--level", "1", "--param-range", "0,1,2"],
+         ["13.59", "12.30", "9.97"]),
+    ], ids=["type1", "type3"])
+    def test_rows_above_one_get_a_note(self, capsys, argv, values):
+        code, out, err = run_cli(capsys, "eta", *argv)
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        notes = err.splitlines()
+        assert len(notes) == len(rows) == len(values)
+        for row, note, value in zip(rows, notes, values):
+            family, param = row.split(",")[:2]
+            assert note == (f"note: type {family} param {param}: log2_eta {value} > 0, "
+                            "the count bound exceeds the key space, so this row is not "
+                            "a density")
+
+    def test_density_rows_have_no_note(self, capsys):
+        code, _, err = run_cli(capsys, "eta", "--type", "1", "--level", "1",
+                               "--param-range", "5:40:5")
+        assert code == 0 and err == ""
 
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(capsys, "eta", "--type", "1", "--param-range", "x:y")

@@ -39,6 +39,41 @@ class TestSampleFixedWeight:
         idx = sample_fixed_weight(XofStream(0x54, [b"y"]), 1019, 40)
         assert len(set(idx)) == 40 and list(idx) == sorted(idx)
 
+    @staticmethod
+    def one_word_at_a_time(stream, n_total, weight):
+        limit = (1 << 32) // n_total * n_total
+        chosen = set()
+        while len(chosen) < weight:
+            v = int.from_bytes(stream.read(4), "little")
+            if v < limit:
+                chosen.add(v % n_total)
+        return tuple(sorted(chosen))
+
+    @pytest.mark.parametrize("n_total,weight", [
+        (13, 3), (1019, 40), (24646, 134), (12323, 71),
+        (2**31 + 1, 6),   # limit = n_total: almost half of all words are rejected
+        (5, 5),           # every index taken: duplicates dominate the tail
+    ])
+    @pytest.mark.parametrize("offset", [0, 1], ids=["aligned", "odd-offset"])
+    def test_matches_one_word_reference_and_leaves_stream_in_place(
+            self, n_total, weight, offset):
+        for seed in range(40):
+            fields = [b"ref", seed.to_bytes(4, "big")]
+            got_stream, ref_stream = XofStream(0x54, fields), XofStream(0x54, fields)
+            got_stream.read(offset)
+            ref_stream.read(offset)
+            got = sample_fixed_weight(got_stream, n_total, weight)
+            assert got == self.one_word_at_a_time(ref_stream, n_total, weight)
+            assert got_stream.read(16) == ref_stream.read(16)
+
+    def test_read_u32s_equals_repeated_read_u32(self):
+        a, b = XofStream(0x54, [b"words"]), XofStream(0x54, [b"words"])
+        a.read(3)
+        b.read(3)
+        assert a.read_u32s(37) == tuple(b.read_u32() for _ in range(37))
+        assert a.read_u32s(0) == ()
+        assert a.read(8) == b.read(8)
+
 
 class TestKeygen:
     def test_l1_weights(self, l1_params):
