@@ -156,13 +156,17 @@ def trial_seeds(master_seed: int, index: int) -> tuple[bytes, bytes]:
 
 def run_trial(params: SystemParams, key_class, error_source, cfg: DecoderConfig,
               master_seed: int, index: int) -> bool:
-    """True when the decoder fails to recover the planted error."""
+    """True when the decoder fails to recover the planted error.
+
+    A decode that clears the syndrome with some other error also fails, as
+    decapsulation rejects it through its hash_H(m') == e' check.
+    """
     key_seed, err_seed = trial_seeds(master_seed, index)
     key = key_class.sample(params, key_seed)
     err = error_source.sample(params, err_seed)
     s = mul_sparse(key.h0, err.e0.to_dense()) + mul_sparse(key.h1, err.e1.to_dense())
     outcome = bgf_decode(s, key.h0, key.h1, cfg)
-    return not outcome.success
+    return not outcome.success or outcome.error != err
 
 
 def _count_failures_range(params, key_class, error_source, cfg, master_seed,

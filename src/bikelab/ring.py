@@ -8,10 +8,14 @@ low-weight values (private key blocks, error vectors).
 
 Multiplication picks between two exact strategies: shifted-XOR accumulation
 over the lighter operand's support, and (for two dense operands) one float64
-FFT convolution of the 0/1 coefficient vectors, rounded to integers and
-reduced to parities.  Every convolution sum is a count of at most r < 2^16,
-which float64 resolves exactly; a guard raises if any value strays from an
-integer.  Inversion uses the Fermat exponent 2^(r-1) - 2 with a
+FFT convolution, rounded to integers and reduced to parities.  The FFT packs
+two coefficients per float as x[2i] + B*x[2i+1] with B = 2^s > r + 1, so its
+transforms have about r/2 points.  Each packed sum holds three base-B digits,
+each a count of at most r + 1 < B, and stays below B^2 * (h + 1) < 2^48 with
+h = (r + 1)/2 while r + 1 < 2^16; larger rings use the shift product.  A guard
+raises if any value strays from an integer by 0.25 or more; the worst case,
+all-ones squared, strays by 4.9e-4 at r=12323, 7.8e-3 at r=24659 and 7.8e-2
+at r=40973.  Inversion uses the Fermat exponent 2^(r-1) - 2 with a
 square-and-multiply addition chain; raising to 2^k is a single index
 permutation i -> i*2^k mod r.
 """
@@ -20,16 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import NotInvertibleError, ParameterError
 
 # Up to this weight of the lighter operand, rotate-and-XOR is used instead of
-# the FFT product.  Measured crossover (numpy 2.4, 2-vCPU VM): w ~ 380 at
-# r=1283, ~700 at r=12323, ~900 at r=24659, ~1000 at r=40973.  Inversion-chain
-# operands at L1-L5 weigh w/2 or several thousand, so none fall in between.
+# the FFT product.  Measured crossover of the packed FFT (numpy 2.4, 2-vCPU VM,
+# three runs): w ~ 290-330 at r=1283, ~180-300 at r=12323, ~375-430 at
+# r=24659, ~410-530 at r=40973.  The lighter inversion-chain operand at L1-L5
+# weighs w/2 (71-137) or at least 6073, so none falls in between.
 _SPARSE_MUL_CUTOFF = 512
 
 
@@ -121,6 +126,7 @@ def _poly_mul_nc(a: int, b: int) -> int:
     return acc
 
 
+@cache
 def _fft_len(n: int) -> int:
     """Smallest 2^i * 3^j * 5^k >= n, a length numpy's FFT handles fast."""
     best = 1 << (n - 1).bit_length()
@@ -136,15 +142,29 @@ def _fft_len(n: int) -> int:
 
 
 def _mul_int_fft(a: int, b: int, r: int) -> int:
-    # Linear convolution of the 0/1 vectors, folded mod x^r - 1, bit 0 kept.
-    n = _fft_len(2 * r - 1)
-    spec = np.fft.rfft(_bits_to_array(a, r), n) * np.fft.rfft(_bits_to_array(b, r), n)
-    p = np.fft.irfft(spec, n)[: 2 * r - 1]
+    # Two coefficients per float: with h = (r+1)/2 and B = 2^s, pair i of the
+    # (r+1)-bit padded vector becomes x[2i] + B*x[2i+1].  The linear
+    # convolution of the h packed values has r terms c_k = E_k + B*M_k +
+    # B^2*O_k, whose digits E_k, O_k <= h and M_k <= r+1 are all below B, so
+    # bit 2k of the plain product is the parity of E_k + O_(k-1) and bit 2k+1
+    # is the parity of M_k.
+    s = (r + 1).bit_length()
+    h = (r + 1) // 2
+    n = _fft_len(r)
+    pa, pb = (_bits_to_array(v, r + 1).reshape(h, 2) @ (1.0, 1 << s) for v in (a, b))
+    p = np.fft.irfft(np.fft.rfft(pa, n) * np.fft.rfft(pb, n), n)[:r]
     c = np.rint(p).astype(np.int64)
     if np.abs(p - c).max() >= 0.25:
         raise FloatingPointError(f"FFT product is not exact at r={r}")
-    c[: r - 1] += c[r:]
-    return _array_to_bits(c[:r] & 1)
+    even = c.copy()
+    even[1:] += c[:-1] >> 2 * s
+    odd = c >> s
+    # Fold mod x^r - 1: bit m takes bit m + r, which has the other parity as r
+    # is odd; the plain product has degree <= 2r - 2, so nothing lies beyond.
+    out = np.empty((h, 2), dtype=np.uint8)
+    out[:, 0] = even[:h] ^ odd[h - 1 :]
+    out[:-1, 1] = odd[: h - 1] ^ even[h:]
+    return _array_to_bits(out.ravel()[:r] & 1)
 
 
 def _mul_int(a: int, b: int, r: int, mask: int) -> int:
@@ -152,8 +172,11 @@ def _mul_int(a: int, b: int, r: int, mask: int) -> int:
     wb = b.bit_count()
     if wa > wb:
         a, b, wa, wb = b, a, wb, wa
-    # exactness of the FFT product is shown only for sums <= r < 2^16
-    if wa <= _SPARSE_MUL_CUTOFF or r >= 1 << 16:
+    # The FFT product is shown exact only while r + 1 < 2^16, so B = 2^s <= 2^16:
+    # each packed digit is at most r + 1 < B, every packed sum is below
+    # B^2 * (h + 1) < 2^48, and all-ones squared, the worst case, rounds within
+    # 7.8e-2 of an integer.
+    if wa <= _SPARSE_MUL_CUTOFF or r + 1 >= 1 << 16:
         return _fold(_poly_mul_nc(a, b), r, mask)
     return _mul_int_fft(a, b, r)
 

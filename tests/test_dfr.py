@@ -8,14 +8,16 @@ from bikelab import (DecoderConfig, FixedKey, HonestErrors, NormalKeys, Paramete
                      PsiErrors, StopRule, WeakKeys, avg_dfr_decompose,
                      confidence_interval, custom_params, extrapolate, pw_check,
                      run_dfr, sample_private_key)
-from bikelab import dfr
+from bikelab import bgf_decode, dfr
 from bikelab.dfr import (SUMMARY_CSV_HEADER, make_record, run_trial, summary_csv_row,
                          trial_seeds)
 from bikelab.kem import expand_u64_seed
+from bikelab.ring import mul_sparse
 from bikelab.weakkeys import WeakKeySpec
 
 TOY = custom_params(r=613, w=30, t=14)
 FAILY = custom_params(r=523, w=30, t=18)  # ~40% failure rate, good for counting
+TINY = custom_params(r=31, w=6, t=6)  # some decodes clear s with a wrong error
 
 
 def scipy_clopper_pearson(k, n, level=0.95):
@@ -243,6 +245,24 @@ class TestRunDfr:
         failed = run_trial(TOY, NormalKeys(), HonestErrors(),
                            DecoderConfig.for_params(TOY), 12, 0)
         assert failed in (False, True)
+
+    def test_decode_to_another_error_is_a_failure(self):
+        # on this tiny ring, trial 377 of master seed 7 clears the syndrome
+        # with an error other than the planted one: decaps would reject it
+        cfg = DecoderConfig.for_params(TINY)
+        key_seed, err_seed = trial_seeds(7, 377)
+        key = NormalKeys().sample(TINY, key_seed)
+        err = HonestErrors().sample(TINY, err_seed)
+        s = mul_sparse(key.h0, err.e0.to_dense()) + mul_sparse(key.h1, err.e1.to_dense())
+        outcome = bgf_decode(s, key.h0, key.h1, cfg)
+        assert outcome.success and outcome.error != err
+        assert run_trial(TINY, NormalKeys(), HonestErrors(), cfg, 7, 377)
+
+    def test_wrong_error_decodes_counted(self):
+        # 1988 decodes leave a syndrome; 7 more clear it with the wrong error
+        stop = StopRule(min_trials=0, min_failures=10**9, max_trials=2000)
+        res = run_dfr(TINY, NormalKeys(), HonestErrors(), stop, master_seed=7)
+        assert (res.trials, res.failures) == (2000, 1995)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ParameterError):

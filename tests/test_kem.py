@@ -103,6 +103,23 @@ class TestKeygen:
         sk, _ = keygen(toy_params, seed)
         assert sample_private_key(toy_params, seed) == sk
 
+    @pytest.mark.parametrize("params,seed,digest", [
+        (level_params(1), 1, "d589281071fc16edd2c2969a3337681ad4fca20a317dede8a8236ba92a63a2c9"),
+        (level_params(1), 2, "b3742f73f7bcb67969834245b2d7b7b7442d0bd69b21db62176791d3de3ad26d"),
+        (level_params(3), 1, "d63b12aac29bf17880e4af31c2fde87d0c2af5a8321c1c657304786c48405324"),
+        (level_params(3), 2, "5b9f34a7327e43e65a10d6656430a02f62af6c93a287f1dcf57d4ceba987640d"),
+        (level_params(5), 1, "8c4614bf505231c2445f72a0c270ecc8711849b400fcc3b0a061f8087fb0b302"),
+        (level_params(5), 2, "47911ac3d518aa09bb2b48b7a41008bef79cb3931d4688fb549fe9430967a981"),
+        (custom_params(r=1259, w=42, t=30), 1,
+         "43273e55925409af7efce1900d4a2d96ca323a1c81b3d76c5700310237ab7009"),
+        (custom_params(r=1259, w=42, t=30), 2,
+         "d515f2d747f26bb6e0ae493e20f608fec57547b743d6aca18ccaafc999e7deb9"),
+    ], ids=["L1-1", "L1-2", "L3-1", "L3-2", "L5-1", "L5-2", "r1259-1", "r1259-2"])
+    def test_keygen_frozen_golden(self, params, seed, digest):
+        # SHA-256 of the public key bytes, captured once and frozen
+        _, pk = keygen(params, expand_u64_seed(seed))
+        assert hashlib.sha256(pk.h.to_bytes_le()).hexdigest() == digest
+
     def test_seed_length_checked(self, toy_params):
         with pytest.raises(ParameterError):
             keygen(toy_params, b"short")

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from bikelab import (NotInvertibleError, ParameterError, RingParams, invert_counted,
                      invert_oracle, iti_mul_bound, mul_sparse)
-from bikelab.ring import _SPARSE_MUL_CUTOFF, DensePoly, SparsePoly
+from bikelab import ring as ring_module
+from bikelab.ring import _SPARSE_MUL_CUTOFF, DensePoly, SparsePoly, _mul_int_fft
 
 from conftest import random_dense, random_odd_dense
 
@@ -96,20 +97,36 @@ class TestMul:
             a, b = random_dense(ring, rng), random_dense(ring, rng)
             assert (a * b).bits == schoolbook_mul(a, b).bits
 
-    @pytest.mark.parametrize("r", [1283, 10009, 12323, 24659, 40973])
+    # r + 1 is a power of two at 127 and 8191; 65521 is the largest prime
+    # that still takes the FFT product
+    @pytest.mark.parametrize("r", [127, 1283, 8191, 10009, 12323, 24659, 40973, 65521])
     def test_fft_path_matches_rotate_xor(self, r):
-        # both operands past the sparse cutoff, so the FFT product runs; in
-        # all-ones squared every convolution sum reaches r, the worst case
-        # for rounding, and the product is all-ones again because r is odd
+        # all-ones squared has the largest packed sums, the worst case for
+        # rounding, and the product is all-ones again because r is odd
         ring = RingParams(r)
         rng = random.Random(5)
         ones = DensePoly.all_ones(ring)
         pairs = [(ones, ones)] + [(random_dense(ring, rng), random_dense(ring, rng))
                                   for _ in range(5)]
         for a, b in pairs:
-            assert min(a.weight(), b.weight()) > _SPARSE_MUL_CUTOFF
-            assert (a * b).bits == rotate_xor_mul(a, b).bits
-        assert (ones * ones).bits == ring.mask
+            assert _mul_int_fft(a.bits, b.bits, r) == rotate_xor_mul(a, b).bits
+            if min(a.weight(), b.weight()) > _SPARSE_MUL_CUTOFF:
+                assert (a * b).bits == rotate_xor_mul(a, b).bits
+        assert _mul_int_fft(ones.bits, ones.bits, r) == ring.mask
+
+    @pytest.mark.parametrize("r,fft", [(65533, True), (65535, False)])
+    def test_fft_route_ends_below_r_plus_1_at_2_to_16(self, r, fft, monkeypatch):
+        # at r = 65535 the packing base would be 2^17 and the sums could
+        # exceed what float64 rounds exactly, so the shift product runs
+        calls = []
+        monkeypatch.setattr(ring_module, "_mul_int_fft",
+                            lambda *args: calls.append(args) or _mul_int_fft(*args))
+        ring = RingParams(r)
+        rng = random.Random(6)
+        a, b = (DensePoly(ring, sum(1 << i for i in rng.sample(range(r), _SPARSE_MUL_CUTOFF + 1)))
+                for _ in range(2))
+        assert (a * b).bits == rotate_xor_mul(a, b).bits
+        assert bool(calls) == fft
 
     def test_fft_exactness_guard_raises(self, monkeypatch):
         ring = RingParams(1283)
