@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .decoder import (DecodeOutcome, DecoderConfig, bgf_decode, compute_upc, threshold,
-                      verify)
+from .decoder import DecodeOutcome, DecoderConfig, bgf_decode, compute_upc, threshold
 from .dfr import (ExtrapolationResult, FixedKey, HonestErrors, NormalKeys, PsiErrors,
                   StopRule, TrialBatchResult, WeakKeys, avg_dfr_decompose,
                   confidence_interval, extrapolate, pw_check, run_dfr)

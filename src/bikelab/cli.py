@@ -17,14 +17,14 @@ import time
 
 from . import dfr as dfrlab
 from . import files
-from .decoder import DecoderConfig, IterationTrace
-from .errors import BudgetExhaustedError, ParameterError, SchemaError
+from .decoder import IterationTrace
+from .errors import BudgetExhaustedError, NotInvertibleError, ParameterError, SchemaError
 from .kem import decaps_with_diagnostics, encaps, expand_u64_seed, keygen
 from .keycheck import KeyCheckConfig, key_check, keygen_checked
 from .keys import PublicKey, SystemParams, custom_params, level_params, params_with_r
 from .ring import mul_sparse
 from .weakkeys import (WeakKeySpec, count_type1, count_type2_upper, count_type3_upper,
-                       eta_type1, eta_type3, spectrum)
+                       log2_density, spectrum)
 
 ETA_CSV_HEADER = "family,param,s,log2_count,log2_eta"
 
@@ -106,7 +106,8 @@ def cmd_decaps(args) -> int:
 
 def cmd_weakkey_gen(args) -> int:
     params = _params_from_args(args)
-    spec = WeakKeySpec(args.type, f=args.f, d=args.d, l_shift=args.shift, m=args.m)
+    given = {"f": args.f, "d": args.d, "shift": args.shift, "m": args.m}
+    spec = WeakKeySpec.of(args.type, {k: v for k, v in given.items() if v is not None})
     sk = spec.generate(params, expand_u64_seed(args.seed))
     # weak keys drive decoding experiments, but publishing h keeps the file
     # usable with encaps as well
@@ -151,39 +152,13 @@ def _parse_error_source(text: str):
     raise ParameterError(f"unknown error source {text!r}")
 
 
-def _parse_eta_from(text: str, params: SystemParams) -> float:
-    head, _, rest = text.partition(":")
-    kv = dict(part.split("=", 1) for part in rest.split(",") if "=" in part)
-    try:
-        if head == "type1":
-            return eta_type1(params, int(kv["f"]))
-        if head == "type3":
-            return eta_type3(params, int(kv["m"]))
-    except (KeyError, ValueError) as exc:
-        raise ParameterError(f"bad --eta-from value {text!r}") from exc
-    raise ParameterError(f"--eta-from supports type1:f=N and type3:m=N, got {text!r}")
-
-
-def _expected_stop(stop: dfrlab.StopRule, trials: int, failures: int) -> int:
-    """Expected stopping count at the running rate: the earlier of the trial cap
-    and the first count >= min_trials whose expected failures reach min_failures."""
-    if stop.satisfied(trials, failures):
-        return trials
-    needed = stop.min_trials
-    if stop.min_failures > 0:
-        if failures == 0:
-            return stop.max_trials
-        needed = max(needed, -(-stop.min_failures * trials // failures))
-    return min(stop.max_trials, needed)
-
-
 def _progress_printer(r: int, stop: dfrlab.StopRule):
     """Per-batch stderr line: counts, running DFR with its 95% interval, ETA."""
     started = time.monotonic()
 
     def progress(trials: int, failures: int) -> None:
         low, high = dfrlab.confidence_interval(failures, trials)
-        target = _expected_stop(stop, trials, failures)
+        target = stop.expected_stop(trials, failures)
         eta = (time.monotonic() - started) / trials * (target - trials)
         print(f"r={r}: {trials} trials, {failures} failures, dfr {failures / trials:.4g} "
               f"[{low:.4g}, {high:.4g}], eta {eta:.1f} s to {target} trials",
@@ -197,6 +172,14 @@ def cmd_dfr(args) -> int:
           else [base.r])
     if len(set(rs)) != len(rs):
         raise ParameterError("--rs values must be distinct")
+    if args.queries is not None and not args.eta_from:
+        raise ParameterError("--queries is read only with --eta-from")
+    if args.eta_from:
+        if args.extrapolate_to is None:
+            raise ParameterError("--eta-from is read only with --extrapolate-to")
+        # before any campaign runs, so a bad descriptor costs none
+        target = params_with_r(base, args.extrapolate_to)
+        log2_eta = WeakKeySpec.parse(args.eta_from).log2_eta(target)
     stop = dfrlab.StopRule(min_trials=args.min_trials, min_failures=args.min_failures,
                            max_trials=args.max_trials)
     key_class = _parse_key_class(args.key_class)
@@ -207,14 +190,13 @@ def cmd_dfr(args) -> int:
     dropped = []   # r values left out of the extrapolation, with the reason
     for r in sorted(rs):
         params = params_with_r(base, r)
-        cfg = DecoderConfig.for_params(params)
         progress = _progress_printer(params.r, stop) if args.verbose else None
         result = dfrlab.run_dfr(params, key_class, error_source, stop,
                                 master_seed=args.seed, parallelism=args.threads,
-                                decoder_cfg=cfg, progress=progress)
+                                progress=progress)
         timestamp = "" if args.no_timestamp else datetime.datetime.now(
             datetime.timezone.utc).isoformat()
-        records.append(dfrlab.make_record(result, cfg, stop, timestamp))
+        records.append(dfrlab.make_record(result, timestamp))
         if result.failures > 0:
             points.append((params.r, math.log2(result.dfr_point)))
         else:
@@ -233,8 +215,6 @@ def cmd_dfr(args) -> int:
         dropped.sort(key=lambda d: d["r"])
         out["extrapolation"] = {**extra.to_json_dict(), "dropped": dropped}
         if args.eta_from:
-            target = params_with_r(base, args.extrapolate_to)
-            log2_eta = _parse_eta_from(args.eta_from, target)
             out["pw"] = dfrlab.pw_check(log2_eta, extra.log2_dfr_at_target,
                                         target.security_bits, queries=args.queries)
 
@@ -251,18 +231,12 @@ def cmd_eta(args) -> int:
     params = _params_from_args(args)
     values = _parse_range(args.param_range)
     lines = [ETA_CSV_HEADER]
-    log2_keyspace = math.log2(math.comb(params.r, params.w2))
+    count = {1: count_type1, 2: lambda p, v: count_type2_upper(p, v, args.s),
+             3: count_type3_upper}[args.type]
+    s_field = str(args.s) if args.type == 2 else ""
     for v in values:
-        if args.type == 1:
-            cnt, eta = count_type1(params, v), eta_type1(params, v)
-            s_field = ""
-        elif args.type == 2:
-            cnt = count_type2_upper(params, v, args.s)
-            eta = cnt.log2 - log2_keyspace if cnt.value else float("-inf")
-            s_field = str(args.s)
-        else:
-            cnt, eta = count_type3_upper(params, v), eta_type3(params, v)
-            s_field = ""
+        cnt = count(params, v)
+        eta = log2_density(params, cnt)
         lines.append(f"{args.type},{v},{s_field},{cnt.log2:.6f},{eta:.6f}")
         if eta > 0:
             print(f"note: type {args.type} param {v}: log2_eta {eta:.2f} > 0, the count "
@@ -323,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0, help="64-bit seed")
     g.add_argument("--type", type=int, required=True, choices=(1, 2, 3))
     g.add_argument("--f", type=int)
-    g.add_argument("--d", type=int, default=1)
-    g.add_argument("--shift", type=int, default=0)
+    g.add_argument("--d", type=int, help="step of a type-1 run or type-2 chain (default 1)")
+    g.add_argument("--shift", type=int, help="rotation of a type-1 run (default 0)")
     g.add_argument("--m", type=int)
     g.add_argument("--key-out", required=True)
     g.add_argument("--spectrum-csv", help="write the h0 distance spectrum CSV")
@@ -382,7 +356,7 @@ def main(argv=None) -> int:
     try:
         # by name, so a wrapper set on this module's cmd_* after the first call is used
         return globals()[args.handler](args)
-    except ParameterError as exc:
+    except (ParameterError, NotInvertibleError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     except (SchemaError, OSError) as exc:

@@ -182,12 +182,6 @@ def compute_upc(s: DensePoly, h0: SparsePoly, h1: SparsePoly) -> np.ndarray:
     return _upc_blocks(_doubled(s.bits, s.ring.r), supp).reshape(-1)
 
 
-def verify(e: ErrorPair, h0: SparsePoly, h1: SparsePoly, s: DensePoly) -> bool:
-    """True when e0*h0 + e1*h1 reproduces the syndrome s."""
-    lhs = mul_sparse(h0, e.e0.to_dense()) + mul_sparse(h1, e.e1.to_dense())
-    return lhs.bits == s.bits
-
-
 def bgf_decode(s: DensePoly, h0: SparsePoly, h1: SparsePoly, cfg: DecoderConfig,
                record_trace: bool = False) -> DecodeOutcome:
     """Recover the error pair whose syndrome is s, or report failure.

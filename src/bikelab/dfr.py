@@ -114,6 +114,18 @@ class StopRule:
             return True
         return failures >= self.min_failures and trials >= self.min_trials
 
+    def expected_stop(self, trials: int, failures: int) -> int:
+        """Expected stopping count at the running rate: the earlier of the trial cap
+        and the first count >= min_trials whose expected failures reach min_failures."""
+        if self.satisfied(trials, failures):
+            return trials
+        needed = self.min_trials
+        if self.min_failures > 0:
+            if failures == 0:
+                return self.max_trials
+            needed = max(needed, -(-self.min_failures * trials // failures))
+        return min(self.max_trials, needed)
+
     def to_json_dict(self) -> dict:
         return {"min_trials": self.min_trials, "min_failures": self.min_failures,
                 "max_trials": self.max_trials}
@@ -122,6 +134,8 @@ class StopRule:
 @dataclass(frozen=True)
 class TrialBatchResult:
     params: SystemParams
+    decoder: DecoderConfig
+    stop: StopRule
     key_class: dict
     error_source: dict
     trials: int
@@ -169,19 +183,11 @@ def run_trial(params: SystemParams, key_class, error_source, cfg: DecoderConfig,
     return not outcome.success or outcome.error != err
 
 
-def _count_failures_range(params, key_class, error_source, cfg, master_seed,
-                          start: int, count: int) -> int:
-    failures = 0
-    for i in range(start, start + count):
-        if run_trial(params, key_class, error_source, cfg, master_seed, i):
-            failures += 1
-    return failures
-
-
 def _worker(task) -> int:
+    """Failures among one contiguous range of trial indices (one pool task)."""
     params, key_class, error_source, cfg, master_seed, start, count = task
-    return _count_failures_range(params, key_class, error_source, cfg,
-                                 master_seed, start, count)
+    return sum(run_trial(params, key_class, error_source, cfg, master_seed, i)
+               for i in range(start, start + count))
 
 
 def _usable_cpus() -> int:
@@ -193,7 +199,6 @@ def _usable_cpus() -> int:
 
 def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
             master_seed: int, parallelism: int = 1,
-            decoder_cfg: DecoderConfig | None = None,
             batch_size: int = DEFAULT_BATCH_SIZE,
             checkpoint_path: str | None = None,
             checkpoint_every: int = 0,
@@ -211,7 +216,7 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
         raise ParameterError("batch_size must be >= 1")
     if not 0 <= master_seed < 1 << 64:
         raise ParameterError("master_seed must be an unsigned 64-bit integer")
-    cfg = decoder_cfg if decoder_cfg is not None else DecoderConfig.for_params(params)
+    cfg = DecoderConfig.for_params(params)
 
     trials = failures = 0
     tag = _checkpoint_tag(params, key_class, error_source, cfg, master_seed, batch_size)
@@ -228,15 +233,11 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
     try:
         while not stop.satisfied(trials, failures):
             todo = min(batch_size, stop.max_trials - trials)
-            if pool is None:
-                failures += _count_failures_range(params, key_class, error_source,
-                                                  cfg, master_seed, trials, todo)
-            else:
-                chunk = (todo + workers - 1) // workers
-                tasks = [(params, key_class, error_source, cfg, master_seed,
-                          trials + lo, min(chunk, todo - lo))
-                         for lo in range(0, todo, chunk)]
-                failures += sum(pool.map(_worker, tasks))
+            chunk = (todo + workers - 1) // workers
+            tasks = [(params, key_class, error_source, cfg, master_seed,
+                      trials + lo, min(chunk, todo - lo))
+                     for lo in range(0, todo, chunk)]
+            failures += sum((pool.map if pool else map)(_worker, tasks))
             trials += todo
             if progress is not None:
                 progress(trials, failures)
@@ -250,7 +251,7 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
 
     ci_low, ci_high = confidence_interval(failures, trials)
     return TrialBatchResult(
-        params=params, key_class=key_class.describe(),
+        params=params, decoder=cfg, stop=stop, key_class=key_class.describe(),
         error_source=error_source.describe(), trials=trials, failures=failures,
         dfr_point=failures / trials, ci_low=ci_low, ci_high=ci_high,
         master_seed=master_seed, wall_time_s=time.monotonic() - started,
@@ -365,13 +366,13 @@ def _betainc_inv(a: float, b: float, p: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def confidence_interval(failures: int, trials: int, level: float = 0.95) -> tuple[float, float]:
-    """Exact (Clopper-Pearson) two-sided binomial interval for failures/trials."""
+def confidence_interval(failures: int, trials: int) -> tuple[float, float]:
+    """Exact (Clopper-Pearson) two-sided 95% binomial interval for failures/trials."""
     if trials <= 0:
         raise ParameterError("trials must be positive")
     if not 0 <= failures <= trials:
         raise ParameterError("failures must lie in [0, trials]")
-    alpha = 1.0 - level
+    alpha = 1.0 - 0.95  # not the literal 0.05: the bounds depend on its last bit
     low = 0.0 if failures == 0 else _betainc_inv(failures, trials - failures + 1, alpha / 2)
     high = 1.0 if failures == trials else _betainc_inv(failures + 1, trials - failures,
                                                        1.0 - alpha / 2)
@@ -421,8 +422,7 @@ def avg_dfr_decompose(eta_w: float, dfr_w: float, dfr_s: float) -> float:
 
 # -- the serialized experiment record -------------------------------------------
 
-def make_record(result: TrialBatchResult, decoder_cfg: DecoderConfig,
-                stop: StopRule, timestamp: str) -> dict:
+def make_record(result: TrialBatchResult, timestamp: str) -> dict:
     """Frozen-schema JSON dict for one measurement (field order is sorted)."""
     return {
         "schema_version": RECORD_SCHEMA_VERSION,
@@ -430,8 +430,8 @@ def make_record(result: TrialBatchResult, decoder_cfg: DecoderConfig,
         "params": result.params.to_json_dict(),
         "key_class": result.key_class,
         "error_source": result.error_source,
-        "decoder": decoder_cfg.to_json_dict(),
-        "stop": stop.to_json_dict(),
+        "decoder": result.decoder.to_json_dict(),
+        "stop": result.stop.to_json_dict(),
         "master_seed": result.master_seed,
         "trials": result.trials,
         "failures": result.failures,

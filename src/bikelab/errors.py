@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: ParameterError -> 2,
+The CLI maps these onto process exit codes: ParameterError and
+NotInvertibleError (a weak key whose h0 has no inverse at that r) -> 2,
 SchemaError (and I/O failures) -> 3, BudgetExhaustedError -> 4.
 """
 

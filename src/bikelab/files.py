@@ -45,14 +45,27 @@ def _need(blob: dict, field: str, path: str):
     return blob[field]
 
 
+def _indices(blob: dict, field: str, path: str) -> list[int]:
+    # int() in SparsePoly.from_indices would read 3.7 or "3" as 3; JSON true is an int too
+    v = _need(blob, field, path)
+    if not isinstance(v, list) or any(type(i) is not int for i in v):
+        raise SchemaError(f"{path}: {field} must be a list of integers", field=field)
+    return v
+
+
 def params_from_dict(blob: dict, path: str = "<params>") -> SystemParams:
+    if not isinstance(blob, dict):
+        raise SchemaError(f"{path}: params must be a JSON object", field="params")
     for f in ("r", "w", "t", "l", "lambda"):
         if f not in blob:
             raise SchemaError(f"{path}: params missing {f!r}", field=f)
-        if not isinstance(blob[f], int):
+        if type(blob[f]) is not int:
             raise SchemaError(f"{path}: params field {f!r} must be an integer", field=f)
-    return custom_params(r=blob["r"], w=blob["w"], t=blob["t"], l=blob["l"],
-                         security_bits=blob["lambda"])
+    try:
+        return custom_params(r=blob["r"], w=blob["w"], t=blob["t"], l=blob["l"],
+                             security_bits=blob["lambda"])
+    except ParameterError as exc:
+        raise SchemaError(f"{path}: invalid params ({exc})", field="params") from exc
 
 
 def key_to_dict(params: SystemParams, sk: PrivateKey, pk: PublicKey) -> dict:
@@ -73,9 +86,9 @@ def read_key(path: str) -> tuple[SystemParams, PrivateKey, PublicKey]:
     blob = load_json(path)
     params = params_from_dict(_need(blob, "params", path), path)
     ring = params.ring
+    supports = [_indices(blob, f, path) for f in ("h0_support", "h1_support")]
     try:
-        h0 = SparsePoly.from_indices(ring, _need(blob, "h0_support", path))
-        h1 = SparsePoly.from_indices(ring, _need(blob, "h1_support", path))
+        h0, h1 = (SparsePoly.from_indices(ring, supp) for supp in supports)
         sigma = bytes.fromhex(_need(blob, "sigma_hex", path))
         h = DensePoly.from_hex(ring, _need(blob, "h_hex", path))
     except (ValueError, TypeError) as exc:
@@ -96,7 +109,7 @@ def read_public_key(path: str) -> tuple[SystemParams, PublicKey]:
     params = params_from_dict(_need(blob, "params", path), path)
     try:
         h = DensePoly.from_hex(params.ring, _need(blob, "h_hex", path))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise SchemaError(f"{path}: malformed h_hex ({exc})", field="h_hex") from exc
     return params, PublicKey(h=h)
 
@@ -113,11 +126,11 @@ def read_ciphertext(path: str, params: SystemParams) -> Ciphertext:
     blob = load_json(path)
     try:
         c0 = DensePoly.from_hex(params.ring, _need(blob, "c0_hex", path))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise SchemaError(f"{path}: malformed c0_hex ({exc})", field="c0_hex") from exc
     try:
         c1 = bytes.fromhex(_need(blob, "c1_hex", path))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise SchemaError(f"{path}: malformed c1_hex ({exc})", field="c1_hex") from exc
     try:
         c = Ciphertext(c0=c0, c1=c1)

@@ -197,9 +197,9 @@ def syndrome(c0: DensePoly, h0: SparsePoly) -> DensePoly:
     return mul_sparse(h0, c0)
 
 
-def decaps(sk: PrivateKey, c: Ciphertext, params: SystemParams, decoder_cfg=None) -> SharedKey:
+def decaps(sk: PrivateKey, c: Ciphertext, params: SystemParams) -> SharedKey:
     """Decapsulate; never signals failure (implicit rejection via sigma)."""
-    key, _ = decaps_with_diagnostics(sk, c, params, decoder_cfg)
+    key, _ = decaps_with_diagnostics(sk, c, params)
     return key
 
 

@@ -42,10 +42,6 @@ class SystemParams:
         return self.w // 2
 
     @property
-    def n(self) -> int:
-        return 2 * self.r
-
-    @property
     def l_bytes(self) -> int:
         return (self.l + 7) // 8
 
@@ -134,9 +130,6 @@ class Ciphertext:
 @dataclass(frozen=True)
 class SharedKey:
     data: bytes
-
-    def to_hex(self) -> str:
-        return self.data.hex()
 
 
 @dataclass(frozen=True)

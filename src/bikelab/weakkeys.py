@@ -106,9 +106,13 @@ def spectrum(h: SparsePoly, U: int | None = None) -> DistanceSpectrum:
     return spectrum_of_support(h.support, h.ring.r, U)
 
 
+# the parameters each family reads, by their descriptor and CLI names
+_FAMILY_PARAMS = {1: ("f", "d", "shift"), 2: ("m", "d"), 3: ("m",)}
+
+
 @dataclass(frozen=True)
 class WeakKeySpec:
-    """Family selector plus the family-specific parameters."""
+    """Family selector plus the family-specific parameters; a family takes no others."""
 
     family: int
     f: int | None = None
@@ -117,14 +121,23 @@ class WeakKeySpec:
     m: int | None = None
 
     def __post_init__(self):
-        if self.family not in (1, 2, 3):
+        if self.family not in _FAMILY_PARAMS:
             raise ParameterError(f"unknown weak-key family {self.family}")
-        if self.family == 1 and (self.f is None or self.d is None):
-            raise ParameterError("type 1 requires f and d")
-        if self.family == 2 and (self.m is None or self.d is None):
-            raise ParameterError("type 2 requires m and d")
-        if self.family == 3 and self.m is None:
-            raise ParameterError("type 3 requires m")
+        reads = _FAMILY_PARAMS[self.family]
+        given = {"f": self.f, "d": self.d, "shift": self.l_shift or None, "m": self.m}
+        unread = [k for k, v in given.items() if v is not None and k not in reads]
+        if unread:
+            raise ParameterError(f"type {self.family} takes no {', '.join(unread)}")
+        missing = [k for k in reads if k != "shift" and given[k] is None]
+        if missing:
+            raise ParameterError(f"type {self.family} requires {' and '.join(missing)}")
+
+    @classmethod
+    def of(cls, family: int, given: dict[str, int]) -> "WeakKeySpec":
+        """Spec from parameters by name; where the family reads them, d defaults to 1
+        and shift to 0."""
+        return cls(family, f=given.get("f"), d=given.get("d", 1 if family in (1, 2) else None),
+                   l_shift=given.get("shift", 0), m=given.get("m"))
 
     def generate(self, params: SystemParams, seed: bytes) -> PrivateKey:
         if self.family == 1:
@@ -132,6 +145,14 @@ class WeakKeySpec:
         if self.family == 2:
             return gen_type2(params, self.d, self.m, seed)
         return gen_type3(params, self.m, seed)
+
+    def log2_eta(self, params: SystemParams) -> float:
+        """log2 density of the family (type 2's count bound also needs a run count s)."""
+        if self.family == 1:
+            return eta_type1(params, self.f)
+        if self.family == 3:
+            return eta_type3(params, self.m)
+        raise ParameterError("type 2 has no density without a run count; use type1 or type3")
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "f": self.f, "d": self.d,
@@ -143,7 +164,6 @@ class WeakKeySpec:
         head, _, rest = text.partition(":")
         if not head.startswith("type") or head[4:] not in ("1", "2", "3"):
             raise ParameterError(f"bad weak-key family in {text!r}")
-        family = int(head[4:])
         kv: dict[str, int] = {}
         if rest:
             for part in rest.split(","):
@@ -151,12 +171,7 @@ class WeakKeySpec:
                 if k not in ("f", "d", "m", "shift") or not v.lstrip("-").isdigit():
                     raise ParameterError(f"bad weak-key parameter {part!r}")
                 kv[k] = int(v)
-        d_default = kv.get("d", 1)
-        if family == 1:
-            return cls(1, f=kv.get("f"), d=d_default, l_shift=kv.get("shift", 0))
-        if family == 2:
-            return cls(2, d=d_default, m=kv.get("m"))
-        return cls(3, m=kv.get("m"))
+        return cls.of(int(head[4:]), kv)
 
 
 def _phi_map(positions, d: int, l_shift: int, r: int) -> tuple[int, ...]:
@@ -308,12 +323,16 @@ def count_type1(params: SystemParams, f: int) -> BigCount:
     return BigCount(2 * r * (r // 2) * _comb(r - f, w2 - f))
 
 
-def eta_type1(params: SystemParams, f: int) -> float:
-    """log2 of the type-1 key fraction (single-block normalization C(r, w/2))."""
-    num = count_type1(params, f)
-    if num.value == 0:
+def log2_density(params: SystemParams, count: BigCount) -> float:
+    """log2 of a family's key fraction, count / C(r, w/2) (single-block normalization)."""
+    if count.value == 0:
         return float("-inf")
-    return num.log2 - math.log2(_comb(params.r, params.w2))
+    return count.log2 - math.log2(_comb(params.r, params.w2))
+
+
+def eta_type1(params: SystemParams, f: int) -> float:
+    """log2 of the type-1 key fraction."""
+    return log2_density(params, count_type1(params, f))
 
 
 def count_type2_upper(params: SystemParams, m: int, s: int) -> BigCount:
@@ -352,11 +371,8 @@ def count_type3_upper(params: SystemParams, m: int) -> BigCount:
 
 
 def eta_type3(params: SystemParams, m: int) -> float:
-    """log2 of the type-3 key fraction (single-block normalization)."""
-    num = count_type3_upper(params, m)
-    if num.value == 0:
-        return float("-inf")
-    return num.log2 - math.log2(_comb(params.r, params.w2))
+    """log2 of the type-3 key fraction."""
+    return log2_density(params, count_type3_upper(params, m))
 
 
 # -- spectrum-based reconstruction --------------------------------------------

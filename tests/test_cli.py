@@ -5,10 +5,10 @@ import re
 import pytest
 
 from bikelab import (NotInvertibleError, SchemaError, StopRule, cli, confidence_interval,
-                     decoder, files)
-from bikelab.cli import _expected_stop, build_parser, main
+                     custom_params, decoder, eta_type1, eta_type3, files)
+from bikelab.cli import build_parser, main
 from bikelab.ring import DensePoly
-from bikelab.weakkeys import spectrum
+from bikelab.weakkeys import WeakKeySpec, spectrum
 
 TOY_ARGS = ["--r", "613", "--w", "30", "--t", "14"]
 
@@ -73,6 +73,77 @@ class TestKeygen:
                                "--key-out", str(tmp_path / "k.json"))
         assert code == 4
         assert "budget exhausted" in err
+
+
+def edited_copy(path, tmp_path, **fields):
+    """Copy of a JSON file with fields replaced, transformed (callable) or deleted (None)."""
+    blob = read_json(path)
+    for name, value in fields.items():
+        if value is None:
+            del blob[name]
+        else:
+            blob[name] = value(blob[name]) if callable(value) else value
+    out = str(tmp_path / "edited.json")
+    with open(out, "w") as fh:
+        json.dump(blob, fh)
+    return out
+
+
+class TestInputSchema:
+    @pytest.mark.parametrize("fields,message", [
+        (dict(h0_support=lambda s: [i + 0.7 for i in s]), "h0_support must be a list of integers"),
+        (dict(h1_support=lambda s: [str(i) for i in s]), "h1_support must be a list of integers"),
+        (dict(h0_support=3), "h0_support must be a list of integers"),
+        (dict(params=lambda p: {**p, "t": True}), "params field 't' must be an integer"),
+        (dict(params=lambda p: {**p, "w": 30.0}), "params field 'w' must be an integer"),
+        (dict(params=lambda p: {k: v for k, v in p.items() if k != "r"}), "params missing 'r'"),
+        (dict(params=None), "missing field 'params'"),
+        (dict(params=5), "params must be a JSON object"),
+        (dict(params=lambda p: {**p, "r": 614}), "invalid params (r must be odd"),
+        (dict(h_hex="zz"), "malformed key material"),
+        (dict(h0_support=lambda s: s[:-1], h1_support=lambda s: s[:-1]),
+         "inconsistent key material"),
+        (dict(sigma_hex="00"), "inconsistent key material"),
+    ], ids=["float-support", "string-support", "scalar-support", "bool-param",
+            "float-param", "missing-param", "missing-params", "scalar-params", "even-r",
+            "bad-h-hex", "short-supports", "short-sigma"])
+    def test_malformed_key_file(self, tmp_path, capsys, keyfile, fields, message):
+        code, out, err = run_cli(capsys, "keycheck", "--key",
+                                 edited_copy(keyfile, tmp_path, **fields))
+        assert code == 3
+        assert out == ""
+        assert message in err
+
+    def test_non_object_json(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, _, err = run_cli(capsys, "keycheck", "--key", str(path))
+        assert code == 3
+        assert "expected a JSON object" in err
+
+    @pytest.mark.parametrize("h_hex", ["zz", 5])
+    def test_encaps_malformed_h_hex(self, tmp_path, capsys, keyfile, h_hex):
+        code, _, err = run_cli(capsys, "encaps", "--key",
+                               edited_copy(keyfile, tmp_path, h_hex=h_hex),
+                               "--ct-out", str(tmp_path / "ct.json"),
+                               "--ss-out", str(tmp_path / "ss.json"))
+        assert code == 3
+        assert "malformed h_hex" in err
+
+    @pytest.mark.parametrize("fields,message", [
+        (dict(c1_hex="00"), "inconsistent ciphertext"),
+        (dict(c0_hex=5), "malformed c0_hex"),
+        (dict(c1_hex=5), "malformed c1_hex"),
+    ], ids=["short-c1", "scalar-c0", "scalar-c1"])
+    def test_malformed_ciphertext(self, tmp_path, capsys, keyfile, fields, message):
+        ct = str(tmp_path / "ct.json")
+        run_cli(capsys, "encaps", "--key", keyfile, "--seed", "5",
+                "--ct-out", ct, "--ss-out", str(tmp_path / "ss.json"))
+        code, _, err = run_cli(capsys, "decaps", "--key", keyfile,
+                               "--ct", edited_copy(ct, tmp_path, **fields),
+                               "--ss-out", str(tmp_path / "ss2.json"))
+        assert code == 3
+        assert message in err
 
 
 class TestKemRoundTrip:
@@ -251,6 +322,44 @@ class TestWeakkeyAndKeycheck:
         assert code == 0
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--type", "1", "--f", "4", "--r", "105", "--seed", "1"],
+        ["--type", "3", "--m", "3", "--r", "127", "--seed", "3"],
+    ], ids=["type1-r105", "type3-r127"])
+    def test_non_invertible_h0_is_a_parameter_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "k.json"
+        code, _, err = run_cli(capsys, "weakkey", "gen", *argv, "--w", "14", "--t", "4",
+                               "--key-out", str(path))
+        assert code == 2
+        assert f"r={argv[5]}" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("descriptor,flags", [
+        ("type1:f=5,d=2,shift=3", ["--type", "1", "--f", "5", "--d", "2", "--shift", "3"]),
+        ("type1:f=5", ["--type", "1", "--f", "5"]),
+        ("type2:m=3,d=4", ["--type", "2", "--m", "3", "--d", "4"]),
+        ("type3:m=3", ["--type", "3", "--m", "3"]),
+    ])
+    def test_weak_spec_matches_the_descriptor(self, tmp_path, capsys, descriptor, flags):
+        code, out, _ = run_cli(capsys, "weakkey", "gen", *flags, *TOY_ARGS, "--seed", "4",
+                               "--key-out", str(tmp_path / "k.json"))
+        assert code == 0
+        assert json.loads(out)["weak_spec"] == WeakKeySpec.parse(descriptor).to_json_dict()
+
+    @pytest.mark.parametrize("flags", [
+        ["--type", "3", "--m", "3", "--f", "9"],
+        ["--type", "3", "--m", "3", "--d", "1"],
+        ["--type", "3", "--m", "3", "--shift", "4"],
+        ["--type", "2", "--m", "3", "--f", "4"],
+        ["--type", "1", "--f", "4", "--m", "2"],
+    ])
+    def test_parameter_the_family_does_not_read_rejected(self, tmp_path, capsys, flags):
+        code, _, err = run_cli(capsys, "weakkey", "gen", *flags, *TOY_ARGS,
+                               "--key-out", str(tmp_path / "k.json"))
+        assert code == 2
+        assert f"type {flags[1]} takes no {flags[4][2:]}" in err
+
+
 class TestDfrCommand:
     def test_records_and_csv(self, tmp_path, capsys):
         args = ["dfr", "--r", "523", "--w", "30", "--t", "18",
@@ -330,12 +439,12 @@ class TestDfrCommand:
 
     def test_expected_stop_is_the_earlier_of_cap_and_failure_minimum(self):
         stop = StopRule(min_trials=300, min_failures=50, max_trials=1000)
-        assert _expected_stop(stop, 100, 0) == 1000    # no rate yet: the cap
-        assert _expected_stop(stop, 100, 10) == 500    # 50 failures at 10/100
-        assert _expected_stop(stop, 100, 30) == 300    # the trial minimum
-        assert _expected_stop(stop, 100, 3) == 1000    # the cap comes first
-        assert _expected_stop(stop, 300, 60) == 300    # already met: stops here
-        assert _expected_stop(StopRule(min_trials=300, min_failures=0), 100, 0) == 300
+        assert stop.expected_stop(100, 0) == 1000    # no rate yet: the cap
+        assert stop.expected_stop(100, 10) == 500    # 50 failures at 10/100
+        assert stop.expected_stop(100, 30) == 300    # the trial minimum
+        assert stop.expected_stop(100, 3) == 1000    # the cap comes first
+        assert stop.expected_stop(300, 60) == 300    # already met: stops here
+        assert StopRule(min_trials=300, min_failures=0).expected_stop(100, 0) == 300
 
     def test_two_campaigns_in_one_process_see_a_late_wrapper(self, capsys, monkeypatch):
         args = ["dfr", "--r", "523", "--w", "30", "--t", "18", "--max-trials", "40",
@@ -369,6 +478,41 @@ class TestDfrCommand:
         assert len(blob["records"]) == 2
         assert blob["extrapolation"]["r_target"] == 12323
         assert "log2_pw" in blob["pw"]
+
+    def test_budget_with_queries_for_type1_and_type3(self, capsys):
+        args = ["dfr", "--r", "523", "--w", "30", "--t", "18", "--rs", "523,613",
+                "--max-trials", "256", "--min-failures", "1000000", "--seed", "5",
+                "--no-timestamp", "--extrapolate-to", "12323", "--queries", "1024"]
+        target = custom_params(r=12323, w=30, t=18)
+        for eta_from, log2_eta in (("type1:f=10", eta_type1(target, 10)),
+                                   ("type3:m=6", eta_type3(target, 6))):
+            code, out, _ = run_cli(capsys, *args, "--eta-from", eta_from)
+            assert code == 0
+            blob = json.loads(out)
+            log2_pw = log2_eta + blob["extrapolation"]["log2_dfr_at_target"]
+            assert blob["pw"] == {"log2_pw": log2_pw, "satisfies": log2_pw <= -128,
+                                  "log2_q_delta": 10 + log2_pw}
+
+    @pytest.mark.parametrize("argv,needed", [
+        (["--eta-from", "type1:f=10"], "--extrapolate-to"),
+        (["--extrapolate-to", "12323", "--queries", "8"], "--eta-from"),
+    ], ids=["eta-from", "queries"])
+    def test_flag_without_the_flag_that_reads_it_rejected(self, capsys, argv, needed):
+        code, out, err = run_cli(capsys, "dfr", "--r", "523", "--w", "30", "--t", "18",
+                                 "--max-trials", "8", *argv)
+        assert code == 2
+        assert out == ""
+        assert needed in err
+
+    @pytest.mark.parametrize("eta_from", ["type2:m=3", "type1:m=3", "type4:f=1"])
+    def test_bad_eta_from_rejected_before_any_campaign(self, capsys, monkeypatch, eta_from):
+        monkeypatch.setattr(cli.dfrlab, "run_dfr",
+                            lambda *args, **kwargs: pytest.fail("a campaign ran"))
+        code, out, _ = run_cli(capsys, "dfr", "--r", "523", "--w", "30", "--t", "18",
+                               "--max-trials", "8", "--extrapolate-to", "12323",
+                               "--eta-from", eta_from)
+        assert code == 2
+        assert out == ""
 
     def test_extrapolation_lists_dropped_r(self, capsys):
         # normal keys at t=18: r=523, 541 and 547 fail, r=1019 does not in 64 trials

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bikelab import (DecoderConfig, ParameterError, bgf_decode, compute_upc,
-                     custom_params, decoder, level_params, threshold, verify)
+                     custom_params, decoder, level_params, threshold)
 from bikelab.decoder import DecodeOutcome, IterationTrace
 from bikelab.dfr import HonestErrors
 from bikelab.kem import expand_u64_seed, sample_private_key
@@ -16,6 +16,11 @@ from bikelab.weakkeys import gen_psi_d_error, gen_type1
 
 def make_syndrome(h0, h1, e0, e1):
     return mul_sparse(h0, e0.to_dense()) + mul_sparse(h1, e1.to_dense())
+
+
+def verify(e, h0, h1, s):
+    """True when e0*h0 + e1*h1 reproduces the syndrome s."""
+    return make_syndrome(h0, h1, e.e0, e.e1).bits == s.bits
 
 
 def random_instance(params, rng, weight_split):

@@ -372,19 +372,21 @@ class TestRecord:
     def test_schema_fields_frozen(self):
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=16)
         res = run_dfr(TOY, NormalKeys(), HonestErrors(), stop, master_seed=15)
-        rec = make_record(res, DecoderConfig.for_params(TOY), stop, "2024-01-01T00:00:00")
+        rec = make_record(res, "2024-01-01T00:00:00")
         assert set(rec) == {
             "schema_version", "code_version", "params", "key_class", "error_source",
             "decoder", "stop", "master_seed", "trials", "failures", "dfr_point",
             "ci_low", "ci_high", "met_failure_rule", "wall_time_s", "timestamp",
         }
         assert rec["params"]["standard"] is False
+        assert rec["decoder"] == DecoderConfig.for_params(TOY).to_json_dict()
+        assert rec["stop"] == stop.to_json_dict()
         json.dumps(rec)  # serializable
 
     def test_summary_csv(self):
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=16)
         res = run_dfr(TOY, NormalKeys(), HonestErrors(), stop, master_seed=16)
-        rec = make_record(res, DecoderConfig.for_params(TOY), stop, "")
+        rec = make_record(res, "")
         assert SUMMARY_CSV_HEADER.split(",") == ["r", "trials", "failures", "dfr",
                                                  "ci_low", "ci_high"]
         row = summary_csv_row(rec)

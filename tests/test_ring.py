@@ -56,7 +56,7 @@ class TestRingParams:
         with pytest.raises(ParameterError):
             RingParams.for_kem(7)    # 2 has order 3 mod 7
 
-    def test_validation_flag_not_part_of_equality(self):
+    def test_for_kem_equals_plain_ring_params(self):
         assert RingParams(13) == RingParams.for_kem(13)
 
 

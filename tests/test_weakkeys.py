@@ -379,6 +379,25 @@ class TestWeakKeySpecParsing:
             with pytest.raises(ParameterError):
                 WeakKeySpec.parse(text)
 
+    def test_parameters_the_family_does_not_read_rejected(self):
+        for text in ("type2:m=3,shift=5,f=4", "type3:m=3,d=1", "type3:m=3,f=9",
+                     "type1:f=4,m=2"):
+            with pytest.raises(ParameterError, match="takes no"):
+                WeakKeySpec.parse(text)
+
+    def test_type2_and_type3_describe_no_run(self):
+        assert WeakKeySpec.parse("type2:m=3").to_json_dict() == {
+            "family": 2, "f": None, "d": 1, "l_shift": 0, "m": 3}
+        assert WeakKeySpec.parse("type3:m=3").to_json_dict() == {
+            "family": 3, "f": None, "d": None, "l_shift": 0, "m": 3}
+
+    def test_log2_eta(self):
+        params = level_params(1)
+        assert WeakKeySpec.parse("type1:f=10,d=3").log2_eta(params) == eta_type1(params, 10)
+        assert WeakKeySpec.parse("type3:m=6").log2_eta(params) == eta_type3(params, 6)
+        with pytest.raises(ParameterError):
+            WeakKeySpec.parse("type2:m=3").log2_eta(params)
+
     def test_json_round_shape(self):
         blob = WeakKeySpec.parse("type1:f=8").to_json_dict()
         assert set(blob) == {"family", "f", "d", "l_shift", "m"}
