@@ -19,10 +19,9 @@ from . import dfr as dfrlab
 from . import files
 from .decoder import IterationTrace
 from .errors import BudgetExhaustedError, NotInvertibleError, ParameterError, SchemaError
-from .kem import decaps_with_diagnostics, encaps, expand_u64_seed, keygen
+from .kem import decaps_with_diagnostics, encaps, expand_u64_seed, keygen, public_key
 from .keycheck import KeyCheckConfig, key_check, keygen_checked
-from .keys import PublicKey, SystemParams, custom_params, level_params, params_with_r
-from .ring import mul_sparse
+from .keys import SystemParams, custom_params, level_params, params_with_r
 from .weakkeys import (WeakKeySpec, count_type1, count_type2_upper, count_type3_upper,
                        log2_density, spectrum)
 
@@ -111,8 +110,7 @@ def cmd_weakkey_gen(args) -> int:
     sk = spec.generate(params, expand_u64_seed(args.seed))
     # weak keys drive decoding experiments, but publishing h keeps the file
     # usable with encaps as well
-    h = mul_sparse(sk.h1, sk.h0.to_dense().invert())
-    files.write_key(args.key_out, params, sk, PublicKey(h=h))
+    files.write_key(args.key_out, params, sk, public_key(sk.h0, sk.h1))
     if args.spectrum_csv:
         spec0 = spectrum(sk.h0, params.r // 2)
         with open(args.spectrum_csv, "w") as fh:
@@ -177,9 +175,11 @@ def cmd_dfr(args) -> int:
     if args.eta_from:
         if args.extrapolate_to is None:
             raise ParameterError("--eta-from is read only with --extrapolate-to")
-        # before any campaign runs, so a bad descriptor costs none
+        # before any campaign runs, so a bad descriptor or count costs none
         target = params_with_r(base, args.extrapolate_to)
         log2_eta = WeakKeySpec.parse(args.eta_from).log2_eta(target)
+        if args.queries is not None and args.queries < 1:
+            raise ParameterError("--queries must be >= 1")
     stop = dfrlab.StopRule(min_trials=args.min_trials, min_failures=args.min_failures,
                            max_trials=args.max_trials)
     key_class = _parse_key_class(args.key_class)

@@ -1,12 +1,16 @@
 """Black-Gray-Flip decoding for the two-block quasi-cyclic code.
 
-The decoder runs a fixed number of bit-flipping iterations over the 2r
-positions.  Each iteration recomputes the residual syndrome, derives an
-affine threshold from its weight, and flips every position whose count of
-unsatisfied parity checks (upc) reaches the threshold.  The first iteration
-additionally keeps a Black list (positions just flipped) and a Gray list
-(positions that came within tau of the threshold) and re-examines both
-against a fixed mask threshold after refreshing the syndrome.
+The schedule is BGF's, fixed as in Drucker, Gueron and Kostic, "QC-MDPC
+decoders with several shades of gray" (PQCrypto 2020): ``NB_ITER`` = 5
+bit-flipping iterations over the 2r positions, a gray margin ``TAU`` = 3,
+and a Black/Gray mask threshold of (w/2 + 1)/2 + 1.  Each iteration
+recomputes the residual syndrome, derives an affine threshold from its
+weight, and flips every position whose count of unsatisfied parity checks
+(upc) reaches the threshold.  The first iteration additionally keeps a Black
+list (positions just flipped) and a Gray list (positions that came within
+``TAU`` of the threshold) and re-examines both against the mask threshold
+after refreshing the syndrome.  Only the affine threshold line varies, per
+level, in :class:`DecoderConfig`.
 
 Position k of block b participates in the parity checks indexed by
 {(k + p) mod r : p in support(h_b)}, so its upc is the number of ones the
@@ -43,6 +47,10 @@ from .keys import ErrorPair, SystemParams
 from .ring import DensePoly, SparsePoly, _bits_to_array, _check_same_ring, mul_sparse
 
 
+# BGF's fixed schedule: iterations, and the gray margin below the threshold
+NB_ITER = 5
+TAU = 3
+
 # published BGF affine threshold constants (slope, intercept, floor) per level
 _LEVEL_THRESHOLDS = {"L1": (0.0069722, 13.530, 36), "L3": (0.005265, 15.2588, 52),
                      "L5": (0.00402312, 17.8785, 69)}
@@ -57,30 +65,27 @@ _LEVEL_THRESHOLDS = {"L1": (0.0069722, 13.530, 36), "L3": (0.005265, 15.2588, 52
 _UPC_GATHER_BYTES = 1 << 20
 
 
+def _majority(w2: int) -> int:
+    """(w/2 + 1)/2 + 1: the Black/Gray mask threshold, and the reduced sets' floor."""
+    return (w2 + 1) // 2 + 1
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Iteration count, thresholds, and first-iteration list handling.
+    """The affine flip threshold max(slope * |s| + intercept, floor).
 
-    The default affine threshold constants are the published level-1 ones;
-    :meth:`for_params` picks each level's.  ``mask_threshold=None`` derives
-    the re-check threshold (w/2 + 1)/2 + 1 from the key weight at decode
-    time.  ``black_gray=False`` turns every iteration into a plain
-    bit-flipping step (regression guard).
+    The defaults are the published level-1 constants; :meth:`for_params`
+    picks each level's.  The rest of the schedule is fixed: ``NB_ITER``,
+    ``TAU`` and the mask threshold (w/2 + 1)/2 + 1.
     """
 
-    nb_iter: int = 5
-    tau: int = 3
-    thr_slope: float = 0.0069722
-    thr_intercept: float = 13.530
-    thr_floor: int = 36
-    mask_threshold: int | None = None
-    black_gray: bool = True
+    thr_slope: float = _LEVEL_THRESHOLDS["L1"][0]
+    thr_intercept: float = _LEVEL_THRESHOLDS["L1"][1]
+    thr_floor: int = _LEVEL_THRESHOLDS["L1"][2]
 
     def __post_init__(self):
-        if self.nb_iter < 1 or self.tau < 0 or self.thr_floor < 1:
+        if self.thr_floor < 1:
             raise ParameterError("invalid decoder configuration")
-        if self.mask_threshold is not None and self.mask_threshold < 1:
-            raise ParameterError("mask_threshold must be >= 1")
 
     @classmethod
     def for_params(cls, params: SystemParams) -> "DecoderConfig":
@@ -91,18 +96,13 @@ class DecoderConfig:
         column weight), so they fall back to a constant majority threshold.
         """
         if params.standard:
-            slope, intercept, floor = _LEVEL_THRESHOLDS[params.level]
-            return cls(thr_slope=slope, thr_intercept=intercept, thr_floor=floor)
-        floor = (params.w2 + 1) // 2 + 1
-        return cls(thr_slope=0.0, thr_intercept=0.0, thr_floor=floor)
-
-    def mask_threshold_for(self, w2: int) -> int:
-        if self.mask_threshold is not None:
-            return self.mask_threshold
-        return (w2 + 1) // 2 + 1
+            return cls(*_LEVEL_THRESHOLDS[params.level])
+        return cls(thr_slope=0.0, thr_intercept=0.0, thr_floor=_majority(params.w2))
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # the fixed schedule stays in the record and checkpoint schema
+        return {"nb_iter": NB_ITER, "tau": TAU, **asdict(self), "mask_threshold": None,
+                "black_gray": True}
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ def bgf_decode(s: DensePoly, h0: SparsePoly, h1: SparsePoly, cfg: DecoderConfig,
     r = h0.ring.r
     supp = np.array([h0.support, h1.support], dtype=np.intp)
     gather = _gathers(supp, r)
-    mask_thr = cfg.mask_threshold_for(h0.weight())
+    mask_thr = _majority(h0.weight())
     e = np.zeros((2, r), dtype=np.uint8)
     trace: list[IterationTrace] = []
 
@@ -207,7 +207,7 @@ def bgf_decode(s: DensePoly, h0: SparsePoly, h1: SparsePoly, cfg: DecoderConfig,
         return acc
 
     iterations = 0
-    for it in range(1, cfg.nb_iter + 1):
+    for it in range(1, NB_ITER + 1):
         s_cur = residual_syndrome()
         if s_cur == 0:
             break
@@ -219,9 +219,9 @@ def bgf_decode(s: DensePoly, h0: SparsePoly, h1: SparsePoly, cfg: DecoderConfig,
         e ^= black
         flips = int(np.count_nonzero(black))
         n_black = n_gray = 0
-        if it == 1 and cfg.black_gray:
+        if it == 1:
             n_black = flips
-            gray = (upc >= thr - cfg.tau) & ~black
+            gray = (upc >= thr - TAU) & ~black
             n_gray = int(np.count_nonzero(gray))
             for mask in (black, gray):
                 s2 = _doubled(residual_syndrome(), r)

@@ -130,6 +130,15 @@ def sample_private_key(params: SystemParams, seed: bytes) -> PrivateKey:
     return PrivateKey(h0=h0, h1=h1, sigma=sample_sigma(seed, params))
 
 
+def public_key(h0: SparsePoly, h1: SparsePoly) -> PublicKey:
+    """h = h1 * h0^-1, or NotInvertibleError naming h0, r and the remedy."""
+    try:
+        return PublicKey(h=mul_sparse(h1, h0.to_dense().invert()))
+    except NotInvertibleError as exc:
+        raise NotInvertibleError(f"h0 is not invertible at r={h0.ring.r}; try another --seed, "
+                                 "or a KEM-grade r (prime, with 2 primitive mod r)") from exc
+
+
 def keygen(params: SystemParams, seed: bytes) -> tuple[PrivateKey, PublicKey]:
     """Sample (h0, h1, sigma) and publish h = h1 * h0^-1."""
     if len(seed) != 32:
@@ -141,10 +150,10 @@ def keygen(params: SystemParams, seed: bytes) -> tuple[PrivateKey, PublicKey]:
     for _ in range(KEYGEN_BUDGET):
         h0 = SparsePoly(ring, sample_fixed_weight(h0_stream, params.r, params.w2))
         try:
-            h0_inv = h0.to_dense().invert()
+            pk = public_key(h0, h1)
         except NotInvertibleError:
             continue  # never on a validated ring; experimental moduli redraw h0
-        return PrivateKey(h0=h0, h1=h1, sigma=sigma), PublicKey(h=mul_sparse(h1, h0_inv))
+        return PrivateKey(h0=h0, h1=h1, sigma=sigma), pk
     raise BudgetExhaustedError(f"no invertible h0 in {KEYGEN_BUDGET} draws (r={params.r})")
 
 

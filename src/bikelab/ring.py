@@ -8,7 +8,9 @@ low-weight values (private key blocks, error vectors).
 
 Multiplication picks between two exact strategies: shifted-XOR accumulation
 over the lighter operand's support, and (for two dense operands) one float64
-FFT convolution, rounded to integers and reduced to parities.  The FFT packs
+FFT convolution, rounded to integers and reduced to parities.  One private
+rotate-XOR loop, ``acc ^= b << s`` over a support, serves both
+``mul_sparse`` and the light branch of the dense product.  The FFT packs
 two coefficients per float as x[2i] + B*x[2i+1] with B = 2^s > r + 1, so its
 transforms have about r/2 points.  Each packed sum holds three base-B digits,
 each a count of at most r + 1 < B, and stays below B^2 * (h + 1) < 2^48 with
@@ -116,14 +118,13 @@ def _fold(v: int, r: int, mask: int) -> int:
     return (v >> r) ^ (v & mask)
 
 
-def _poly_mul_nc(a: int, b: int) -> int:
-    # plain (non-cyclic) F2[x] product: shift-and-XOR over the support of a
+def _rotate_xor(support, b: int, r: int, mask: int) -> int:
+    """Product of b and the element with the given support, reduced mod x^r - 1."""
     acc = 0
-    while a:
-        low = a & -a
-        acc ^= b << (low.bit_length() - 1)
-        a ^= low
-    return acc
+    for s in support:
+        acc ^= b << s
+    # s <= r - 1 and b <= mask, so acc < 2^(2r-1) and one fold reduces it
+    return _fold(acc, r, mask)
 
 
 @cache
@@ -168,16 +169,13 @@ def _mul_int_fft(a: int, b: int, r: int) -> int:
 
 
 def _mul_int(a: int, b: int, r: int, mask: int) -> int:
-    wa = a.bit_count()
-    wb = b.bit_count()
-    if wa > wb:
-        a, b, wa, wb = b, a, wb, wa
+    a, b = sorted((a, b), key=int.bit_count)   # a is the lighter operand
     # The FFT product is shown exact only while r + 1 < 2^16, so B = 2^s <= 2^16:
     # each packed digit is at most r + 1 < B, every packed sum is below
     # B^2 * (h + 1) < 2^48, and all-ones squared, the worst case, rounds within
     # 7.8e-2 of an integer.
-    if wa <= _SPARSE_MUL_CUTOFF or r + 1 >= 1 << 16:
-        return _fold(_poly_mul_nc(a, b), r, mask)
+    if a.bit_count() <= _SPARSE_MUL_CUTOFF or r + 1 >= 1 << 16:
+        return _rotate_xor(_support_of(a, r).tolist(), b, r, mask)
     return _mul_int_fft(a, b, r)
 
 
@@ -338,14 +336,8 @@ class DensePoly:
 
 def mul_sparse(a: SparsePoly, b: DensePoly) -> DensePoly:
     """Product of a sparse and a dense element (rotate-XOR over a's support)."""
-    if a.ring.r != b.ring.r:
-        raise ParameterError(f"ring mismatch: r={a.ring.r} vs r={b.ring.r}")
-    r, mask = b.ring.r, b.ring.mask
-    acc = 0
-    for s in a.support:
-        acc ^= b.bits << s
-    # s <= r - 1 and b.bits <= mask, so acc < 2^(2r-1) and one fold reduces it
-    return DensePoly(b.ring, _fold(acc, r, mask))
+    _check_same_ring(a, b)
+    return DensePoly(b.ring, _rotate_xor(a.support, b.bits, b.ring.r, b.ring.mask))
 
 
 def invert_counted(a: DensePoly) -> tuple[DensePoly, int]:
@@ -359,40 +351,3 @@ def invert_counted(a: DensePoly) -> tuple[DensePoly, int]:
     if _mul_int(a.bits, inv, r, mask) != 1:
         raise NotInvertibleError(f"element of weight {a.weight()} is not invertible (r={r})")
     return DensePoly(a.ring, inv), muls
-
-
-# -- extended-Euclid inverse, used as an independent cross-check in tests ----
-
-def _deg(v: int) -> int:
-    return v.bit_length() - 1
-
-
-def _poly_divmod_nc(a: int, b: int) -> tuple[int, int]:
-    # plain (non-cyclic) F2[x] division
-    q = 0
-    db = _deg(b)
-    while a and _deg(a) >= db:
-        sh = _deg(a) - db
-        q |= 1 << sh
-        a ^= b << sh
-    return q, a
-
-
-def invert_oracle(a: DensePoly) -> DensePoly:
-    """Inverse by the extended Euclidean algorithm modulo x^r - 1.
-
-    Deliberately simple; kept as the second, independent route to the same
-    answer as :func:`invert_counted`.
-    """
-    r = a.ring.r
-    modulus = (1 << r) | 1
-    r0, r1 = modulus, a.bits
-    s0, s1 = 0, 1
-    while r1:
-        q, rem = _poly_divmod_nc(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 ^ _poly_mul_nc(q, s1)
-    if r0 != 1:
-        raise NotInvertibleError(f"gcd(a, x^{r}-1) != 1")
-    _, rem = _poly_divmod_nc(s0, modulus)
-    return DensePoly(a.ring, rem)

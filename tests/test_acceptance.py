@@ -15,7 +15,7 @@ import pytest
 from bikelab import (FixedKey, HonestErrors, KeyCheckConfig,
                      PsiErrors, StopRule, WeakKeys, confidence_interval, custom_params,
                      decaps_with_diagnostics, encaps, extrapolate, gen_type1, gen_type2,
-                     gen_type3, invert_counted, invert_oracle, key_check, keygen,
+                     gen_type3, invert_counted, key_check, keygen,
                      level_params, pw_check, run_dfr, sample_private_key, spectrum)
 from bikelab.cli import main as cli_main
 from bikelab.decoder import compute_upc
@@ -23,6 +23,8 @@ from bikelab.errors import NotInvertibleError
 from bikelab.kem import expand_u64_seed
 from bikelab.ring import DensePoly, RingParams, SparsePoly
 from bikelab.weakkeys import WeakKeySpec
+
+from ring_oracle import invert_oracle
 
 L1 = level_params(1)
 

@@ -331,7 +331,8 @@ class TestWeakkeyAndKeycheck:
         code, _, err = run_cli(capsys, "weakkey", "gen", *argv, "--w", "14", "--t", "4",
                                "--key-out", str(path))
         assert code == 2
-        assert f"r={argv[5]}" in err
+        assert err == (f"parameter error: h0 is not invertible at r={argv[5]}; try another "
+                       "--seed, or a KEM-grade r (prime, with 2 primitive mod r)\n")
         assert not path.exists()
 
     @pytest.mark.parametrize("descriptor,flags", [
@@ -513,6 +514,17 @@ class TestDfrCommand:
                                "--eta-from", eta_from)
         assert code == 2
         assert out == ""
+
+    def test_bad_queries_rejected_before_any_campaign(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.dfrlab, "run_dfr",
+                            lambda *args, **kwargs: pytest.fail("a campaign ran"))
+        code, out, err = run_cli(capsys, "dfr", "--r", "523", "--w", "30", "--t", "18",
+                                 "--rs", "523,613", "--max-trials", "256",
+                                 "--extrapolate-to", "12323", "--eta-from", "type1:f=5",
+                                 "--queries", "0")
+        assert code == 2
+        assert out == ""
+        assert "--queries must be >= 1" in err
 
     def test_extrapolation_lists_dropped_r(self, capsys):
         # normal keys at t=18: r=523, 541 and 547 fail, r=1019 does not in 64 trials

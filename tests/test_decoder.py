@@ -41,7 +41,7 @@ def reference_bgf_decode(s, h0, h1, cfg, mul=mul_sparse):
     and the first iteration's Black/Gray re-check done by full UPC passes.
     """
     r = h0.ring.r
-    mask_thr = cfg.mask_threshold_for(h0.weight())
+    mask_thr = (h0.weight() + 1) // 2 + 1
 
     def upc_blocks(s_bits):
         s2 = np.tile(np.array([(s_bits >> i) & 1 for i in range(r)], dtype=np.uint8), 2)
@@ -65,7 +65,7 @@ def reference_bgf_decode(s, h0, h1, cfg, mul=mul_sparse):
 
     trace = []
     iterations = 0
-    for it in range(1, cfg.nb_iter + 1):
+    for it in range(1, decoder.NB_ITER + 1):
         s_cur = residual_syndrome()
         if s_cur == 0:
             break
@@ -76,13 +76,13 @@ def reference_bgf_decode(s, h0, h1, cfg, mul=mul_sparse):
         black, gray = [None, None], [None, None]
         for b in (0, 1):
             flip_mask = upc[b] >= thr
-            if it == 1 and cfg.black_gray:
+            if it == 1:
                 black[b] = flip_mask
-                gray[b] = (upc[b] >= thr - cfg.tau) & ~flip_mask
+                gray[b] = (upc[b] >= thr - decoder.TAU) & ~flip_mask
             e_arr[b] ^= flip_mask
             flips += int(flip_mask.sum())
         n_black = n_gray = 0
-        if it == 1 and cfg.black_gray:
+        if it == 1:
             n_black = int(black[0].sum() + black[1].sum())
             n_gray = int(gray[0].sum() + gray[1].sum())
             for masks in (black, gray):
@@ -126,8 +126,6 @@ class TestThreshold:
         assert (l3.thr_slope, l3.thr_intercept, l3.thr_floor) == (0.005265, 15.2588, 52)
         l5 = DecoderConfig.for_params(level_params(5))
         assert (l5.thr_slope, l5.thr_intercept, l5.thr_floor) == (0.00402312, 17.8785, 69)
-        assert l3.nb_iter == l5.nb_iter == DecoderConfig().nb_iter
-        assert l3.tau == l5.tau == DecoderConfig().tau
 
     def test_custom_floor(self):
         cfg = DecoderConfig(thr_slope=0.0, thr_intercept=0.0, thr_floor=9)
@@ -262,7 +260,7 @@ class TestBgfDecode:
     def test_rotation_equivariance_r13(self):
         # rotating the syndrome rotates the recovered error, success unchanged
         params = custom_params(r=13, w=6, t=4)
-        cfg = DecoderConfig(thr_slope=0, thr_intercept=0, thr_floor=2, tau=1)
+        cfg = DecoderConfig(thr_slope=0, thr_intercept=0, thr_floor=2)
         rng = random.Random(11)
         for _ in range(25):
             h0, h1, e0, e1, s = random_instance(params, rng, (2, 2))
@@ -274,47 +272,6 @@ class TestBgfDecode:
                 expect1 = tuple(sorted((p + k) % 13 for p in base.error.e1.support))
                 assert rot.error.e0.support == expect0
                 assert rot.error.e1.support == expect1
-
-    def test_tau_zero_no_black_gray_is_plain_bf(self, toy_params):
-        """With the list logic disabled the loop is a plain flip iteration."""
-        cfg = DecoderConfig.for_params(toy_params)
-        plain = DecoderConfig(nb_iter=cfg.nb_iter, tau=0, thr_slope=cfg.thr_slope,
-                              thr_intercept=cfg.thr_intercept, thr_floor=cfg.thr_floor,
-                              black_gray=False)
-        rng = random.Random(12)
-        r, w2 = toy_params.r, toy_params.w2
-        ring = toy_params.ring
-
-        def reference_bf(s, h0, h1):
-            # independent plain bit-flipping oracle
-            e0, e1 = 0, 0
-            for _ in range(plain.nb_iter):
-                cur = (s.bits ^ mul_sparse(h0, DensePoly(ring, e0)).bits
-                       ^ mul_sparse(h1, DensePoly(ring, e1)).bits)
-                if cur == 0:
-                    break
-                thr = threshold(bin(cur).count("1"), plain)
-                flips0, flips1 = 0, 0
-                for k in range(r):
-                    cnt0 = sum((cur >> ((k + x) % r)) & 1 for x in h0.support)
-                    if cnt0 >= thr:
-                        flips0 |= 1 << k
-                    cnt1 = sum((cur >> ((k + x) % r)) & 1 for x in h1.support)
-                    if cnt1 >= thr:
-                        flips1 |= 1 << k
-                e0 ^= flips0
-                e1 ^= flips1
-            final = (s.bits ^ mul_sparse(h0, DensePoly(ring, e0)).bits
-                     ^ mul_sparse(h1, DensePoly(ring, e1)).bits)
-            return e0, e1, final == 0
-
-        for _ in range(5):
-            h0, h1, e0, e1, s = random_instance(toy_params, rng, (7, 7))
-            out = bgf_decode(s, h0, h1, plain)
-            ref_e0, ref_e1, ref_ok = reference_bf(s, h0, h1)
-            assert out.error.e0.to_dense().bits == ref_e0
-            assert out.error.e1.to_dense().bits == ref_e1
-            assert out.success == ref_ok
 
     def test_trace_rows(self, toy_params):
         cfg = DecoderConfig.for_params(toy_params)
@@ -443,25 +400,10 @@ class TestAgainstReference:
         params = level_params(3)
         self.check(_cases(params, 1), DecoderConfig.for_params(params), monkeypatch)
 
-    @pytest.mark.parametrize("params", [R1259, level_params(1)], ids=["r1259", "L1"])
-    def test_without_black_gray(self, params, monkeypatch):
-        cfg = DecoderConfig.for_params(params)
-        plain = DecoderConfig(thr_slope=cfg.thr_slope, thr_intercept=cfg.thr_intercept,
-                              thr_floor=cfg.thr_floor, black_gray=False)
-        self.check(_cases(params, 4, weak_f=10), plain, monkeypatch)
-
-    @pytest.mark.parametrize("params", [R1259, level_params(1)], ids=["r1259", "L1"])
-    def test_explicit_mask_threshold(self, params, monkeypatch):
-        cfg = DecoderConfig.for_params(params)
-        masked = DecoderConfig(thr_slope=cfg.thr_slope, thr_intercept=cfg.thr_intercept,
-                               thr_floor=cfg.thr_floor, mask_threshold=params.w2 // 3)
-        self.check(_cases(params, 4, weak_f=10), masked, monkeypatch)
-
 
 class TestConfig:
     def test_mask_threshold_default_l1(self, l1_params):
-        cfg = DecoderConfig.for_params(l1_params)
-        assert cfg.mask_threshold_for(l1_params.w2) == (71 + 1) // 2 + 1 == 37
+        assert decoder._majority(l1_params.w2) == (71 + 1) // 2 + 1 == 37
 
     def test_standard_params_get_published_constants(self, l1_params):
         cfg = DecoderConfig.for_params(l1_params)
@@ -474,8 +416,4 @@ class TestConfig:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ParameterError):
-            DecoderConfig(nb_iter=0)
-        with pytest.raises(ParameterError):
-            DecoderConfig(tau=-1)
-        with pytest.raises(ParameterError):
-            DecoderConfig(mask_threshold=0)
+            DecoderConfig(thr_floor=0)

@@ -6,8 +6,8 @@ from scipy import stats
 
 from bikelab import (DecoderConfig, FixedKey, HonestErrors, NormalKeys, ParameterError,
                      PsiErrors, StopRule, WeakKeys, avg_dfr_decompose,
-                     confidence_interval, custom_params, extrapolate, pw_check,
-                     run_dfr, sample_private_key)
+                     confidence_interval, custom_params, extrapolate, level_params,
+                     pw_check, run_dfr, sample_private_key)
 from bikelab import bgf_decode, dfr
 from bikelab.dfr import (SUMMARY_CSV_HEADER, make_record, run_trial, summary_csv_row,
                          trial_seeds)
@@ -382,6 +382,29 @@ class TestRecord:
         assert rec["decoder"] == DecoderConfig.for_params(TOY).to_json_dict()
         assert rec["stop"] == stop.to_json_dict()
         json.dumps(rec)  # serializable
+
+    # frozen record schema: the decoder block lists the fixed schedule (nb_iter,
+    # tau, mask_threshold, black_gray) beside the threshold line, in this order
+    @pytest.mark.parametrize("params,line", [
+        (level_params(1), (0.0069722, 13.53, 36)),
+        (level_params(3), (0.005265, 15.2588, 52)),
+        (level_params(5), (0.00402312, 17.8785, 69)),
+        (custom_params(r=1259, w=42, t=30), (0.0, 0.0, 12)),
+    ], ids=["L1", "L3", "L5", "r1259"])
+    def test_decoder_block_frozen(self, params, line):
+        stop = StopRule(min_trials=0, min_failures=10**9, max_trials=1)
+        res = run_dfr(params, NormalKeys(), HonestErrors(), stop, master_seed=1, batch_size=1)
+        slope, intercept, floor = line
+        assert json.dumps(make_record(res, "")["decoder"]) == json.dumps(
+            {"nb_iter": 5, "tau": 3, "thr_slope": slope, "thr_intercept": intercept,
+             "thr_floor": floor, "mask_threshold": None, "black_gray": True})
+
+    def test_checkpoint_tag_frozen(self):
+        # an existing checkpoint resumes only under the same tag
+        params = custom_params(r=1259, w=42, t=30)
+        tag = dfr._checkpoint_tag(params, WeakKeys(WeakKeySpec.parse("type1:f=10")),
+                                  HonestErrors(), DecoderConfig.for_params(params), 7, 256)
+        assert tag == "fb05b11e34caeedf1d905347146ef4c2dfc11dcc2ac94d68e977a52c2a60034a"
 
     def test_summary_csv(self):
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=16)

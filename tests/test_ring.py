@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bikelab import (NotInvertibleError, ParameterError, RingParams, invert_counted,
-                     invert_oracle, iti_mul_bound, mul_sparse)
+                     iti_mul_bound, mul_sparse)
 from bikelab import ring as ring_module
-from bikelab.ring import _SPARSE_MUL_CUTOFF, DensePoly, SparsePoly, _mul_int_fft
+from bikelab.ring import _SPARSE_MUL_CUTOFF, DensePoly, SparsePoly, _mul_int, _mul_int_fft
 
 from conftest import random_dense, random_odd_dense
+from ring_oracle import invert_oracle
 
 
 def schoolbook_mul(a: DensePoly, b: DensePoly) -> DensePoly:
@@ -113,6 +114,24 @@ class TestMul:
             if min(a.weight(), b.weight()) > _SPARSE_MUL_CUTOFF:
                 assert (a * b).bits == rotate_xor_mul(a, b).bits
         assert _mul_int_fft(ones.bits, ones.bits, r) == ring.mask
+
+    @pytest.mark.parametrize("weight", [_SPARSE_MUL_CUTOFF - 1, _SPARSE_MUL_CUTOFF,
+                                        _SPARSE_MUL_CUTOFF + 1])
+    def test_cutoff_sides_match_rotate_xor(self, weight, monkeypatch):
+        # the light rotate-XOR branch up to the cutoff, the FFT product above
+        # it, whichever operand is the lighter one
+        calls = []
+        monkeypatch.setattr(ring_module, "_mul_int_fft",
+                            lambda *args: calls.append(args) or _mul_int_fft(*args))
+        r = 1283
+        ring = RingParams(r)
+        rng = random.Random(weight)
+        light, heavy = (DensePoly(ring, sum(1 << i for i in rng.sample(range(r), k)))
+                        for k in (weight, 900))
+        want = rotate_xor_mul(light, heavy).bits
+        assert _mul_int(light.bits, heavy.bits, r, ring.mask) == want
+        assert _mul_int(heavy.bits, light.bits, r, ring.mask) == want
+        assert len(calls) == (2 if weight > _SPARSE_MUL_CUTOFF else 0)
 
     @pytest.mark.parametrize("r,fft", [(65533, True), (65535, False)])
     def test_fft_route_ends_below_r_plus_1_at_2_to_16(self, r, fft, monkeypatch):
