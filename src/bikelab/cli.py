@@ -183,6 +183,9 @@ def cmd_dfr(args) -> int:
     stop = dfrlab.StopRule(min_trials=args.min_trials, min_failures=args.min_failures,
                            max_trials=args.max_trials)
     key_class = _parse_key_class(args.key_class)
+    if isinstance(key_class, dfrlab.FixedKey):
+        for r in rs:   # every r before any campaign, not as run_dfr reaches it
+            key_class.check_params(params_with_r(base, r))
     error_source = _parse_error_source(args.error_source)
 
     records = []
@@ -231,9 +234,12 @@ def cmd_eta(args) -> int:
     params = _params_from_args(args)
     values = _parse_range(args.param_range)
     lines = [ETA_CSV_HEADER]
-    count = {1: count_type1, 2: lambda p, v: count_type2_upper(p, v, args.s),
+    if args.s is not None and args.type != 2:
+        raise ParameterError(f"--s is read only with --type 2, not --type {args.type}")
+    s = 2 if args.s is None else args.s
+    count = {1: count_type1, 2: lambda p, v: count_type2_upper(p, v, s),
              3: count_type3_upper}[args.type]
-    s_field = str(args.s) if args.type == 2 else ""
+    s_field = str(s) if args.type == 2 else ""
     for v in values:
         cnt = count(params, v)
         eta = log2_density(params, cnt)
@@ -339,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--param-range", required=True,
                    help='f or m values: "5:40:5" or "5,10,15"')
-    p.add_argument("--s", type=int, default=2, help="run-block count for type 2")
+    p.add_argument("--s", type=int, help="run-block count, type 2 only (default 2)")
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(handler="cmd_eta")
 

@@ -32,7 +32,7 @@ def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             blob = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(blob, dict):
         raise SchemaError(f"{path}: expected a JSON object")

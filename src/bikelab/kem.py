@@ -17,6 +17,7 @@ big-endian 4-byte length followed by the field bytes.  Domain tags:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import struct
 
 from . import decoder
@@ -115,19 +116,26 @@ def sample_sigma(seed: bytes, params: SystemParams) -> bytes:
     return XofStream(TAG_KEYGEN_SIGMA, [seed]).read_bits(params.l)
 
 
-def sample_private_key(params: SystemParams, seed: bytes) -> PrivateKey:
-    """First draw of (h0, h1, sigma); no invertibility handling, no inversion.
-
-    This is what the failure-rate laboratory samples per trial: decoding only
-    needs the private key.  On a validated ring the draw always equals the
-    private half of :func:`keygen` for the same seed.
-    """
+def _key_draws(params: SystemParams, seed: bytes):
+    """The keys of one seed: fixed h1 and sigma, each key the next h0 of one stream."""
     if len(seed) != 32:
         raise ParameterError("keygen seed must be 32 bytes")
     ring = params.ring
-    h0 = SparsePoly(ring, sample_fixed_weight(XofStream(TAG_KEYGEN_H0, [seed]), params.r, params.w2))
+    h0_stream = XofStream(TAG_KEYGEN_H0, [seed])
     h1 = SparsePoly(ring, sample_fixed_weight(XofStream(TAG_KEYGEN_H1, [seed]), params.r, params.w2))
-    return PrivateKey(h0=h0, h1=h1, sigma=sample_sigma(seed, params))
+    sigma = sample_sigma(seed, params)
+    while True:
+        h0 = SparsePoly(ring, sample_fixed_weight(h0_stream, params.r, params.w2))
+        yield PrivateKey(h0=h0, h1=h1, sigma=sigma)
+
+
+def sample_private_key(params: SystemParams, seed: bytes) -> PrivateKey:
+    """First key draw of the seed; no invertibility handling, no inversion.
+
+    This is what the failure-rate laboratory samples per trial: decoding only
+    needs the private key.  :func:`keygen` starts from the same draw.
+    """
+    return next(_key_draws(params, seed))
 
 
 def public_key(h0: SparsePoly, h1: SparsePoly) -> PublicKey:
@@ -141,19 +149,11 @@ def public_key(h0: SparsePoly, h1: SparsePoly) -> PublicKey:
 
 def keygen(params: SystemParams, seed: bytes) -> tuple[PrivateKey, PublicKey]:
     """Sample (h0, h1, sigma) and publish h = h1 * h0^-1."""
-    if len(seed) != 32:
-        raise ParameterError("keygen seed must be 32 bytes")
-    ring = params.ring
-    h0_stream = XofStream(TAG_KEYGEN_H0, [seed])
-    h1 = SparsePoly(ring, sample_fixed_weight(XofStream(TAG_KEYGEN_H1, [seed]), params.r, params.w2))
-    sigma = sample_sigma(seed, params)
-    for _ in range(KEYGEN_BUDGET):
-        h0 = SparsePoly(ring, sample_fixed_weight(h0_stream, params.r, params.w2))
+    for sk in itertools.islice(_key_draws(params, seed), KEYGEN_BUDGET):
         try:
-            pk = public_key(h0, h1)
+            return sk, public_key(sk.h0, sk.h1)
         except NotInvertibleError:
-            continue  # never on a validated ring; experimental moduli redraw h0
-        return PrivateKey(h0=h0, h1=h1, sigma=sigma), pk
+            pass  # never on a validated ring; experimental moduli redraw h0
     raise BudgetExhaustedError(f"no invertible h0 in {KEYGEN_BUDGET} draws (r={params.r})")
 
 

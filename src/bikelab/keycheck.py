@@ -103,6 +103,8 @@ def keygen_checked(params: SystemParams, seed: bytes, cfg: KeyCheckConfig,
     Candidates are screened on their sampled blocks before the public key is
     derived, so rejected candidates never pay for an inversion.
     """
+    if budget < 1:
+        raise ParameterError(f"check budget must be >= 1, got {budget}")
     rejected = 0
     for i in range(budget):
         sub_seed = XofStream(TAG_CHECKED_SUBSEED, [seed, i.to_bytes(4, "big")]).read(32)

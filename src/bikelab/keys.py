@@ -144,6 +144,3 @@ class ErrorPair:
 
     e0: SparsePoly
     e1: SparsePoly
-
-    def total_weight(self) -> int:
-        return self.e0.weight() + self.e1.weight()

@@ -24,7 +24,6 @@ permutation i -> i*2^k mod r.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -40,36 +39,12 @@ from .errors import NotInvertibleError, ParameterError
 _SPARSE_MUL_CUTOFF = 512
 
 
-def _small_factors(n: int) -> list[int]:
-    """Prime factors of n by trial division (n stays far below 2^32 here)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def is_kem_grade(r: int) -> bool:
-    """True when r is an odd prime and 2 generates the multiplicative group mod r."""
-    if r < 3 or r % 2 == 0:
-        return False
-    if any(r % d == 0 for d in range(3, math.isqrt(r) + 1, 2)):
-        return False
-    return all(pow(2, (r - 1) // p, r) != 1 for p in _small_factors(r - 1))
-
-
 @dataclass(frozen=True)
 class RingParams:
-    """Circulant block size r.
+    """Circulant block size r (odd, >= 3).
 
-    ``for_kem`` also checks that r is prime with 2 primitive modulo r, which
-    makes every odd-weight element other than the all-ones vector invertible.
+    When r is also prime with 2 primitive modulo r, every odd-weight element
+    other than the all-ones vector is invertible; the standard sets' r are.
     """
 
     r: int
@@ -77,12 +52,6 @@ class RingParams:
     def __post_init__(self):
         if self.r < 3 or self.r % 2 == 0:
             raise ParameterError(f"ring size must be odd and >= 3, got {self.r}")
-
-    @classmethod
-    def for_kem(cls, r: int) -> "RingParams":
-        if not is_kem_grade(r):
-            raise ParameterError(f"r={r} is not prime with 2 as a primitive root")
-        return cls(r)
 
     @cached_property
     def mask(self) -> int:
@@ -113,18 +82,13 @@ def _support_of(v: int, r: int) -> np.ndarray:
     return np.flatnonzero(_bits_to_array(v, r).view(bool))
 
 
-def _fold(v: int, r: int, mask: int) -> int:
-    # reduce a value of fewer than 2r bits modulo x^r - 1
-    return (v >> r) ^ (v & mask)
-
-
 def _rotate_xor(support, b: int, r: int, mask: int) -> int:
     """Product of b and the element with the given support, reduced mod x^r - 1."""
     acc = 0
     for s in support:
         acc ^= b << s
-    # s <= r - 1 and b <= mask, so acc < 2^(2r-1) and one fold reduces it
-    return _fold(acc, r, mask)
+    # s <= r - 1 and b <= mask, so acc < 2^(2r-1) and one fold mod x^r - 1 reduces it
+    return (acc >> r) ^ (acc & mask)
 
 
 @cache
@@ -212,11 +176,6 @@ def _invert_int(a: int, r: int, mask: int) -> tuple[int, int]:
     return _frobenius_int(x, r, 1), muls
 
 
-def iti_mul_bound(r: int) -> int:
-    """Multiplication budget of the inversion chain: floor(log2(r-1)) + wt(r-2) - 1."""
-    return (r - 1).bit_length() - 1 + (r - 2).bit_count() - 1
-
-
 @dataclass(frozen=True)
 class SparsePoly:
     """Ring element stored as strictly increasing support indices."""
@@ -260,22 +219,6 @@ class DensePoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, ring: RingParams) -> "DensePoly":
-        return cls(ring, 0)
-
-    @classmethod
-    def one(cls, ring: RingParams) -> "DensePoly":
-        return cls(ring, 1)
-
-    @classmethod
-    def x_power(cls, ring: RingParams, k: int) -> "DensePoly":
-        return cls(ring, 1 << (k % ring.r))
-
-    @classmethod
-    def all_ones(cls, ring: RingParams) -> "DensePoly":
-        return cls(ring, ring.mask)
-
-    @classmethod
     def from_bytes_le(cls, ring: RingParams, raw: bytes) -> "DensePoly":
         if len(raw) != ring.nbytes:
             raise ParameterError(f"expected {ring.nbytes} bytes, got {len(raw)}")
@@ -306,20 +249,6 @@ class DensePoly:
         _check_same_ring(self, other)
         return DensePoly(self.ring, _mul_int(self.bits, other.bits, self.ring.r, self.ring.mask))
 
-    def square(self) -> "DensePoly":
-        return DensePoly(self.ring, _frobenius_int(self.bits, self.ring.r, 1))
-
-    def shift(self, k: int) -> "DensePoly":
-        k %= self.ring.r
-        if k == 0:
-            return self
-        r, mask = self.ring.r, self.ring.mask
-        return DensePoly(self.ring, ((self.bits << k) | (self.bits >> (r - k))) & mask)
-
-    def star(self, other: "DensePoly") -> "DensePoly":
-        _check_same_ring(self, other)
-        return DensePoly(self.ring, self.bits & other.bits)
-
     def weight(self) -> int:
         return self.bits.bit_count()
 
@@ -327,11 +256,6 @@ class DensePoly:
         inv, _ = invert_counted(self)
         return inv
 
-    def support(self) -> np.ndarray:
-        return _support_of(self.bits, self.ring.r)
-
-    def to_sparse(self) -> SparsePoly:
-        return SparsePoly(self.ring, tuple(int(i) for i in self.support()))
 
 
 def mul_sparse(a: SparsePoly, b: DensePoly) -> DensePoly:

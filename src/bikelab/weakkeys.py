@@ -65,6 +65,11 @@ def distance_multiplicities(supp, r: int) -> np.ndarray:
     return out
 
 
+def _check_range(name: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise ParameterError(f"{name} must be in [{lo}, {hi}], got {value}")
+
+
 def _draw_index(stream: XofStream, n: int) -> int:
     """One unbiased index in [0, n) (same rejection rule as the weight sampler)."""
     limit = (1 << 32) // n * n
@@ -149,9 +154,9 @@ class WeakKeySpec:
     def log2_eta(self, params: SystemParams) -> float:
         """log2 density of the family (type 2's count bound also needs a run count s)."""
         if self.family == 1:
-            return eta_type1(params, self.f)
+            return log2_density(params, count_type1(params, self.f))
         if self.family == 3:
-            return eta_type3(params, self.m)
+            return log2_density(params, count_type3_upper(params, self.m))
         raise ParameterError("type 2 has no density without a run count; use type1 or type3")
 
     def to_json_dict(self) -> dict:
@@ -170,6 +175,8 @@ class WeakKeySpec:
                 k, _, v = part.partition("=")
                 if k not in ("f", "d", "m", "shift") or not v.lstrip("-").isdigit():
                     raise ParameterError(f"bad weak-key parameter {part!r}")
+                if k in kv:
+                    raise ParameterError(f"weak-key parameter {k} given twice in {text!r}")
                 kv[k] = int(v)
         return cls.of(int(head[4:]), kv)
 
@@ -182,10 +189,8 @@ def _phi_map(positions, d: int, l_shift: int, r: int) -> tuple[int, ...]:
 def gen_type1(params: SystemParams, f: int, d: int, l_shift: int, seed: bytes) -> PrivateKey:
     """One block with f support positions at constant step d plus random fill."""
     r, w2 = params.r, params.w2
-    if not 2 <= f <= w2:
-        raise ParameterError(f"f must be in [2, {w2}], got {f}")
-    if not 1 <= d <= r // 2:
-        raise ParameterError(f"d must be in [1, {r // 2}], got {d}")
+    _check_range("f", f, 2, w2)
+    _check_range("d", d, 1, r // 2)
     if not 0 <= l_shift < r:
         raise ParameterError(f"shift must be in [0, {r}), got {l_shift}")
     ring = params.ring
@@ -209,10 +214,8 @@ def gen_type1(params: SystemParams, f: int, d: int, l_shift: int, seed: bytes) -
 def gen_type2(params: SystemParams, d: int, m: int, seed: bytes) -> PrivateKey:
     """One block whose spectrum multiplicity at distance d is exactly m."""
     r, w2 = params.r, params.w2
-    if not 1 <= m <= w2 - 1:
-        raise ParameterError(f"m must be in [1, {w2 - 1}], got {m}")
-    if not 1 <= d <= r // 2:
-        raise ParameterError(f"d must be in [1, {r // 2}], got {d}")
+    _check_range("m", m, 1, w2 - 1)
+    _check_range("d", d, 1, r // 2)
     ring = params.ring
     stream = XofStream(TAG_WEAK, [seed, bytes([2])])
     weak_index = stream.read(1)[0] & 1
@@ -240,8 +243,7 @@ def gen_type2(params: SystemParams, d: int, m: int, seed: bytes) -> PrivateKey:
 def gen_type3(params: SystemParams, m: int, seed: bytes) -> PrivateKey:
     """Blocks where a rotation of h1 matches h0 in exactly m support positions."""
     r, w2 = params.r, params.w2
-    if not 1 <= m <= w2:
-        raise ParameterError(f"m must be in [1, {w2}], got {m}")
+    _check_range("m", m, 1, w2)
     ring = params.ring
     stream = XofStream(TAG_WEAK, [seed, bytes([3])])
     for _ in range(_RESAMPLE_BUDGET):
@@ -269,8 +271,7 @@ def gen_psi_d_error(params: SystemParams, d: int, seed: bytes) -> ErrorPair:
     r, t = params.r, params.t
     if t % 2 != 0:
         raise ParameterError("crafted pair errors need an even t")
-    if not 1 <= d <= r // 2:
-        raise ParameterError(f"d must be in [1, {r // 2}], got {d}")
+    _check_range("d", d, 1, r // 2)
     ring = params.ring
     stream = XofStream(TAG_WEAK, [seed, bytes([4]), d.to_bytes(4, "big")])
     for _ in range(_RESAMPLE_BUDGET):
@@ -318,8 +319,7 @@ class BigCount:
 def count_type1(params: SystemParams, f: int) -> BigCount:
     """2 r floor(r/2) C(r-f, w/2-f): size bound of the type-1 family."""
     r, w2 = params.r, params.w2
-    if not 0 <= f <= w2:
-        raise ParameterError(f"f must be in [0, {w2}], got {f}")
+    _check_range("f", f, 0, w2)
     return BigCount(2 * r * (r // 2) * _comb(r - f, w2 - f))
 
 
@@ -328,11 +328,6 @@ def log2_density(params: SystemParams, count: BigCount) -> float:
     if count.value == 0:
         return float("-inf")
     return count.log2 - math.log2(_comb(params.r, params.w2))
-
-
-def eta_type1(params: SystemParams, f: int) -> float:
-    """log2 of the type-1 key fraction."""
-    return log2_density(params, count_type1(params, f))
 
 
 def count_type2_upper(params: SystemParams, m: int, s: int) -> BigCount:
@@ -344,8 +339,7 @@ def count_type2_upper(params: SystemParams, m: int, s: int) -> BigCount:
     r, w, w2 = params.r, params.w, params.w2
     if s < 2:
         raise ParameterError(f"s must be >= 2, got {s}")
-    if not 1 <= m <= w2 - 1:
-        raise ParameterError(f"m must be in [1, {w2 - 1}], got {m}")
+    _check_range("m", m, 1, w2 - 1)
     ones_total = sum(_comb(w2 - o1 - 1, s - 2) for o1 in range(1, m + 2))
     ones_weighted = sum(o1 * _comb(w2 - o1 - 1, s - 2) for o1 in range(1, m + 2))
     total = 0
@@ -356,23 +350,11 @@ def count_type2_upper(params: SystemParams, m: int, s: int) -> BigCount:
     return BigCount(2 * (r // 2) * total)
 
 
-def count_type2_upper_total(params: SystemParams, m: int, s_max: int) -> BigCount:
-    """Sum of the per-s bounds for s = 2..s_max (convenience wrapper)."""
-    return BigCount(sum(count_type2_upper(params, m, s).value
-                        for s in range(2, s_max + 1)))
-
-
 def count_type3_upper(params: SystemParams, m: int) -> BigCount:
     """r C(w/2, m) C(r-m, w/2-m): size bound of the type-3 family."""
     r, w2 = params.r, params.w2
-    if not 0 <= m <= w2:
-        raise ParameterError(f"m must be in [0, {w2}], got {m}")
+    _check_range("m", m, 0, w2)
     return BigCount(r * _comb(w2, m) * _comb(r - m, w2 - m))
-
-
-def eta_type3(params: SystemParams, m: int) -> float:
-    """log2 of the type-3 key fraction."""
-    return log2_density(params, count_type3_upper(params, m))
 
 
 # -- spectrum-based reconstruction --------------------------------------------
@@ -432,14 +414,3 @@ def reconstruct_from_spectrum(spec: DistanceSpectrum, target_weight: int,
     if construct(1):
         return SparsePoly.from_indices(RingParams(r), placed)
     return None
-
-
-def canonical_orbit(support: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """Canonical representative of a support under rotation and reflection."""
-    best = None
-    for base in (support, tuple((-p) % r for p in support)):
-        for p in base:
-            rotated = tuple(sorted((q - p) % r for q in base))
-            if best is None or rotated < best:
-                best = rotated
-    return best

@@ -25,7 +25,7 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(scope="session")
 def ring13():
-    return RingParams.for_kem(13)
+    return RingParams(13)
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,70 @@
-"""Extended-Euclid inverse in F2[x]/(x^r - 1), an independent route for the tests.
+"""Independent routes to ring and key-space answers, for the tests only.
 
-Deliberately simple: plain (non-cyclic) F2[x] products and divisions on
-Python integers, sharing no code with the ring's Fermat inversion chain or
-its products.
+The extended-Euclid inverse in F2[x]/(x^r - 1) is deliberately simple: plain
+(non-cyclic) F2[x] products and divisions on Python integers, sharing no code
+with the ring's Fermat inversion chain or its products.  ``shift`` and
+``star`` give the rotation x^k * a and the coefficient-wise product a & b on
+the bit vectors, the two steps of the |a & x^k b| overlap counts that the
+spectrum and key-check tests compare against.
 """
 
+import math
+
 from bikelab.errors import NotInvertibleError
-from bikelab.ring import DensePoly
+from bikelab.ring import DensePoly, _check_same_ring
+
+
+def shift(a: DensePoly, k: int) -> DensePoly:
+    """x^k * a, as a rotation of the coefficient bits (k may be negative or >= r)."""
+    r, mask = a.ring.r, a.ring.mask
+    k %= r
+    return DensePoly(a.ring, ((a.bits << k) | (a.bits >> (r - k))) & mask)
+
+
+def star(a: DensePoly, b: DensePoly) -> DensePoly:
+    """Coefficient-wise product a & b."""
+    _check_same_ring(a, b)
+    return DensePoly(a.ring, a.bits & b.bits)
+
+
+def _small_factors(n: int) -> list[int]:
+    """Prime factors of n by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_kem_grade(r: int) -> bool:
+    """True when r is an odd prime and 2 generates the multiplicative group mod r."""
+    if r < 3 or r % 2 == 0:
+        return False
+    if any(r % d == 0 for d in range(3, math.isqrt(r) + 1, 2)):
+        return False
+    return all(pow(2, (r - 1) // p, r) != 1 for p in _small_factors(r - 1))
+
+
+def iti_mul_bound(r: int) -> int:
+    """Multiplication budget of the inversion chain: floor(log2(r-1)) + wt(r-2) - 1."""
+    return (r - 1).bit_length() - 1 + (r - 2).bit_count() - 1
+
+
+def canonical_orbit(support: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """Canonical representative of a support under rotation and reflection."""
+    best = None
+    for base in (support, tuple((-p) % r for p in support)):
+        for p in base:
+            rotated = tuple(sorted((q - p) % r for q in base))
+            if best is None or rotated < best:
+                best = rotated
+    return best
 
 
 def _deg(v: int) -> int:

@@ -5,10 +5,10 @@ import re
 import pytest
 
 from bikelab import (NotInvertibleError, SchemaError, StopRule, cli, confidence_interval,
-                     custom_params, decoder, eta_type1, eta_type3, files)
+                     count_type1, count_type3_upper, custom_params, decoder, files)
 from bikelab.cli import build_parser, main
 from bikelab.ring import DensePoly
-from bikelab.weakkeys import WeakKeySpec, spectrum
+from bikelab.weakkeys import WeakKeySpec, log2_density, spectrum
 
 TOY_ARGS = ["--r", "613", "--w", "30", "--t", "14"]
 
@@ -59,6 +59,15 @@ class TestKeygen:
                                "--check-budget", "10")
         assert code == 4
         assert "budget" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_check_budget_below_one_rejected(self, tmp_path, capsys, budget):
+        path = tmp_path / "k.json"
+        code, out, err = run_cli(capsys, "keygen", *TOY_ARGS, "--key-out", str(path),
+                                 "--check", "--check-budget", budget)
+        assert code == 2
+        assert err == f"parameter error: check budget must be >= 1, got {budget}\n"
+        assert out == "" and not path.exists()
 
     def test_partial_custom_params_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "keygen", "--r", "613", "--seed", "1",
@@ -120,6 +129,14 @@ class TestInputSchema:
         code, _, err = run_cli(capsys, "keycheck", "--key", str(path))
         assert code == 3
         assert "expected a JSON object" in err
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run_cli(capsys, "keycheck", "--key", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"input error: {path}: not valid JSON (")
 
     @pytest.mark.parametrize("h_hex", ["zz", 5])
     def test_encaps_malformed_h_hex(self, tmp_path, capsys, keyfile, h_hex):
@@ -485,8 +502,9 @@ class TestDfrCommand:
                 "--max-trials", "256", "--min-failures", "1000000", "--seed", "5",
                 "--no-timestamp", "--extrapolate-to", "12323", "--queries", "1024"]
         target = custom_params(r=12323, w=30, t=18)
-        for eta_from, log2_eta in (("type1:f=10", eta_type1(target, 10)),
-                                   ("type3:m=6", eta_type3(target, 6))):
+        for eta_from, count in (("type1:f=10", count_type1(target, 10)),
+                                ("type3:m=6", count_type3_upper(target, 6))):
+            log2_eta = log2_density(target, count)
             code, out, _ = run_cli(capsys, *args, "--eta-from", eta_from)
             assert code == 0
             blob = json.loads(out)
@@ -525,6 +543,38 @@ class TestDfrCommand:
         assert code == 2
         assert out == ""
         assert "--queries must be >= 1" in err
+
+    def test_repeated_weak_parameter_rejected(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.dfrlab, "run_dfr",
+                            lambda *args, **kwargs: pytest.fail("a campaign ran"))
+        code, out, err = run_cli(capsys, "dfr", *TOY_ARGS, "--max-trials", "8",
+                                 "--key-class", "weak:type1:f=10,f=20")
+        assert code == 2
+        assert out == ""
+        assert "f given twice" in err
+
+    @pytest.fixture
+    def key1259(self, tmp_path, capsys):
+        path = str(tmp_path / "k1259.json")
+        code, _, _ = run_cli(capsys, "keygen", "--r", "1259", "--w", "42", "--t", "30",
+                             "--seed", "3", "--key-out", path)
+        assert code == 0
+        return path
+
+    @pytest.mark.parametrize("argv,campaign", [
+        (["--r", "1259", "--w", "142", "--t", "30"], "r=1259, w=142"),
+        (["--r", "1259", "--w", "42", "--t", "30", "--rs", "1259,1283"], "r=1283, w=42"),
+    ], ids=["w", "rs"])
+    def test_fixed_key_that_does_not_fit_rejected_before_any_campaign(
+            self, capsys, monkeypatch, key1259, argv, campaign):
+        monkeypatch.setattr(cli.dfrlab, "run_dfr",
+                            lambda *args, **kwargs: pytest.fail("a campaign ran"))
+        code, out, err = run_cli(capsys, "dfr", *argv, "--max-trials", "20",
+                                 "--key-class", f"fixed:{key1259}")
+        assert code == 2
+        assert out == ""
+        assert err == (f"parameter error: fixed key {key1259} has r=1259, w=42; the campaign "
+                       f"has {campaign} (private key does not match parameters)\n")
 
     def test_extrapolation_lists_dropped_r(self, capsys):
         # normal keys at t=18: r=523, 541 and 547 fail, r=1019 does not in 64 trials
@@ -612,6 +662,20 @@ class TestEtaCommand:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[1].split(",")[2] == "3"
+
+    def test_type2_s_defaults_to_2(self, capsys):
+        code, out, _ = run_cli(capsys, "eta", "--type", "2", "--r", "31", "--w", "10",
+                               "--t", "4", "--param-range", "3")
+        assert code == 0
+        assert out.strip().splitlines()[1].split(",")[2] == "2"
+
+    @pytest.mark.parametrize("family", ["1", "3"])
+    def test_s_without_type2_rejected(self, capsys, family):
+        code, out, err = run_cli(capsys, "eta", "--type", family, "--level", "1",
+                                 "--param-range", "5", "--s", "5")
+        assert code == 2
+        assert out == ""
+        assert err == f"parameter error: --s is read only with --type 2, not --type {family}\n"
 
     @pytest.mark.parametrize("argv,values", [
         (["--type", "1", "--level", "1", "--param-range", "0:3"],

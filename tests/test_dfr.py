@@ -358,6 +358,27 @@ class TestRunDfr:
             run_dfr(TOY, NormalKeys(), HonestErrors(), stop, master_seed=20,
                     batch_size=16, checkpoint_path=path, checkpoint_every=16)
 
+    @pytest.mark.parametrize("raw", [b"{not json", b"[16, 3]", b"\xff\xfe{"],
+                             ids=["not_json", "not_object", "not_utf8"])
+    def test_corrupt_checkpoint_is_a_schema_error(self, tmp_path, raw):
+        from bikelab.errors import SchemaError
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(raw)
+        with pytest.raises(SchemaError, match="ckpt.json"):
+            run_dfr(TOY, NormalKeys(), HonestErrors(), StopRule(max_trials=16),
+                    master_seed=21, checkpoint_path=str(path), checkpoint_every=16)
+
+    @pytest.mark.parametrize("params", [custom_params(r=613, w=142, t=14),
+                                        custom_params(r=1019, w=30, t=14),
+                                        custom_params(r=613, w=30, t=14, l=128)],
+                             ids=["w", "r", "l"])
+    def test_fixed_key_checked_before_the_first_trial(self, monkeypatch, params):
+        monkeypatch.setattr(dfr, "run_trial", lambda *args: pytest.fail("a trial ran"))
+        key = FixedKey(sample_private_key(TOY, expand_u64_seed(1)), "k.json")
+        with pytest.raises(ParameterError, match="fixed key k.json has r=613, w=30; "
+                           f"the campaign has r={params.r}, w={params.w}"):
+            run_dfr(params, key, PsiErrors(3), StopRule(max_trials=16), master_seed=1)
+
     def test_checkpoint_saved_when_batches_step_over_multiples(self, tmp_path):
         # 256-trial batches never land on a multiple of 100
         path = str(tmp_path / "ckpt.json")

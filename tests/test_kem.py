@@ -12,6 +12,8 @@ from bikelab.keys import ErrorPair, PrivateKey
 from bikelab.ring import DensePoly, SparsePoly, mul_sparse
 from bikelab.weakkeys import WeakKeySpec
 
+from ring_oracle import shift
+
 
 def flip_bit(data: bytes, i: int) -> bytes:
     out = bytearray(data)
@@ -103,6 +105,24 @@ class TestKeygen:
         sk, _ = keygen(toy_params, seed)
         assert sample_private_key(toy_params, seed) == sk
 
+    def test_redraws_only_h0_frozen(self):
+        # at r=31, 2 has order 5 mod r, so some h0 are not invertible and keygen
+        # takes the next h0 of the same seed; the digest predates the shared draw
+        params = custom_params(r=31, w=6, t=4)
+        digest = hashlib.sha256()
+        redrawn = 0
+        for i in range(30):
+            seed = expand_u64_seed(i)
+            sk, pk = keygen(params, seed)
+            first = sample_private_key(params, seed)
+            assert (sk.h1, sk.sigma) == (first.h1, first.sigma)
+            redrawn += sk.h0 != first.h0
+            digest.update(repr((sk.h0.support, sk.h1.support, sk.sigma.hex(),
+                                pk.h.to_hex())).encode())
+        assert redrawn == 9
+        assert digest.hexdigest() == (
+            "69747c7dd2dc0000cbd2e7cf5b3784d5d5ceb182ca5665db20ec947d438d8a98")
+
     @pytest.mark.parametrize("params,seed,digest", [
         (level_params(1), 1, "d589281071fc16edd2c2969a3337681ad4fca20a317dede8a8236ba92a63a2c9"),
         (level_params(1), 2, "b3742f73f7bcb67969834245b2d7b7b7442d0bd69b21db62176791d3de3ad26d"),
@@ -123,6 +143,8 @@ class TestKeygen:
     def test_seed_length_checked(self, toy_params):
         with pytest.raises(ParameterError):
             keygen(toy_params, b"short")
+        with pytest.raises(ParameterError):
+            sample_private_key(toy_params, b"short")
 
     def test_retry_is_bounded(self, toy_params, monkeypatch):
         def never_invertible(self):
@@ -142,7 +164,7 @@ class TestHashes:
         for _ in range(5):
             m = rng.randbytes(32)
             e = hash_H(m, l1_params)
-            assert e.total_weight() == 134
+            assert e.e0.weight() + e.e1.weight() == 134
 
     def test_hash_h_frozen_golden(self, l1_params):
         # all-zero message at level 1; digest of the support lists frozen
@@ -254,7 +276,7 @@ class TestEncapsDecaps:
         c, _ = encaps(pk, toy_params, expand_u64_seed(16))
         with pytest.raises(ParameterError):
             decaps(sk, Ciphertext(c0=c.c0, c1=c.c1 + b"\x00"), toy_params)
-        other_ring_c0 = DensePoly.zero(custom_params(r=13, w=6, t=4).ring)
+        other_ring_c0 = DensePoly(custom_params(r=13, w=6, t=4).ring, 0)
         with pytest.raises(ParameterError):
             decaps(sk, Ciphertext(c0=other_ring_c0, c1=c.c1), toy_params)
 
@@ -266,7 +288,7 @@ class TestEncapsDecaps:
 
 class TestSyndrome:
     def test_zero(self, toy_params):
-        z = DensePoly.zero(toy_params.ring)
+        z = DensePoly(toy_params.ring, 0)
         sk, _ = keygen(toy_params, expand_u64_seed(19))
         assert syndrome(z, sk.h0).bits == 0
 
@@ -292,8 +314,8 @@ class TestSyndrome:
             e0 = tuple(sorted(rng.sample(range(13), 2)))
             e1 = tuple(sorted(rng.sample(range(13), 2)))
             h1 = SparsePoly(ring, tuple(sorted(rng.sample(range(13), 3))))
-            cols = [h0.to_dense().shift(k) for k in range(13)]
-            cols += [h1.to_dense().shift(k) for k in range(13)]
+            cols = [shift(h0.to_dense(), k) for k in range(13)]
+            cols += [shift(h1.to_dense(), k) for k in range(13)]
             s_bits = [0] * 13
             for k, col in enumerate(cols):
                 ek = 1 if (k < 13 and k in e0) or (k >= 13 and (k - 13) in e1) else 0

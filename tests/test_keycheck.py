@@ -8,6 +8,8 @@ from bikelab.keycheck import CrossBlockIntersection, KeyVerdict, PerBlockMultipl
 from bikelab.keys import PrivateKey
 from bikelab.ring import RingParams, SparsePoly
 
+from ring_oracle import shift, star
+
 TOY = custom_params(r=1019, w=42, t=30)
 T10 = KeyCheckConfig(threshold_T=10)
 
@@ -27,17 +29,17 @@ def reference_verdict(h0: SparsePoly, h1: SparsePoly, t: int) -> KeyVerdict:
     r = h0.ring.r
     for block, h in enumerate((h0, h1)):
         dense = h.to_dense()
-        mult = [dense.star(dense.shift(d)).weight() for d in range(1, r // 2 + 1)]
+        mult = [star(dense, shift(dense, d)).weight() for d in range(1, r // 2 + 1)]
         best = max(mult)
         if best > t:
             return KeyVerdict("Weak", PerBlockMultiplicity(block, mult.index(best) + 1, best))
     d0, d1 = h0.to_dense(), h1.to_dense()
     for pj in h0.support:
         for pk in h1.support:
-            shift = (pj - pk) % r
-            size = d0.star(d1.shift(shift)).weight()
+            k = (pj - pk) % r
+            size = star(d0, shift(d1, k)).weight()
             if size > t:
-                return KeyVerdict("Weak", CrossBlockIntersection(shift, size))
+                return KeyVerdict("Weak", CrossBlockIntersection(k, size))
     return KeyVerdict("Normal")
 
 
@@ -175,6 +177,11 @@ class TestKeygenChecked:
     def test_t1_exhausts_budget_at_full_parameters(self, l1_params):
         with pytest.raises(BudgetExhaustedError):
             keygen_checked(l1_params, seed(7), KeyCheckConfig(threshold_T=1), budget=5)
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_rejected(self, toy_params, budget):
+        with pytest.raises(ParameterError, match="check budget must be >= 1"):
+            keygen_checked(toy_params, seed(7), T10, budget=budget)
 
     def test_output_passes_check(self, toy_params):
         cfg = KeyCheckConfig(threshold_T=8)

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bikelab import (ParameterError, count_type1,
-                     count_type2_upper, count_type2_upper_total, count_type3_upper,
-                     custom_params, distance, eta_type1, eta_type3, gen_psi_d_error,
-                     gen_type1, gen_type2, gen_type3, level_params,
-                     reconstruct_from_spectrum, spectrum, spectrum_of_support)
+from bikelab import (ParameterError, count_type1, count_type2_upper, count_type3_upper,
+                     custom_params, distance, gen_psi_d_error, gen_type1, gen_type2,
+                     gen_type3, level_params, reconstruct_from_spectrum, spectrum,
+                     spectrum_of_support)
 from bikelab.kem import expand_u64_seed
 from bikelab.ring import RingParams, SparsePoly
-from bikelab.weakkeys import (DistanceSpectrum, WeakKeySpec, canonical_orbit,
-                              difference_counts)
+from bikelab.weakkeys import DistanceSpectrum, WeakKeySpec, difference_counts, log2_density
+
+from ring_oracle import canonical_orbit, shift, star
 
 TOY = custom_params(r=1019, w=42, t=30)
 
@@ -41,7 +41,7 @@ class TestDistance:
 def rotation_count_spectrum(h: SparsePoly, U: int) -> dict[int, int]:
     """Independent oracle: multiplicity of d as |h & (x^d h)| via dense rotation."""
     dense = h.to_dense()
-    return {d: dense.star(dense.shift(d)).weight() for d in range(1, U + 1)}
+    return {d: star(dense, shift(dense, d)).weight() for d in range(1, U + 1)}
 
 
 class TestSpectrum:
@@ -96,7 +96,7 @@ class TestDifferenceCounts:
             b = SparsePoly(ring, tuple(sorted(rng.sample(range(31), 7))))
             counts = difference_counts(a.support, b.support, 31)
             da, db = a.to_dense(), b.to_dense()
-            assert counts.tolist() == [da.star(db.shift(s)).weight() for s in range(31)]
+            assert counts.tolist() == [star(da, shift(db, s)).weight() for s in range(31)]
 
     def test_empty_support(self):
         assert difference_counts((), (3, 5), 13).tolist() == [0] * 13
@@ -183,13 +183,13 @@ class TestGenType3:
             key = gen_type3(TOY, m, seed(i))
             d0 = key.h0.to_dense()
             d1 = key.h1.to_dense()
-            best = max(d0.star(d1.shift(k)).weight() for k in range(TOY.r))
+            best = max(star(d0, shift(d1, k)).weight() for k in range(TOY.r))
             assert best >= m
 
     def test_full_overlap_is_rotation(self):
         key = gen_type3(TOY, TOY.w2, seed(9))
         d0, d1 = key.h0.to_dense(), key.h1.to_dense()
-        assert any(d0.star(d1.shift(k)).weight() == TOY.w2 for k in range(TOY.r))
+        assert any(star(d0, shift(d1, k)).weight() == TOY.w2 for k in range(TOY.r))
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -242,7 +242,8 @@ class TestCounting:
         expected = {5: -10.225, 10: -48.168, 15: -86.6952, 20: -125.8586,
                     25: -165.7205, 30: -206.3566, 35: -247.8609, 40: -290.3535}
         for f, val in expected.items():
-            assert eta_type1(l1_params, f) == pytest.approx(val, abs=0.01)
+            eta = log2_density(l1_params, count_type1(l1_params, f))
+            assert eta == pytest.approx(val, abs=0.01)
 
     def test_type1_f_max_degenerate(self, l1_params):
         r = l1_params.r
@@ -291,11 +292,6 @@ class TestCounting:
         expected = 2 * (params.r // 2) * total
         assert count_type2_upper(params, m, s).value == expected
 
-    def test_type2_sum_wrapper(self):
-        params = custom_params(r=31, w=10, t=4)
-        parts = [count_type2_upper(params, 3, s).value for s in (2, 3, 4)]
-        assert count_type2_upper_total(params, 3, 4).value == sum(parts)
-
     def test_type3_m_max(self, l1_params):
         assert count_type3_upper(l1_params, l1_params.w2).value == l1_params.r
 
@@ -304,7 +300,8 @@ class TestCounting:
         assert count_type3_upper(l1_params, 0).value == expected
 
     def test_type3_eta_decreasing_in_m(self, l1_params):
-        values = [eta_type3(l1_params, m) for m in range(2, 71)]
+        values = [log2_density(l1_params, count_type3_upper(l1_params, m))
+                  for m in range(2, 71)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_bigcount_log2_precision(self, l1_params):
@@ -385,6 +382,11 @@ class TestWeakKeySpecParsing:
             with pytest.raises(ParameterError, match="takes no"):
                 WeakKeySpec.parse(text)
 
+    def test_repeated_parameter_rejected(self):
+        for text in ("type1:f=10,f=20", "type1:f=10,d=1,d=2", "type3:m=3,m=3"):
+            with pytest.raises(ParameterError, match="given twice"):
+                WeakKeySpec.parse(text)
+
     def test_type2_and_type3_describe_no_run(self):
         assert WeakKeySpec.parse("type2:m=3").to_json_dict() == {
             "family": 2, "f": None, "d": 1, "l_shift": 0, "m": 3}
@@ -393,8 +395,10 @@ class TestWeakKeySpecParsing:
 
     def test_log2_eta(self):
         params = level_params(1)
-        assert WeakKeySpec.parse("type1:f=10,d=3").log2_eta(params) == eta_type1(params, 10)
-        assert WeakKeySpec.parse("type3:m=6").log2_eta(params) == eta_type3(params, 6)
+        assert (WeakKeySpec.parse("type1:f=10,d=3").log2_eta(params)
+                == log2_density(params, count_type1(params, 10)))
+        assert (WeakKeySpec.parse("type3:m=6").log2_eta(params)
+                == log2_density(params, count_type3_upper(params, 6)))
         with pytest.raises(ParameterError):
             WeakKeySpec.parse("type2:m=3").log2_eta(params)
 
