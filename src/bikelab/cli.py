@@ -194,16 +194,16 @@ def cmd_dfr(args) -> int:
     for r in sorted(rs):
         params = params_with_r(base, r)
         progress = _progress_printer(params.r, stop) if args.verbose else None
-        result = dfrlab.run_dfr(params, key_class, error_source, stop,
-                                master_seed=args.seed, parallelism=args.threads,
-                                progress=progress)
-        timestamp = "" if args.no_timestamp else datetime.datetime.now(
-            datetime.timezone.utc).isoformat()
-        records.append(dfrlab.make_record(result, timestamp))
-        if result.failures > 0:
-            points.append((params.r, math.log2(result.dfr_point)))
+        rec = dfrlab.run_dfr(params, key_class, error_source, stop,
+                             master_seed=args.seed, parallelism=args.threads,
+                             progress=progress)
+        if not args.no_timestamp:
+            rec["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        records.append(rec)
+        if rec["failures"] > 0:
+            points.append((params.r, math.log2(rec["dfr_point"])))
         else:
-            dropped.append({"r": params.r, "reason": f"0 failures in {result.trials} "
+            dropped.append({"r": params.r, "reason": f"0 failures in {rec['trials']} "
                             "trials, so log2 DFR is -inf"})
 
     out: dict = {"records": records, "extrapolation": None, "pw": None}
@@ -216,9 +216,9 @@ def cmd_dfr(args) -> int:
         dropped += [{"r": r, "reason": "the line runs through the two largest r with "
                      "failures"} for r, _ in points[:-2]]
         dropped.sort(key=lambda d: d["r"])
-        out["extrapolation"] = {**extra.to_json_dict(), "dropped": dropped}
+        out["extrapolation"] = {**extra, "dropped": dropped}
         if args.eta_from:
-            out["pw"] = dfrlab.pw_check(log2_eta, extra.log2_dfr_at_target,
+            out["pw"] = dfrlab.pw_check(log2_eta, extra["log2_dfr_at_target"],
                                         target.security_bits, queries=args.queries)
 
     if args.format == "csv":

@@ -140,36 +140,6 @@ class StopRule:
                 "max_trials": self.max_trials}
 
 
-@dataclass(frozen=True)
-class TrialBatchResult:
-    params: SystemParams
-    decoder: DecoderConfig
-    stop: StopRule
-    key_class: dict
-    error_source: dict
-    trials: int
-    failures: int
-    dfr_point: float
-    ci_low: float
-    ci_high: float
-    master_seed: int
-    wall_time_s: float
-    met_failure_rule: bool
-
-
-@dataclass(frozen=True)
-class ExtrapolationResult:
-    points: tuple[tuple[int, float], tuple[int, float]]
-    r_target: int
-    log2_dfr_at_target: float
-    trend_warning: bool
-
-    def to_json_dict(self) -> dict:
-        return {"points": [list(p) for p in self.points], "r_target": self.r_target,
-                "log2_dfr_at_target": self.log2_dfr_at_target,
-                "trend_warning": self.trend_warning}
-
-
 def trial_seeds(master_seed: int, index: int) -> tuple[bytes, bytes]:
     """(key seed, error seed) for one trial; the only source of trial randomness."""
     stream = XofStream(TAG_TRIAL, [master_seed.to_bytes(8, "big"),
@@ -211,8 +181,13 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
             batch_size: int = DEFAULT_BATCH_SIZE,
             checkpoint_path: str | None = None,
             checkpoint_every: int = 0,
-            progress=None) -> TrialBatchResult:
+            progress=None) -> dict:
     """Estimate the failure rate of one key class under one error source.
+
+    Returns the schema-v1 experiment record: the fields that fix the campaign,
+    then its counts, point estimate, 95% interval and wall time.  The
+    ``timestamp`` field is left blank, so a record is a pure function of its
+    arguments apart from ``wall_time_s``.
 
     ``batch_size`` fixes the granularity at which the stop rule is evaluated
     and must not change between runs that are meant to reproduce each other;
@@ -228,9 +203,13 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
     if isinstance(key_class, FixedKey):
         key_class.check_params(params)
     cfg = DecoderConfig.for_params(params)
+    rec = {"schema_version": RECORD_SCHEMA_VERSION, "code_version": __version__,
+           "params": params.to_json_dict(), "key_class": key_class.describe(),
+           "error_source": error_source.describe(), "decoder": cfg.to_json_dict(),
+           "stop": stop.to_json_dict(), "master_seed": master_seed}
 
     trials = failures = 0
-    tag = _checkpoint_tag(params, key_class, error_source, cfg, master_seed, batch_size)
+    tag = _checkpoint_tag(rec, key_class, batch_size)
     if checkpoint_path and os.path.exists(checkpoint_path):
         trials, failures = _load_checkpoint(checkpoint_path, tag, stop.max_trials)
     if trials == 0 and stop.satisfied(0, 0):
@@ -261,25 +240,23 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
             pool.shutdown()
 
     ci_low, ci_high = confidence_interval(failures, trials)
-    return TrialBatchResult(
-        params=params, decoder=cfg, stop=stop, key_class=key_class.describe(),
-        error_source=error_source.describe(), trials=trials, failures=failures,
-        dfr_point=failures / trials, ci_low=ci_low, ci_high=ci_high,
-        master_seed=master_seed, wall_time_s=time.monotonic() - started,
-        met_failure_rule=failures >= stop.min_failures)
+    rec.update(trials=trials, failures=failures, dfr_point=failures / trials,
+               ci_low=ci_low, ci_high=ci_high, met_failure_rule=failures >= stop.min_failures,
+               wall_time_s=time.monotonic() - started, timestamp="")
+    return rec
 
 
 # -- checkpoints ---------------------------------------------------------------
 
-def _checkpoint_tag(params: SystemParams, key_class, error_source, cfg: DecoderConfig,
-                    master_seed: int, batch_size: int) -> str:
+def _checkpoint_tag(rec: dict, key_class, batch_size: int) -> str:
     """Digest of everything that fixes the trial outcomes; only the stop rule may change.
 
-    A fixed key's label is only a name, so its supports are bound too.
+    The record's experiment fields are bound, with the batch size; a fixed
+    key's label is only a name, so its supports are bound too.
     """
-    experiment = {"params": params.to_json_dict(), "key_class": key_class.describe(),
-                  "error_source": error_source.describe(), "decoder": cfg.to_json_dict(),
-                  "master_seed": master_seed, "batch_size": batch_size}
+    experiment = {name: rec[name] for name in
+                  ("params", "key_class", "error_source", "decoder", "master_seed")}
+    experiment["batch_size"] = batch_size
     if isinstance(key_class, FixedKey):
         experiment["key"] = [key_class.key.h0.support, key_class.key.h1.support]
     return hashlib.sha256(json.dumps(experiment, sort_keys=True).encode()).hexdigest()
@@ -392,8 +369,12 @@ def confidence_interval(failures: int, trials: int) -> tuple[float, float]:
 # -- extrapolation and the security budget --------------------------------------
 
 def extrapolate(p1: tuple[int, float], p2: tuple[int, float],
-                r_target: int) -> ExtrapolationResult:
-    """Extend the line through two (r, log2 DFR) points out to the target r."""
+                r_target: int) -> dict:
+    """Extend the line through two (r, log2 DFR) points out to the target r.
+
+    Returns the record's extrapolation block: the two points, the target r,
+    log2 DFR there, and whether the DFR failed to fall from r1 to r2.
+    """
     (r1, v1), (r2, v2) = p1, p2
     if r1 == r2:
         raise ParameterError("extrapolation needs two distinct r values")
@@ -402,9 +383,8 @@ def extrapolate(p1: tuple[int, float], p2: tuple[int, float],
     if not (math.isfinite(v1) and math.isfinite(v2)):
         raise ParameterError("extrapolation needs finite log2 DFR values")
     slope = (v2 - v1) / (r2 - r1)
-    return ExtrapolationResult(points=((r1, v1), (r2, v2)), r_target=r_target,
-                               log2_dfr_at_target=v2 + slope * (r_target - r2),
-                               trend_warning=v2 >= v1)
+    return {"points": [[r1, v1], [r2, v2]], "r_target": r_target,
+            "log2_dfr_at_target": v2 + slope * (r_target - r2), "trend_warning": v2 >= v1}
 
 
 def pw_check(log2_eta: float, log2_dfr: float, security_bits: int,
@@ -436,28 +416,6 @@ def avg_dfr_decompose(eta_w: float, dfr_w: float, dfr_s: float) -> float:
 
 
 # -- the serialized experiment record -------------------------------------------
-
-def make_record(result: TrialBatchResult, timestamp: str) -> dict:
-    """Frozen-schema JSON dict for one measurement (field order is sorted)."""
-    return {
-        "schema_version": RECORD_SCHEMA_VERSION,
-        "code_version": __version__,
-        "params": result.params.to_json_dict(),
-        "key_class": result.key_class,
-        "error_source": result.error_source,
-        "decoder": result.decoder.to_json_dict(),
-        "stop": result.stop.to_json_dict(),
-        "master_seed": result.master_seed,
-        "trials": result.trials,
-        "failures": result.failures,
-        "dfr_point": result.dfr_point,
-        "ci_low": result.ci_low,
-        "ci_high": result.ci_high,
-        "met_failure_rule": result.met_failure_rule,
-        "wall_time_s": result.wall_time_s,
-        "timestamp": timestamp,
-    }
-
 
 SUMMARY_CSV_HEADER = "r,trials,failures,dfr,ci_low,ci_high"
 

@@ -56,16 +56,17 @@ class CrossBlockIntersection:
 
 @dataclass(frozen=True)
 class KeyVerdict:
-    verdict: str  # "Weak" or "Normal"
-    reason: PerBlockMultiplicity | CrossBlockIntersection | None = None
+    """A key is Weak exactly when the screen found a reason; Normal otherwise."""
 
-    def __post_init__(self):
-        if (self.verdict == "Weak") != (self.reason is not None):
-            raise ParameterError("a reason accompanies exactly the Weak verdict")
+    reason: PerBlockMultiplicity | CrossBlockIntersection | None = None
 
     @property
     def is_weak(self) -> bool:
-        return self.verdict == "Weak"
+        return self.reason is not None
+
+    @property
+    def verdict(self) -> str:
+        return "Weak" if self.is_weak else "Normal"
 
     def to_json_dict(self, cfg: KeyCheckConfig) -> dict:
         return {"verdict": self.verdict,
@@ -85,15 +86,15 @@ def key_check(h0: SparsePoly, h1: SparsePoly, cfg: KeyCheckConfig) -> KeyVerdict
         mult = distance_multiplicities(h.support, r)
         worst = int(np.argmax(mult))  # first maximum: ties go to the smallest d
         if mult[worst] > t:
-            return KeyVerdict("Weak", PerBlockMultiplicity(
+            return KeyVerdict(PerBlockMultiplicity(
                 block=block_index, distance=worst, multiplicity=int(mult[worst])))
 
     overlap = difference_counts(h0.support, h1.support, r)
     if overlap.max() > t:
         shifts = pair_differences(h0.support, h1.support, r)
         shift = int(shifts[np.argmax(overlap[shifts] > t)])
-        return KeyVerdict("Weak", CrossBlockIntersection(shift=shift, size=int(overlap[shift])))
-    return KeyVerdict("Normal")
+        return KeyVerdict(CrossBlockIntersection(shift=shift, size=int(overlap[shift])))
+    return KeyVerdict()
 
 
 def keygen_checked(params: SystemParams, seed: bytes, cfg: KeyCheckConfig,

@@ -25,7 +25,6 @@ class SystemParams:
     t: int
     l: int
     security_bits: int
-    standard: bool
 
     def __post_init__(self):
         if self.r < 3 or self.r % 2 == 0:
@@ -36,6 +35,10 @@ class SystemParams:
             raise ParameterError(f"t out of range: {self.t}")
         if self.l <= 0 or self.security_bits <= 0:
             raise ParameterError("l and lambda must be positive")
+
+    @property
+    def standard(self) -> bool:
+        return self.level != "custom"
 
     @property
     def w2(self) -> int:
@@ -73,7 +76,7 @@ def level_params(level: int | str) -> SystemParams:
     name = level if isinstance(level, str) else f"L{level}"
     if name not in _PRESETS:
         raise ParameterError(f"unknown level {level!r}; expected 1, 3, or 5")
-    return SystemParams(level=name, standard=True, **_PRESETS[name])
+    return SystemParams(level=name, **_PRESETS[name])
 
 
 def custom_params(r: int, w: int, t: int, l: int = 256, security_bits: int = 128) -> SystemParams:
@@ -83,8 +86,7 @@ def custom_params(r: int, w: int, t: int, l: int = 256, security_bits: int = 128
             preset["r"], preset["w"], preset["t"], preset["l"], preset["security_bits"],
         ):
             return level_params(name)
-    return SystemParams(level="custom", r=r, w=w, t=t, l=l,
-                        security_bits=security_bits, standard=False)
+    return SystemParams(level="custom", r=r, w=w, t=t, l=l, security_bits=security_bits)
 
 
 def params_with_r(base: SystemParams, r: int) -> SystemParams:

@@ -17,9 +17,12 @@ each a count of at most r + 1 < B, and stays below B^2 * (h + 1) < 2^48 with
 h = (r + 1)/2 while r + 1 < 2^16; larger rings use the shift product.  A guard
 raises if any value strays from an integer by 0.25 or more; the worst case,
 all-ones squared, strays by 4.9e-4 at r=12323, 7.8e-3 at r=24659 and 7.8e-2
-at r=40973.  Inversion uses the Fermat exponent 2^(r-1) - 2 with a
-square-and-multiply addition chain; raising to 2^k is a single index
-permutation i -> i*2^k mod r.
+at r=40973.  Inversion raises to 2^L - 2, where L is the order of 2 mod r,
+with a square-and-multiply addition chain; raising to 2^k is a single index
+permutation i -> i*2^k mod r.  For odd r the ring splits into fields
+F_(2^d) with each d dividing L, so every unit's order divides 2^L - 1 and
+a^(2^L - 2) is its inverse.  Where 2 is primitive mod a prime r, L = r - 1
+and this is the Fermat exponent 2^(r-1) - 2.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ _SPARSE_MUL_CUTOFF = 512
 class RingParams:
     """Circulant block size r (odd, >= 3).
 
-    When r is also prime with 2 primitive modulo r, every odd-weight element
-    other than the all-ones vector is invertible; the standard sets' r are.
+    Inversion is exact at every such r.  When r is also prime with 2
+    primitive modulo r, every odd-weight element other than the all-ones
+    vector is invertible; the standard sets' r are.
     """
 
     r: int
@@ -154,14 +158,24 @@ def _frobenius_int(v: int, r: int, e: int) -> int:
     return _array_to_bits(arr)
 
 
-def _invert_int(a: int, r: int, mask: int) -> tuple[int, int]:
-    """Inverse via the exponent 2^(r-1) - 2; returns (inverse, multiplications).
+@cache
+def _order_of_two(r: int) -> int:
+    """Least L >= 1 with 2^L = 1 mod r (r odd)."""
+    order, power = 1, 2 % r
+    while power != 1:
+        order, power = order + 1, 2 * power % r
+    return order
 
-    Maintains X = a^(2^e - 1) while consuming the bits of n = r - 2 from the
+
+def _invert_int(a: int, r: int, mask: int) -> tuple[int, int]:
+    """Inverse via the exponent 2^L - 2, L the order of 2 mod r; returns
+    (inverse, multiplications).
+
+    Maintains X = a^(2^e - 1) while consuming the bits of n = L - 1 from the
     most significant end; one final power of two turns a^(2^n - 1) into
-    a^(2^(r-1) - 2).  The multiplication count is floor(log2(n)) + wt(n) - 1.
+    a^(2^L - 2).  The multiplication count is floor(log2(n)) + wt(n) - 1.
     """
-    n = r - 2
+    n = _order_of_two(r) - 1
     x = a
     e = 1
     muls = 0

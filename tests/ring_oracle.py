@@ -2,7 +2,7 @@
 
 The extended-Euclid inverse in F2[x]/(x^r - 1) is deliberately simple: plain
 (non-cyclic) F2[x] products and divisions on Python integers, sharing no code
-with the ring's Fermat inversion chain or its products.  ``shift`` and
+with the ring's inversion chain or its products.  ``shift`` and
 ``star`` give the rotation x^k * a and the coefficient-wise product a & b on
 the bit vectors, the two steps of the |a & x^k b| overlap counts that the
 spectrum and key-check tests compare against.
@@ -52,8 +52,10 @@ def is_kem_grade(r: int) -> bool:
 
 
 def iti_mul_bound(r: int) -> int:
-    """Multiplication budget of the inversion chain: floor(log2(r-1)) + wt(r-2) - 1."""
-    return (r - 1).bit_length() - 1 + (r - 2).bit_count() - 1
+    """Multiplication budget of the inversion chain: floor(log2(L-1)) + wt(L-1) - 1,
+    where L is the order of 2 mod r (L = r - 1 where 2 is primitive)."""
+    order = next(k for k in range(1, r) if pow(2, k, r) == 1)
+    return (order - 1).bit_length() - 1 + (order - 1).bit_count() - 1
 
 
 def canonical_orbit(support: tuple[int, ...], r: int) -> tuple[int, ...]:

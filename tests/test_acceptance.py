@@ -76,16 +76,16 @@ def test_criterion_3_high_dfr_weak_keys(capsys):
     stop200 = StopRule(min_trials=0, min_failures=10**9, max_trials=200)
     res40 = run_dfr(L1, WeakKeys(WeakKeySpec(1, f=40, d=1)), HonestErrors(),
                     stop200, master_seed=31415)
-    assert res40.failures >= 0.90 * res40.trials
+    assert res40["failures"] >= 0.90 * res40["trials"]
 
     stop500 = StopRule(min_trials=0, min_failures=10**9, max_trials=500)
     res35 = run_dfr(L1, WeakKeys(WeakKeySpec(1, f=35, d=1)), HonestErrors(),
                     stop500, master_seed=27182)
-    frac = res35.failures / res35.trials
+    frac = res35["failures"] / res35["trials"]
     assert 0.6 <= frac <= 0.95
     with capsys.disabled():
-        print(f"[AC3] f=40: {res40.failures}/{res40.trials} failures; "
-              f"f=35: {res35.failures}/{res35.trials} = {frac:.3f} in [0.60, 0.95]")
+        print(f"[AC3] f=40: {res40['failures']}/{res40['trials']} failures; "
+              f"f=35: {res35['failures']}/{res35['trials']} = {frac:.3f} in [0.60, 0.95]")
 
 
 def test_criterion_4_kem_round_trips(capsys):
@@ -115,7 +115,7 @@ def test_criterion_5_extrapolation_and_reduced_r_trend(capsys):
     # (a) synthetic collinear points reproduce the line exactly
     a, b = 5.5, -0.015625  # exact binary floats
     res = extrapolate((1019, a + b * 1019), (1259, a + b * 1259), 12323)
-    assert res.log2_dfr_at_target == a + b * 12323
+    assert res["log2_dfr_at_target"] == a + b * 12323
 
     # (b) fixed weak class, scaled-down code: three increasing block sizes
     import math
@@ -126,7 +126,7 @@ def test_criterion_5_extrapolation_and_reduced_r_trend(capsys):
         params = custom_params(r=r, w=42, t=30)
         out = run_dfr(params, WeakKeys(WeakKeySpec(1, f=10, d=1)), HonestErrors(),
                       stop, master_seed=20255)
-        points.append((r, out.failures, out.trials, out.ci_low, out.ci_high))
+        points.append((r, out["failures"], out["trials"], out["ci_low"], out["ci_high"]))
     fractions = [f / t for _, f, t, _, _ in points]
     assert fractions[0] > fractions[1] > fractions[2] > 0
     log2_dfr = [math.log2(x) for x in fractions]
@@ -247,8 +247,8 @@ def test_criterion_8_distance_probe_direction(capsys):
         for j, d in enumerate(distances):
             res = run_dfr(params, FixedKey(key), PsiErrors(d), stop,
                           master_seed=seed_base + j)
-            fails += res.failures
-            trials += res.trials
+            fails += res["failures"]
+            trials += res["trials"]
         return fails, trials
 
     f_in, n_in = class_rate(in_spectrum, 80_000)

@@ -1,14 +1,19 @@
 import argparse
 import json
+import math
 import re
 
 import pytest
 
-from bikelab import (NotInvertibleError, SchemaError, StopRule, cli, confidence_interval,
-                     count_type1, count_type3_upper, custom_params, decoder, files)
+from bikelab import (HonestErrors, NormalKeys, NotInvertibleError, SchemaError, StopRule,
+                     cli, confidence_interval, count_type1, count_type3_upper,
+                     custom_params, decoder, extrapolate, files, run_dfr)
 from bikelab.cli import build_parser, main
+from bikelab.kem import expand_u64_seed
 from bikelab.ring import DensePoly
 from bikelab.weakkeys import WeakKeySpec, log2_density, spectrum
+
+from ring_oracle import invert_oracle
 
 TOY_ARGS = ["--r", "613", "--w", "30", "--t", "14"]
 
@@ -339,11 +344,15 @@ class TestWeakkeyAndKeycheck:
         assert code == 0
 
 
-    @pytest.mark.parametrize("argv", [
-        ["--type", "1", "--f", "4", "--r", "105", "--seed", "1"],
-        ["--type", "3", "--m", "3", "--r", "127", "--seed", "3"],
+    @pytest.mark.parametrize("argv,descriptor", [
+        (["--type", "1", "--f", "4", "--r", "105", "--seed", "0"], "type1:f=4"),
+        (["--type", "3", "--m", "3", "--r", "127", "--seed", "3"], "type3:m=3"),
     ], ids=["type1-r105", "type3-r127"])
-    def test_non_invertible_h0_is_a_parameter_error(self, tmp_path, capsys, argv):
+    def test_non_invertible_h0_is_a_parameter_error(self, tmp_path, capsys, argv, descriptor):
+        params = custom_params(r=int(argv[5]), w=14, t=4)
+        h0 = WeakKeySpec.parse(descriptor).generate(params, expand_u64_seed(int(argv[7]))).h0
+        with pytest.raises(NotInvertibleError):
+            invert_oracle(h0.to_dense())  # the Euclid oracle agrees: h0 has no inverse
         path = tmp_path / "k.json"
         code, _, err = run_cli(capsys, "weakkey", "gen", *argv, "--w", "14", "--t", "4",
                                "--key-out", str(path))
@@ -396,6 +405,28 @@ class TestDfrCommand:
         lines = out_csv.strip().splitlines()
         assert lines[0] == "r,trials,failures,dfr,ci_low,ci_high"
         assert lines[1].split(",")[0] == "523"
+
+    def test_library_and_cli_write_one_record(self, capsys):
+        code, out, _ = run_cli(capsys, "dfr", "--r", "523", "--w", "30", "--t", "18",
+                               "--rs", "523,541", "--max-trials", "64",
+                               "--min-failures", "1000000", "--seed", "13",
+                               "--no-timestamp", "--extrapolate-to", "12323")
+        assert code == 0
+        blob = json.loads(out)
+        stop = StopRule(min_trials=0, min_failures=1000000, max_trials=64)
+        records = [run_dfr(custom_params(r=r, w=30, t=18), NormalKeys(), HonestErrors(),
+                           stop, master_seed=13) for r in (523, 541)]
+        for rec in records + blob["records"]:
+            rec["wall_time_s"] = None
+        assert records == blob["records"]
+        extra = extrapolate(*[(rec["params"]["r"], math.log2(rec["dfr_point"]))
+                              for rec in records], 12323)
+        assert {**extra, "dropped": []} == blob["extrapolation"]
+
+    def test_timestamp_stamped_unless_disabled(self, capsys):
+        args = ["dfr", *TOY_ARGS, "--max-trials", "4", "--min-failures", "1000000"]
+        _, out, _ = run_cli(capsys, *args)
+        assert json.loads(out)["records"][0]["timestamp"].endswith("+00:00")
 
     def test_deterministic_across_threads(self, tmp_path, capsys):
         args = ["dfr", "--r", "523", "--w", "30", "--t", "18", "--max-trials", "64",

@@ -9,8 +9,7 @@ from bikelab import (DecoderConfig, FixedKey, HonestErrors, NormalKeys, Paramete
                      confidence_interval, custom_params, extrapolate, level_params,
                      pw_check, run_dfr, sample_private_key)
 from bikelab import bgf_decode, dfr
-from bikelab.dfr import (SUMMARY_CSV_HEADER, make_record, run_trial, summary_csv_row,
-                         trial_seeds)
+from bikelab.dfr import SUMMARY_CSV_HEADER, run_trial, summary_csv_row, trial_seeds
 from bikelab.kem import expand_u64_seed
 from bikelab.ring import mul_sparse
 from bikelab.weakkeys import WeakKeySpec
@@ -108,20 +107,20 @@ class TestConfidenceInterval:
 class TestExtrapolate:
     def test_flat_line(self):
         res = extrapolate((9739, -20.0), (9817, -20.0), 12323)
-        assert res.log2_dfr_at_target == -20.0
-        assert res.trend_warning  # not strictly decreasing
+        assert res["log2_dfr_at_target"] == -20.0
+        assert res["trend_warning"]  # not strictly decreasing
 
     def test_equal_steps(self):
         res = extrapolate((9739, -10.0), (9817, -12.0), 9895)
-        assert res.log2_dfr_at_target == pytest.approx(-14.0)
-        assert not res.trend_warning
+        assert res["log2_dfr_at_target"] == pytest.approx(-14.0)
+        assert not res["trend_warning"]
 
     def test_exact_on_collinear_points(self):
         # synthetic line: value(r) = a + b r evaluated in exact float arithmetic
         a, b = 3.25, -0.01171875  # both exactly representable
         p1, p2, target = 1000, 1512, 12323
         res = extrapolate((p1, a + b * p1), (p2, a + b * p2), target)
-        assert res.log2_dfr_at_target == a + b * target
+        assert res["log2_dfr_at_target"] == a + b * target
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -172,36 +171,36 @@ class TestRunDfr:
     def test_counts_failures_and_interval(self):
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=200)
         res = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, master_seed=5)
-        assert res.trials == 200
-        assert 0 < res.failures < 200
-        assert res.ci_low <= res.dfr_point <= res.ci_high
-        assert not res.met_failure_rule
+        assert res["trials"] == 200
+        assert 0 < res["failures"] < 200
+        assert res["ci_low"] <= res["dfr_point"] <= res["ci_high"]
+        assert not res["met_failure_rule"]
 
     def test_stop_on_failures(self):
         stop = StopRule(min_trials=0, min_failures=20, max_trials=5000)
         res = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, master_seed=6,
                       batch_size=32)
-        assert res.failures >= 20
-        assert res.trials < 5000
-        assert res.trials % 32 == 0
-        assert res.met_failure_rule
+        assert res["failures"] >= 20
+        assert res["trials"] < 5000
+        assert res["trials"] % 32 == 0
+        assert res["met_failure_rule"]
 
     def test_all_failures_degenerate(self):
         weak = WeakKeys(WeakKeySpec.parse("type1:f=14"))
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=50)
         res = run_dfr(custom_params(r=1019, w=42, t=30), weak, HonestErrors(), stop,
                       master_seed=7)
-        assert res.failures == res.trials
-        assert res.dfr_point == 1.0
-        assert res.ci_high == 1.0
+        assert res["failures"] == res["trials"]
+        assert res["dfr_point"] == 1.0
+        assert res["ci_high"] == 1.0
 
     def test_parallel_reproducibility(self):
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=96)
         kwargs = dict(master_seed=8, batch_size=16)
         seq = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, parallelism=1, **kwargs)
         par = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, parallelism=4, **kwargs)
-        assert seq.failures == par.failures
-        assert seq.trials == par.trials
+        assert seq["failures"] == par["failures"]
+        assert seq["trials"] == par["trials"]
 
     @pytest.mark.parametrize("cpus,workers", [({0, 1, 2}, [3]), ({0}, [])])
     def test_pool_capped_at_usable_cpus(self, monkeypatch, cpus, workers):
@@ -225,15 +224,15 @@ class TestRunDfr:
         wide = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, parallelism=5000, **kwargs)
         assert created == workers
         seq = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, parallelism=1, **kwargs)
-        assert (wide.trials, wide.failures) == (seq.trials, seq.failures)
+        assert (wide["trials"], wide["failures"]) == (seq["trials"], seq["failures"])
 
     def test_fixed_key_and_psi_source(self):
         key = sample_private_key(TOY, expand_u64_seed(99))
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=64)
         res = run_dfr(TOY, FixedKey(key), PsiErrors(3), stop, master_seed=9)
-        assert res.trials == 64
-        assert res.key_class == {"kind": "fixed", "label": "fixed"}
-        assert res.error_source == {"kind": "psi", "d": 3}
+        assert res["trials"] == 64
+        assert res["key_class"] == {"kind": "fixed", "label": "fixed"}
+        assert res["error_source"] == {"kind": "psi", "d": 3}
 
     def test_trial_seeding_is_per_index(self):
         a = trial_seeds(10, 0)
@@ -262,7 +261,7 @@ class TestRunDfr:
         # 1988 decodes leave a syndrome; 7 more clear it with the wrong error
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=2000)
         res = run_dfr(TINY, NormalKeys(), HonestErrors(), stop, master_seed=7)
-        assert (res.trials, res.failures) == (2000, 1995)
+        assert (res["trials"], res["failures"]) == (2000, 1995)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ParameterError):
@@ -286,8 +285,8 @@ class TestRunDfr:
         resumed = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop_full,
                           checkpoint_path=path, checkpoint_every=16, **kwargs)
         oneshot = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop_full, **kwargs)
-        assert resumed.failures == oneshot.failures
-        assert resumed.trials == oneshot.trials
+        assert resumed["failures"] == oneshot["failures"]
+        assert resumed["trials"] == oneshot["trials"]
 
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         from bikelab.errors import SchemaError
@@ -386,14 +385,13 @@ class TestRunDfr:
         res = run_dfr(TOY, NormalKeys(), HonestErrors(), stop, master_seed=17,
                       batch_size=256, checkpoint_path=path, checkpoint_every=100)
         blob = json.load(open(path))
-        assert (blob["trials_done"], blob["failures"]) == (512, res.failures)
+        assert (blob["trials_done"], blob["failures"]) == (512, res["failures"])
 
 
 class TestRecord:
     def test_schema_fields_frozen(self):
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=16)
-        res = run_dfr(TOY, NormalKeys(), HonestErrors(), stop, master_seed=15)
-        rec = make_record(res, "2024-01-01T00:00:00")
+        rec = run_dfr(TOY, NormalKeys(), HonestErrors(), stop, master_seed=15)
         assert set(rec) == {
             "schema_version", "code_version", "params", "key_class", "error_source",
             "decoder", "stop", "master_seed", "trials", "failures", "dfr_point",
@@ -402,6 +400,7 @@ class TestRecord:
         assert rec["params"]["standard"] is False
         assert rec["decoder"] == DecoderConfig.for_params(TOY).to_json_dict()
         assert rec["stop"] == stop.to_json_dict()
+        assert rec["timestamp"] == ""  # only the CLI stamps a record
         json.dumps(rec)  # serializable
 
     # frozen record schema: the decoder block lists the fixed schedule (nb_iter,
@@ -414,23 +413,24 @@ class TestRecord:
     ], ids=["L1", "L3", "L5", "r1259"])
     def test_decoder_block_frozen(self, params, line):
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=1)
-        res = run_dfr(params, NormalKeys(), HonestErrors(), stop, master_seed=1, batch_size=1)
+        rec = run_dfr(params, NormalKeys(), HonestErrors(), stop, master_seed=1, batch_size=1)
         slope, intercept, floor = line
-        assert json.dumps(make_record(res, "")["decoder"]) == json.dumps(
+        assert json.dumps(rec["decoder"]) == json.dumps(
             {"nb_iter": 5, "tau": 3, "thr_slope": slope, "thr_intercept": intercept,
              "thr_floor": floor, "mask_threshold": None, "black_gray": True})
 
-    def test_checkpoint_tag_frozen(self):
+    def test_checkpoint_tag_frozen(self, tmp_path):
         # an existing checkpoint resumes only under the same tag
-        params = custom_params(r=1259, w=42, t=30)
-        tag = dfr._checkpoint_tag(params, WeakKeys(WeakKeySpec.parse("type1:f=10")),
-                                  HonestErrors(), DecoderConfig.for_params(params), 7, 256)
+        path = str(tmp_path / "ckpt.json")
+        run_dfr(custom_params(r=1259, w=42, t=30), WeakKeys(WeakKeySpec.parse("type1:f=10")),
+                HonestErrors(), StopRule(max_trials=1), master_seed=7, batch_size=256,
+                checkpoint_path=path, checkpoint_every=1)
+        tag = json.load(open(path))["tag"]
         assert tag == "fb05b11e34caeedf1d905347146ef4c2dfc11dcc2ac94d68e977a52c2a60034a"
 
     def test_summary_csv(self):
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=16)
-        res = run_dfr(TOY, NormalKeys(), HonestErrors(), stop, master_seed=16)
-        rec = make_record(res, "")
+        rec = run_dfr(TOY, NormalKeys(), HonestErrors(), stop, master_seed=16)
         assert SUMMARY_CSV_HEADER.split(",") == ["r", "trials", "failures", "dfr",
                                                  "ci_low", "ci_high"]
         row = summary_csv_row(rec)

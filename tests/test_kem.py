@@ -12,7 +12,7 @@ from bikelab.keys import ErrorPair, PrivateKey
 from bikelab.ring import DensePoly, SparsePoly, mul_sparse
 from bikelab.weakkeys import WeakKeySpec
 
-from ring_oracle import shift
+from ring_oracle import invert_oracle, shift
 
 
 def flip_bit(data: bytes, i: int) -> bytes:
@@ -122,6 +122,24 @@ class TestKeygen:
         assert redrawn == 9
         assert digest.hexdigest() == (
             "69747c7dd2dc0000cbd2e7cf5b3784d5d5ceb182ca5665db20ec947d438d8a98")
+
+    def test_keeps_every_invertible_h0_at_r105(self):
+        # 2 has order 12 mod 105, not a divisor of r - 1: keygen must still keep
+        # the first h0 whenever the Euclid oracle inverts it
+        params = custom_params(r=105, w=14, t=4)
+        kept = 0
+        for i in range(30):
+            seed = expand_u64_seed(i)
+            first = sample_private_key(params, seed)
+            try:
+                inv = invert_oracle(first.h0.to_dense())
+            except NotInvertibleError:
+                continue
+            sk, pk = keygen(params, seed)
+            assert sk == first
+            assert pk.h == mul_sparse(sk.h1, inv)
+            kept += 1
+        assert kept == 19
 
     @pytest.mark.parametrize("params,seed,digest", [
         (level_params(1), 1, "d589281071fc16edd2c2969a3337681ad4fca20a317dede8a8236ba92a63a2c9"),

@@ -32,26 +32,20 @@ def reference_verdict(h0: SparsePoly, h1: SparsePoly, t: int) -> KeyVerdict:
         mult = [star(dense, shift(dense, d)).weight() for d in range(1, r // 2 + 1)]
         best = max(mult)
         if best > t:
-            return KeyVerdict("Weak", PerBlockMultiplicity(block, mult.index(best) + 1, best))
+            return KeyVerdict(PerBlockMultiplicity(block, mult.index(best) + 1, best))
     d0, d1 = h0.to_dense(), h1.to_dense()
     for pj in h0.support:
         for pk in h1.support:
             k = (pj - pk) % r
             size = star(d0, shift(d1, k)).weight()
             if size > t:
-                return KeyVerdict("Weak", CrossBlockIntersection(k, size))
-    return KeyVerdict("Normal")
+                return KeyVerdict(CrossBlockIntersection(k, size))
+    return KeyVerdict()
 
 
 class TestVerdictShape:
-    def test_reason_iff_weak(self):
-        with pytest.raises(ParameterError):
-            KeyVerdict("Weak", None)
-        with pytest.raises(ParameterError):
-            KeyVerdict("Normal", CrossBlockIntersection(1, 2))
-
     def test_json_fields(self):
-        v = KeyVerdict("Weak", PerBlockMultiplicity(0, 4, 12))
+        v = KeyVerdict(PerBlockMultiplicity(0, 4, 12))
         blob = v.to_json_dict(T10)
         assert blob["verdict"] == "Weak"
         assert blob["T"] == 10

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bikelab import NotInvertibleError, ParameterError, RingParams, invert_counted, mul_sparse
+from bikelab import (NotInvertibleError, ParameterError, RingParams, custom_params,
+                     invert_counted, mul_sparse, sample_private_key)
 from bikelab import ring as ring_module
+from bikelab.kem import expand_u64_seed
 from bikelab.ring import (_SPARSE_MUL_CUTOFF, DensePoly, SparsePoly, _frobenius_int, _mul_int,
                           _mul_int_fft, _support_of)
 
@@ -286,6 +288,24 @@ class TestInvert:
     def test_oracle_trivials(self, ring13):
         assert invert_oracle(DensePoly(ring13, 1)).bits == 1
         assert invert_oracle(DensePoly(ring13, 1 << 2)).bits == 1 << (ring13.r - 2)
+
+    def test_matches_euclid_oracle_r105(self):
+        # 2 has order 12 mod 105, which does not divide r - 1 = 104: the Fermat
+        # exponent 2^104 - 2 inverts none of the 19 units among these keygen h0
+        # draws, while the chain's 2^12 - 2 inverts all of them
+        params = custom_params(r=105, w=14, t=4)
+        units = 0
+        for i in range(30):
+            a = sample_private_key(params, expand_u64_seed(i)).h0.to_dense()
+            try:
+                expected = invert_oracle(a)
+            except NotInvertibleError:
+                with pytest.raises(NotInvertibleError):
+                    a.invert()
+                continue
+            assert a.invert() == expected
+            units += 1
+        assert units == 19
 
     def test_not_invertible(self, ring13):
         even = DensePoly(ring13, 0b11)
