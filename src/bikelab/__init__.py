@@ -13,7 +13,6 @@ from .keycheck import KeyCheckConfig, KeyVerdict, key_check, keygen_checked
 from .keys import (Ciphertext, ErrorPair, PrivateKey, PublicKey, SharedKey,
                    SystemParams, custom_params, level_params, params_with_r)
 from .ring import DensePoly, RingParams, SparsePoly, invert_counted, mul_sparse
-from .weakkeys import (BigCount, DistanceSpectrum, WeakKeySpec, count_type1,
-                       count_type2_upper, count_type3_upper, distance, gen_psi_d_error,
-                       gen_type1, gen_type2, gen_type3, reconstruct_from_spectrum,
-                       spectrum, spectrum_of_support)
+from .weakkeys import (DistanceSpectrum, WeakKeySpec, count_type1, count_type2_upper,
+                       count_type3_upper, distance, gen_psi_d_error, gen_type1, gen_type2,
+                       gen_type3, log2_count, reconstruct_from_spectrum, spectrum)

@@ -23,27 +23,31 @@ from .kem import decaps_with_diagnostics, encaps, expand_u64_seed, keygen, publi
 from .keycheck import KeyCheckConfig, key_check, keygen_checked
 from .keys import SystemParams, custom_params, level_params, params_with_r
 from .weakkeys import (WeakKeySpec, count_type1, count_type2_upper, count_type3_upper,
-                       log2_density, spectrum)
+                       log2_count, log2_density, spectrum)
 
 ETA_CSV_HEADER = "family,param,s,log2_count,log2_eta"
 
 
 def _params_from_args(args) -> SystemParams:
     overrides = [v is not None for v in (args.r, args.w, args.t)]
-    if any(overrides):
-        if not all(overrides):
-            raise ParameterError("custom parameters need all of --r, --w, --t")
-        return custom_params(r=args.r, w=args.w, t=args.t, l=args.l)
-    return level_params(args.level)
+    if not any(overrides):
+        if args.l is not None:
+            raise ParameterError("--l is read only with --r, --w, --t")
+        return level_params(args.level or 1)
+    if args.level is not None:
+        raise ParameterError("--level does not combine with --r, --w, --t")
+    if not all(overrides):
+        raise ParameterError("custom parameters need all of --r, --w, --t")
+    return custom_params(r=args.r, w=args.w, t=args.t, l=256 if args.l is None else args.l)
 
 
 def _add_params(p) -> None:
     # the parameter group that _params_from_args reads
-    p.add_argument("--level", type=int, default=1, choices=(1, 3, 5))
+    p.add_argument("--level", type=int, choices=(1, 3, 5), help="standard set (default 1)")
     p.add_argument("--r", type=int, help="custom block size (with --w and --t)")
     p.add_argument("--w", type=int, help="custom row weight")
     p.add_argument("--t", type=int, help="custom error weight")
-    p.add_argument("--l", type=int, default=256, help="shared key bits")
+    p.add_argument("--l", type=int, help="shared key bits of a custom set (default 256)")
 
 
 def _int(text: str, error: str) -> int:
@@ -112,7 +116,7 @@ def cmd_weakkey_gen(args) -> int:
     # usable with encaps as well
     files.write_key(args.key_out, params, sk, public_key(sk.h0, sk.h1))
     if args.spectrum_csv:
-        spec0 = spectrum(sk.h0, params.r // 2)
+        spec0 = spectrum(sk.h0)
         with open(args.spectrum_csv, "w") as fh:
             fh.write(spec0.CSV_HEADER + "\n")
             for row in spec0.csv_rows():
@@ -170,6 +174,8 @@ def cmd_dfr(args) -> int:
           else [base.r])
     if len(set(rs)) != len(rs):
         raise ParameterError("--rs values must be distinct")
+    # every r checked before any campaign runs, so a bad one costs none
+    sweep = [params_with_r(base, r) for r in sorted(rs)]
     if args.queries is not None and not args.eta_from:
         raise ParameterError("--queries is read only with --eta-from")
     if args.eta_from:
@@ -180,19 +186,20 @@ def cmd_dfr(args) -> int:
         log2_eta = WeakKeySpec.parse(args.eta_from).log2_eta(target)
         if args.queries is not None and args.queries < 1:
             raise ParameterError("--queries must be >= 1")
+    if args.extrapolate_to is not None and (len(rs) < 2 or args.extrapolate_to <= max(rs)):
+        raise ParameterError("--extrapolate-to needs at least two --rs values, all below it")
     stop = dfrlab.StopRule(min_trials=args.min_trials, min_failures=args.min_failures,
                            max_trials=args.max_trials)
     key_class = _parse_key_class(args.key_class)
     if isinstance(key_class, dfrlab.FixedKey):
-        for r in rs:   # every r before any campaign, not as run_dfr reaches it
-            key_class.check_params(params_with_r(base, r))
+        for params in sweep:
+            key_class.check_params(params)
     error_source = _parse_error_source(args.error_source)
 
     records = []
     points = []
     dropped = []   # r values left out of the extrapolation, with the reason
-    for r in sorted(rs):
-        params = params_with_r(base, r)
+    for params in sweep:
         progress = _progress_printer(params.r, stop) if args.verbose else None
         rec = dfrlab.run_dfr(params, key_class, error_source, stop,
                              master_seed=args.seed, parallelism=args.threads,
@@ -209,7 +216,7 @@ def cmd_dfr(args) -> int:
     out: dict = {"records": records, "extrapolation": None, "pw": None}
     if args.extrapolate_to is not None:
         if len(points) < 2:
-            zero = ", ".join(str(d["r"]) for d in dropped) or "none"
+            zero = ", ".join(str(d["r"]) for d in dropped)
             raise ParameterError("extrapolation needs two r values with failures "
                                  f"(r without failures: {zero})")
         extra = dfrlab.extrapolate(points[-2], points[-1], args.extrapolate_to)
@@ -243,7 +250,7 @@ def cmd_eta(args) -> int:
     for v in values:
         cnt = count(params, v)
         eta = log2_density(params, cnt)
-        lines.append(f"{args.type},{v},{s_field},{cnt.log2:.6f},{eta:.6f}")
+        lines.append(f"{args.type},{v},{s_field},{log2_count(cnt):.6f},{eta:.6f}")
         if eta > 0:
             print(f"note: type {args.type} param {v}: log2_eta {eta:.2f} > 0, the count "
                   "bound exceeds the key space, so this row is not a density",

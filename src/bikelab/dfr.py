@@ -3,7 +3,7 @@
 Trials are indexed: trial i derives every random choice (key, error) from
 (master_seed, i) through the seed stream, so a run's failure count is a pure
 function of its configuration and is identical for any degree of parallelism.
-Trials execute in fixed-size batches; the stop rule is evaluated only at
+Trials execute in batches of BATCH_SIZE; the stop rule is evaluated only at
 batch boundaries, and workers split batches without reordering anything that
 matters (failure counts are sums).
 
@@ -31,7 +31,9 @@ from .ring import mul_sparse
 from .weakkeys import WeakKeySpec, gen_psi_d_error
 
 RECORD_SCHEMA_VERSION = 1
-DEFAULT_BATCH_SIZE = 256
+# the stop rule's granularity: a different value gives different counts, and
+# checkpoint tags bind it
+BATCH_SIZE = 256
 
 
 # -- what to decode ------------------------------------------------------------
@@ -178,10 +180,7 @@ def _usable_cpus() -> int:
 
 def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
             master_seed: int, parallelism: int = 1,
-            batch_size: int = DEFAULT_BATCH_SIZE,
-            checkpoint_path: str | None = None,
-            checkpoint_every: int = 0,
-            progress=None) -> dict:
+            checkpoint_path: str | None = None, progress=None) -> dict:
     """Estimate the failure rate of one key class under one error source.
 
     Returns the schema-v1 experiment record: the fields that fix the campaign,
@@ -189,15 +188,12 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
     ``timestamp`` field is left blank, so a record is a pure function of its
     arguments apart from ``wall_time_s``.
 
-    ``batch_size`` fixes the granularity at which the stop rule is evaluated
-    and must not change between runs that are meant to reproduce each other;
     ``parallelism`` only splits batches across processes, at most one per
-    usable CPU, and never affects the outcome.
+    usable CPU, and never affects the outcome.  With ``checkpoint_path`` set,
+    a run resumes from the checkpoint there and rewrites it after every batch.
     """
     if parallelism < 1:
         raise ParameterError("parallelism must be >= 1")
-    if batch_size < 1:
-        raise ParameterError("batch_size must be >= 1")
     if not 0 <= master_seed < 1 << 64:
         raise ParameterError("master_seed must be an unsigned 64-bit integer")
     if isinstance(key_class, FixedKey):
@@ -209,7 +205,7 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
            "stop": stop.to_json_dict(), "master_seed": master_seed}
 
     trials = failures = 0
-    tag = _checkpoint_tag(rec, key_class, batch_size)
+    tag = _checkpoint_tag(rec, key_class)
     if checkpoint_path and os.path.exists(checkpoint_path):
         trials, failures = _load_checkpoint(checkpoint_path, tag, stop.max_trials)
     if trials == 0 and stop.satisfied(0, 0):
@@ -222,7 +218,7 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         while not stop.satisfied(trials, failures):
-            todo = min(batch_size, stop.max_trials - trials)
+            todo = min(BATCH_SIZE, stop.max_trials - trials)
             chunk = (todo + workers - 1) // workers
             tasks = [(params, key_class, error_source, cfg, master_seed,
                       trials + lo, min(chunk, todo - lo))
@@ -231,9 +227,7 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
             trials += todo
             if progress is not None:
                 progress(trials, failures)
-            # a batch may step over several multiples of checkpoint_every
-            if (checkpoint_path and checkpoint_every
-                    and trials // checkpoint_every > (trials - todo) // checkpoint_every):
+            if checkpoint_path:
                 _save_checkpoint(checkpoint_path, tag, trials, failures)
     finally:
         if pool is not None:
@@ -248,7 +242,7 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
 
 # -- checkpoints ---------------------------------------------------------------
 
-def _checkpoint_tag(rec: dict, key_class, batch_size: int) -> str:
+def _checkpoint_tag(rec: dict, key_class) -> str:
     """Digest of everything that fixes the trial outcomes; only the stop rule may change.
 
     The record's experiment fields are bound, with the batch size; a fixed
@@ -256,7 +250,7 @@ def _checkpoint_tag(rec: dict, key_class, batch_size: int) -> str:
     """
     experiment = {name: rec[name] for name in
                   ("params", "key_class", "error_source", "decoder", "master_seed")}
-    experiment["batch_size"] = batch_size
+    experiment["batch_size"] = BATCH_SIZE
     if isinstance(key_class, FixedKey):
         experiment["key"] = [key_class.key.h0.support, key_class.key.h1.support]
     return hashlib.sha256(json.dumps(experiment, sort_keys=True).encode()).hexdigest()

@@ -19,8 +19,8 @@ failure rates of the family depend on the other block staying random).
 Every generator re-verifies its defining property before returning and
 resamples on the rare collision, so outputs are correct by construction.
 Spectra and block overlaps both come from :func:`difference_counts`.
-Key-space fractions for the families are computed exactly with big-integer
-binomials; only their log2 is exposed as a float.
+Key-space counts for the families are exact integers from big-integer
+binomials; only their log2 (:func:`log2_count`, :func:`log2_density`) is a float.
 """
 
 from __future__ import annotations
@@ -56,12 +56,9 @@ def difference_counts(p, q, r: int) -> np.ndarray:
 
 
 def distance_multiplicities(supp, r: int) -> np.ndarray:
-    """out[d] = number of support pairs at cyclic distance d, for d in [0, r/2]."""
+    """out[d] = number of support pairs at cyclic distance d, for d in [0, r/2] (odd r)."""
     out = difference_counts(supp, supp, r)[: r // 2 + 1]
     out[0] = 0
-    # a pair lands on s and r - s; on even r both are r/2 at the halfway distance
-    if r % 2 == 0:
-        out[r // 2] //= 2
     return out
 
 
@@ -81,34 +78,25 @@ def _draw_index(stream: XofStream, n: int) -> int:
 
 @dataclass(frozen=True)
 class DistanceSpectrum:
-    """Multiplicity of every distance 1..U among a support's position pairs."""
+    """Multiplicity of every distance 1..floor(r/2) among a support's position pairs."""
 
     r: int
-    U: int
     mult: dict[int, int]
 
     def existing(self) -> set[int]:
         return {d for d, m in self.mult.items() if m > 0}
 
     def csv_rows(self) -> list[str]:
-        return [f"{d},{self.mult[d]}" for d in range(1, self.U + 1)]
+        return [f"{d},{m}" for d, m in self.mult.items()]
 
     CSV_HEADER = "d,multiplicity"
 
 
-def spectrum_of_support(supp, r: int, U: int | None = None) -> DistanceSpectrum:
-    """Spectrum from the folded pair-difference histogram; any r >= 2 (even included)."""
-    if U is None:
-        U = r // 2
-    if not 1 <= U <= r // 2:
-        raise ParameterError(f"U must be in [1, {r // 2}]")
-    mult = distance_multiplicities(supp, r)[1 : U + 1].tolist()
-    return DistanceSpectrum(r=r, U=U, mult=dict(zip(range(1, U + 1), mult)))
-
-
-def spectrum(h: SparsePoly, U: int | None = None) -> DistanceSpectrum:
-    """Distance spectrum of a ring element's support."""
-    return spectrum_of_support(h.support, h.ring.r, U)
+def spectrum(h: SparsePoly) -> DistanceSpectrum:
+    """Distance spectrum of a ring element's support, over every distance 1..floor(r/2)."""
+    r = h.ring.r
+    mult = distance_multiplicities(h.support, r)[1:].tolist()
+    return DistanceSpectrum(r=r, mult=dict(enumerate(mult, start=1)))
 
 
 # the parameters each family reads, by their descriptor and CLI names
@@ -303,34 +291,24 @@ def _comb(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class BigCount:
-    """Exact nonnegative count with a log2 view."""
-
-    value: int
-
-    @property
-    def log2(self) -> float:
-        if self.value == 0:
-            return float("-inf")
-        return math.log2(self.value)
+def log2_count(n: int) -> float:
+    """log2 of an exact nonnegative count; -inf at 0."""
+    return math.log2(n) if n else float("-inf")
 
 
-def count_type1(params: SystemParams, f: int) -> BigCount:
+def count_type1(params: SystemParams, f: int) -> int:
     """2 r floor(r/2) C(r-f, w/2-f): size bound of the type-1 family."""
     r, w2 = params.r, params.w2
     _check_range("f", f, 0, w2)
-    return BigCount(2 * r * (r // 2) * _comb(r - f, w2 - f))
+    return 2 * r * (r // 2) * _comb(r - f, w2 - f)
 
 
-def log2_density(params: SystemParams, count: BigCount) -> float:
+def log2_density(params: SystemParams, count: int) -> float:
     """log2 of a family's key fraction, count / C(r, w/2) (single-block normalization)."""
-    if count.value == 0:
-        return float("-inf")
-    return count.log2 - math.log2(_comb(params.r, params.w2))
+    return log2_count(count) - math.log2(_comb(params.r, params.w2))
 
 
-def count_type2_upper(params: SystemParams, m: int, s: int) -> BigCount:
+def count_type2_upper(params: SystemParams, m: int, s: int) -> int:
     """Run-structure bound for blocks of s zero-runs and s one-runs.
 
     Sums (o1 + z1) C(w/2 - o1 - 1, s - 2) C(r - w/2 - z1 - 1, s - 2) over
@@ -347,20 +325,19 @@ def count_type2_upper(params: SystemParams, m: int, s: int) -> BigCount:
         zc = _comb(r - w2 - z1 - 1, s - 2)
         if zc:
             total += zc * (ones_weighted + z1 * ones_total)
-    return BigCount(2 * (r // 2) * total)
+    return 2 * (r // 2) * total
 
 
-def count_type3_upper(params: SystemParams, m: int) -> BigCount:
+def count_type3_upper(params: SystemParams, m: int) -> int:
     """r C(w/2, m) C(r-m, w/2-m): size bound of the type-3 family."""
     r, w2 = params.r, params.w2
     _check_range("m", m, 0, w2)
-    return BigCount(r * _comb(w2, m) * _comb(r - m, w2 - m))
+    return r * _comb(w2, m) * _comb(r - m, w2 - m)
 
 
 # -- spectrum-based reconstruction --------------------------------------------
 
-def reconstruct_from_spectrum(spec: DistanceSpectrum, target_weight: int,
-                              r: int) -> SparsePoly | None:
+def reconstruct_from_spectrum(spec: DistanceSpectrum, target_weight: int) -> SparsePoly | None:
     """Search for a support whose spectrum matches, up to rotation/reflection.
 
     Places the first two positions at 0 and the smallest spectral distance,
@@ -368,8 +345,7 @@ def reconstruct_from_spectrum(spec: DistanceSpectrum, target_weight: int,
     remaining multiset and backtracking from dead ends.  Returns None when no
     support realizes the spectrum.
     """
-    if spec.U != r // 2:
-        raise ParameterError("reconstruction needs the complete spectrum (U = floor(r/2))")
+    r = spec.r
     total = sum(spec.mult.values())
     if total != target_weight * (target_weight - 1) // 2:
         return None

@@ -196,7 +196,7 @@ def test_criterion_6_oracle_equivalences(capsys):
         h = SparsePoly(ring31, tuple(sorted(rng.sample(range(31), 7))))
         dense = h.to_dense()
         expected = {d: star(dense, shift(dense, d)).weight() for d in range(1, 16)}
-        assert spectrum(h, 15).mult == expected
+        assert spectrum(h).mult == expected
     checked["spectrum r=31"] = 50
 
     with capsys.disabled():
@@ -235,7 +235,7 @@ def test_criterion_8_distance_probe_direction(capsys):
     """Crafted-pair failures are rarer when the probed distance is in D(h0)."""
     params = custom_params(r=1259, w=42, t=30)
     key = sample_private_key(params, expand_u64_seed(2024))
-    spec = spectrum(key.h0, 300)
+    spec = spectrum(key.h0)
     in_spectrum = sorted(spec.existing())[:8]
     out_spectrum = [d for d in range(1, 301) if d not in spec.existing()][:8]
     assert len(in_spectrum) == 8 and len(out_spectrum) == 8

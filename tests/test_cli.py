@@ -79,6 +79,31 @@ class TestKeygen:
                                "--key-out", str(tmp_path / "k.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--level", "1", "--l", "128"], "--l is read only with --r, --w, --t"),
+        (["--l", "128"], "--l is read only with --r, --w, --t"),
+        (["--level", "3", *TOY_ARGS], "--level does not combine with --r, --w, --t"),
+        (["--level", "1", "--r", "613"], "--level does not combine with --r, --w, --t"),
+    ], ids=["level-and-l", "l-alone", "level-and-custom", "level-and-partial"])
+    def test_parameter_flag_that_is_not_read_rejected(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "k.json"
+        code, out, err = run_cli(capsys, "keygen", *argv, "--key-out", str(path))
+        assert code == 2
+        assert err == f"parameter error: {message}\n"
+        assert out == "" and not path.exists()
+
+    def test_parameter_defaults(self, tmp_path, capsys):
+        # no parameter flag gives L1; a custom set without --l has l = 256
+        runs = {"none": [], "L1": ["--level", "1"], "toy": TOY_ARGS,
+                "toy-l128": [*TOY_ARGS, "--l", "128"]}
+        for name, argv in runs.items():
+            code, _, _ = run_cli(capsys, "keygen", *argv, "--key-out", str(tmp_path / name))
+            assert code == 0
+        assert (tmp_path / "none").read_bytes() == (tmp_path / "L1").read_bytes()
+        assert read_json(tmp_path / "none")["params"]["level"] == "L1"
+        assert read_json(tmp_path / "toy")["params"]["l"] == 256
+        assert read_json(tmp_path / "toy-l128")["params"]["l"] == 128
+
     def test_uninvertible_h0_budget_exhausted(self, tmp_path, capsys, monkeypatch):
         def never_invertible(self):
             raise NotInvertibleError("forced")
@@ -574,6 +599,23 @@ class TestDfrCommand:
         assert code == 2
         assert out == ""
         assert "--queries must be >= 1" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--rs", "523,614"], "r must be odd and >= 3, got 614"),
+        (["--rs", "523,613", "--extrapolate-to", "600"], "at least two --rs values, all below"),
+        (["--rs", "523,541,1019", "--extrapolate-to", "900"], "all below"),
+        (["--rs", "523,613", "--extrapolate-to", "613"], "all below"),
+        (["--extrapolate-to", "12323"], "at least two --rs values"),
+    ], ids=["even-r", "target-inside", "target-below-largest", "target-at-largest",
+            "single-r"])
+    def test_bad_sweep_rejected_before_any_campaign(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(cli.dfrlab, "run_dfr",
+                            lambda *args, **kwargs: pytest.fail("a campaign ran"))
+        code, out, err = run_cli(capsys, "dfr", "--r", "523", "--w", "30", "--t", "18",
+                                 "--max-trials", "8", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_repeated_weak_parameter_rejected(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.dfrlab, "run_dfr",

@@ -178,11 +178,10 @@ class TestRunDfr:
 
     def test_stop_on_failures(self):
         stop = StopRule(min_trials=0, min_failures=20, max_trials=5000)
-        res = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, master_seed=6,
-                      batch_size=32)
+        res = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, master_seed=6)
         assert res["failures"] >= 20
         assert res["trials"] < 5000
-        assert res["trials"] % 32 == 0
+        assert res["trials"] % dfr.BATCH_SIZE == 0
         assert res["met_failure_rule"]
 
     def test_all_failures_degenerate(self):
@@ -196,7 +195,7 @@ class TestRunDfr:
 
     def test_parallel_reproducibility(self):
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=96)
-        kwargs = dict(master_seed=8, batch_size=16)
+        kwargs = dict(master_seed=8)
         seq = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, parallelism=1, **kwargs)
         par = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, parallelism=4, **kwargs)
         assert seq["failures"] == par["failures"]
@@ -220,7 +219,7 @@ class TestRunDfr:
         monkeypatch.setattr(dfr, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(dfr.os, "sched_getaffinity", lambda pid: cpus, raising=False)
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=40)
-        kwargs = dict(master_seed=8, batch_size=16)
+        kwargs = dict(master_seed=8)
         wide = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, parallelism=5000, **kwargs)
         assert created == workers
         seq = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, parallelism=1, **kwargs)
@@ -278,12 +277,12 @@ class TestRunDfr:
         path = str(tmp_path / "ckpt.json")
         stop_half = StopRule(min_trials=0, min_failures=10**9, max_trials=64)
         stop_full = StopRule(min_trials=0, min_failures=10**9, max_trials=128)
-        kwargs = dict(master_seed=13, batch_size=16)
+        kwargs = dict(master_seed=13)
         run_dfr(FAILY, NormalKeys(), HonestErrors(), stop_half,
-                checkpoint_path=path, checkpoint_every=16, **kwargs)
+                checkpoint_path=path, **kwargs)
         assert os.path.exists(path)
         resumed = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop_full,
-                          checkpoint_path=path, checkpoint_every=16, **kwargs)
+                          checkpoint_path=path, **kwargs)
         oneshot = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop_full, **kwargs)
         assert resumed["failures"] == oneshot["failures"]
         assert resumed["trials"] == oneshot["trials"]
@@ -293,10 +292,10 @@ class TestRunDfr:
         path = str(tmp_path / "ckpt.json")
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=32)
         run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, master_seed=14,
-                checkpoint_path=path, checkpoint_every=16)
+                checkpoint_path=path)
         with pytest.raises(SchemaError):
             run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, master_seed=999,
-                    checkpoint_path=path, checkpoint_every=16)
+                    checkpoint_path=path)
 
     def test_checkpoint_bound_to_key_class(self, tmp_path):
         from bikelab.errors import SchemaError
@@ -304,11 +303,10 @@ class TestRunDfr:
         params = custom_params(r=1019, w=42, t=30)
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=16)
         weak = WeakKeys(WeakKeySpec(1, f=15, d=1))
-        run_dfr(params, weak, HonestErrors(), stop, master_seed=14, batch_size=8,
-                checkpoint_path=path, checkpoint_every=8)
+        run_dfr(params, weak, HonestErrors(), stop, master_seed=14, checkpoint_path=path)
         with pytest.raises(SchemaError):
             run_dfr(params, NormalKeys(), HonestErrors(), stop, master_seed=14,
-                    batch_size=8, checkpoint_path=path, checkpoint_every=8)
+                    checkpoint_path=path)
 
     def test_checkpoint_bound_to_fixed_key_supports(self, tmp_path):
         from bikelab.errors import SchemaError
@@ -317,22 +315,21 @@ class TestRunDfr:
         key_a = sample_private_key(TOY, expand_u64_seed(1))
         key_b = sample_private_key(TOY, expand_u64_seed(2))
         run_dfr(TOY, FixedKey(key_a, "k.json"), PsiErrors(3), stop, master_seed=14,
-                checkpoint_path=path, checkpoint_every=16)
+                checkpoint_path=path)
         with pytest.raises(SchemaError):
             run_dfr(TOY, FixedKey(key_b, "k.json"), PsiErrors(3), stop, master_seed=14,
-                    checkpoint_path=path, checkpoint_every=16)
+                    checkpoint_path=path)
 
     def test_checkpoint_above_max_trials_rejected(self, tmp_path):
         # resuming 64 done trials under a cap of 32 would report 64 trials
         path = str(tmp_path / "ckpt.json")
         run_dfr(TOY, NormalKeys(), HonestErrors(),
                 StopRule(min_trials=0, min_failures=10**9, max_trials=64),
-                master_seed=19, batch_size=16, checkpoint_path=path, checkpoint_every=16)
+                master_seed=19, checkpoint_path=path)
         with pytest.raises(ParameterError, match="max_trials"):
             run_dfr(TOY, NormalKeys(), HonestErrors(),
                     StopRule(min_trials=0, min_failures=10**9, max_trials=32),
-                    master_seed=19, batch_size=16, checkpoint_path=path,
-                    checkpoint_every=16)
+                    master_seed=19, checkpoint_path=path)
 
     @pytest.mark.parametrize("edit", [
         {"failures": 17}, {"trials_done": -16}, {"failures": -1},
@@ -346,7 +343,7 @@ class TestRunDfr:
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=32)
         run_dfr(TOY, NormalKeys(), HonestErrors(),
                 StopRule(min_trials=0, min_failures=10**9, max_trials=16),
-                master_seed=20, batch_size=16, checkpoint_path=path, checkpoint_every=16)
+                master_seed=20, checkpoint_path=path)
         blob = json.load(open(path))
         assert blob["trials_done"] == 16
         blob.update(edit)
@@ -355,7 +352,7 @@ class TestRunDfr:
             json.dump(blob, fh)
         with pytest.raises(SchemaError):
             run_dfr(TOY, NormalKeys(), HonestErrors(), stop, master_seed=20,
-                    batch_size=16, checkpoint_path=path, checkpoint_every=16)
+                    checkpoint_path=path)
 
     @pytest.mark.parametrize("raw", [b"{not json", b"[16, 3]", b"\xff\xfe{"],
                              ids=["not_json", "not_object", "not_utf8"])
@@ -365,7 +362,7 @@ class TestRunDfr:
         path.write_bytes(raw)
         with pytest.raises(SchemaError, match="ckpt.json"):
             run_dfr(TOY, NormalKeys(), HonestErrors(), StopRule(max_trials=16),
-                    master_seed=21, checkpoint_path=str(path), checkpoint_every=16)
+                    master_seed=21, checkpoint_path=str(path))
 
     @pytest.mark.parametrize("params", [custom_params(r=613, w=142, t=14),
                                         custom_params(r=1019, w=30, t=14),
@@ -378,14 +375,22 @@ class TestRunDfr:
                            f"the campaign has r={params.r}, w={params.w}"):
             run_dfr(params, key, PsiErrors(3), StopRule(max_trials=16), master_seed=1)
 
-    def test_checkpoint_saved_when_batches_step_over_multiples(self, tmp_path):
-        # 256-trial batches never land on a multiple of 100
-        path = str(tmp_path / "ckpt.json")
-        stop = StopRule(min_trials=0, min_failures=10**9, max_trials=512)
-        res = run_dfr(TOY, NormalKeys(), HonestErrors(), stop, master_seed=17,
-                      batch_size=256, checkpoint_path=path, checkpoint_every=100)
-        blob = json.load(open(path))
-        assert (blob["trials_done"], blob["failures"]) == (512, res["failures"])
+    def test_resume_at_any_batch_boundary_gives_the_one_shot_record(self, tmp_path):
+        # a 3-batch campaign cut after one and after two batches, then resumed
+        stop = StopRule(min_trials=0, min_failures=10**9, max_trials=3 * dfr.BATCH_SIZE)
+        oneshot = run_dfr(TOY, NormalKeys(), HonestErrors(), stop, master_seed=17)
+        oneshot["wall_time_s"] = None
+        for stopped_at in (dfr.BATCH_SIZE, 2 * dfr.BATCH_SIZE):
+            path = str(tmp_path / f"ckpt{stopped_at}.json")
+            run_dfr(TOY, NormalKeys(), HonestErrors(),
+                    StopRule(min_trials=0, min_failures=10**9, max_trials=stopped_at),
+                    master_seed=17, checkpoint_path=path)
+            assert json.load(open(path))["trials_done"] == stopped_at
+            resumed = run_dfr(TOY, NormalKeys(), HonestErrors(), stop, master_seed=17,
+                              checkpoint_path=path)
+            assert json.load(open(path))["trials_done"] == stop.max_trials
+            resumed["wall_time_s"] = None
+            assert resumed == oneshot
 
 
 class TestRecord:
@@ -413,7 +418,7 @@ class TestRecord:
     ], ids=["L1", "L3", "L5", "r1259"])
     def test_decoder_block_frozen(self, params, line):
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=1)
-        rec = run_dfr(params, NormalKeys(), HonestErrors(), stop, master_seed=1, batch_size=1)
+        rec = run_dfr(params, NormalKeys(), HonestErrors(), stop, master_seed=1)
         slope, intercept, floor = line
         assert json.dumps(rec["decoder"]) == json.dumps(
             {"nb_iter": 5, "tau": 3, "thr_slope": slope, "thr_intercept": intercept,
@@ -423,8 +428,7 @@ class TestRecord:
         # an existing checkpoint resumes only under the same tag
         path = str(tmp_path / "ckpt.json")
         run_dfr(custom_params(r=1259, w=42, t=30), WeakKeys(WeakKeySpec.parse("type1:f=10")),
-                HonestErrors(), StopRule(max_trials=1), master_seed=7, batch_size=256,
-                checkpoint_path=path, checkpoint_every=1)
+                HonestErrors(), StopRule(max_trials=1), master_seed=7, checkpoint_path=path)
         tag = json.load(open(path))["tag"]
         assert tag == "fb05b11e34caeedf1d905347146ef4c2dfc11dcc2ac94d68e977a52c2a60034a"
 

@@ -83,6 +83,8 @@ CASES = [
                                   "--key-class", "fixed:k1259.json", "--max-trials", "20"]),
     ("exit2-fixed-key-rs", [*DFR, *R1259, "--rs", "1259,1283", "--key-class",
                             "fixed:k1259.json", "--max-trials", "20"]),
+    ("exit2-l-without-custom", ["keygen", *L1, "--l", "128", "--key-out", "never.json"]),
+    ("exit2-level-with-custom", ["keygen", "--level", "3", *TOY, "--key-out", "never.json"]),
 ]
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from bikelab import (ParameterError, count_type1, count_type2_upper, count_type3_upper,
                      custom_params, distance, gen_psi_d_error, gen_type1, gen_type2,
-                     gen_type3, level_params, reconstruct_from_spectrum, spectrum,
-                     spectrum_of_support)
+                     gen_type3, level_params, log2_count, reconstruct_from_spectrum,
+                     spectrum)
 from bikelab.kem import expand_u64_seed
 from bikelab.ring import RingParams, SparsePoly
 from bikelab.weakkeys import DistanceSpectrum, WeakKeySpec, difference_counts, log2_density
@@ -16,10 +16,15 @@ from bikelab.weakkeys import DistanceSpectrum, WeakKeySpec, difference_counts, l
 from ring_oracle import canonical_orbit, shift, star
 
 TOY = custom_params(r=1019, w=42, t=30)
+R31 = RingParams(31)
 
 
 def seed(i: int) -> bytes:
     return expand_u64_seed(i)
+
+
+def spectrum_of(supp, ring=R31):
+    return spectrum(SparsePoly.from_indices(ring, supp))
 
 
 class TestDistance:
@@ -46,44 +51,31 @@ def rotation_count_spectrum(h: SparsePoly, U: int) -> dict[int, int]:
 
 class TestSpectrum:
     def test_weight_one(self):
-        spec = spectrum_of_support((4,), 31)
+        spec = spectrum_of((4,))
         assert all(m == 0 for m in spec.mult.values())
-
-    def test_adjacent_wrap_pair_r10(self):
-        spec = spectrum_of_support((0, 9), 10)
-        assert spec.mult[1] == 1
-        assert sum(spec.mult.values()) == 1
-
-    def test_even_r_halfway_pair_counts_once(self):
-        spec = spectrum_of_support((0, 5), 10)
-        assert spec.mult[5] == 1
 
     def test_matches_rotation_oracle_r31(self):
         ring = RingParams(31)
         rng = random.Random(1)
         for _ in range(40):
             h = SparsePoly(ring, tuple(sorted(rng.sample(range(31), 7))))
-            spec = spectrum(h, 15)
+            spec = spectrum(h)
             assert spec.mult == rotation_count_spectrum(h, 15)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sets(st.integers(0, 30), min_size=2, max_size=8), st.integers(0, 30))
     def test_rotation_invariance(self, supp, k):
         rotated = tuple(sorted((p + k) % 31 for p in supp))
-        a = spectrum_of_support(tuple(sorted(supp)), 31)
-        b = spectrum_of_support(rotated, 31)
+        a = spectrum_of(supp)
+        b = spectrum_of(rotated)
         assert a.mult == b.mult
 
     @settings(max_examples=40, deadline=None)
     @given(st.sets(st.integers(0, 30), min_size=2, max_size=10))
     def test_total_is_pairs(self, supp):
-        spec = spectrum_of_support(tuple(sorted(supp)), 31)
+        spec = spectrum_of(supp)
         n = len(supp)
         assert sum(spec.mult.values()) == n * (n - 1) // 2
-
-    def test_u_validation(self):
-        with pytest.raises(ParameterError):
-            spectrum_of_support((0, 1), 31, U=16)
 
 
 class TestDifferenceCounts:
@@ -247,13 +239,13 @@ class TestCounting:
 
     def test_type1_f_max_degenerate(self, l1_params):
         r = l1_params.r
-        assert count_type1(l1_params, l1_params.w2).value == 2 * r * (r // 2)
+        assert count_type1(l1_params, l1_params.w2) == 2 * r * (r // 2)
 
     def test_type2_s2_closed_form(self):
         params = custom_params(r=31, w=10, t=4)
         m = 3
         # s=2 makes both binomials C(., 0) = 1 inside their support
-        got = count_type2_upper(params, m, 2).value
+        got = count_type2_upper(params, m, 2)
         total = 0
         for z1 in range(1, params.r - params.w + m + 2):
             for o1 in range(1, m + 2):
@@ -262,7 +254,7 @@ class TestCounting:
         assert got == 2 * (params.r // 2) * total
 
     def test_type2_monotone_in_m(self, l1_params):
-        values = [count_type2_upper(l1_params, m, 4).value for m in range(1, 30)]
+        values = [count_type2_upper(l1_params, m, 4) for m in range(1, 30)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_type2_matches_composition_enumeration(self):
@@ -290,24 +282,28 @@ class TestCounting:
                 n_zeros = sum(1 for _ in compositions(params.r - w2 - z1, s - 1))
                 total += (o1 + z1) * n_ones * n_zeros
         expected = 2 * (params.r // 2) * total
-        assert count_type2_upper(params, m, s).value == expected
+        assert count_type2_upper(params, m, s) == expected
 
     def test_type3_m_max(self, l1_params):
-        assert count_type3_upper(l1_params, l1_params.w2).value == l1_params.r
+        assert count_type3_upper(l1_params, l1_params.w2) == l1_params.r
 
     def test_type3_m_zero_degenerate(self, l1_params):
         expected = l1_params.r * math.comb(l1_params.r, l1_params.w2)
-        assert count_type3_upper(l1_params, 0).value == expected
+        assert count_type3_upper(l1_params, 0) == expected
 
     def test_type3_eta_decreasing_in_m(self, l1_params):
         values = [log2_density(l1_params, count_type3_upper(l1_params, m))
                   for m in range(2, 71)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_bigcount_log2_precision(self, l1_params):
+    def test_log2_count(self, l1_params):
         cnt = count_type1(l1_params, 5)
-        # at least 10 significant digits against exact integer log
-        assert cnt.log2 == pytest.approx(math.log2(cnt.value), rel=1e-12)
+        # at least 10 significant digits against the exact integer's bit length
+        top = cnt >> (cnt.bit_length() - 53)
+        assert log2_count(cnt) == pytest.approx(cnt.bit_length() - 53 + math.log2(top),
+                                                rel=1e-12)
+        assert log2_count(0) == float("-inf")
+        assert log2_density(l1_params, 0) == float("-inf")
 
     def test_validation(self, l1_params):
         with pytest.raises(ParameterError):
@@ -318,8 +314,8 @@ class TestCounting:
 
 class TestReconstruction:
     def test_weight_two(self):
-        spec = spectrum_of_support((0, 4), 31)
-        got = reconstruct_from_spectrum(spec, 2, 31)
+        spec = spectrum_of((0, 4))
+        got = reconstruct_from_spectrum(spec, 2)
         assert got is not None
         assert canonical_orbit(got.support, 31) == canonical_orbit((0, 4), 31)
 
@@ -328,8 +324,8 @@ class TestReconstruction:
         rng = random.Random(13)
         for _ in range(20):
             supp = tuple(sorted(rng.sample(range(31), 5)))
-            spec = spectrum_of_support(supp, 31)
-            got = reconstruct_from_spectrum(spec, 5, 31)
+            spec = spectrum_of(supp)
+            got = reconstruct_from_spectrum(spec, 5)
             assert got is not None
             assert spectrum(got).mult == spec.mult
 
@@ -343,19 +339,14 @@ class TestReconstruction:
         for s in seeds:
             rng = random.Random(s)
             supp = tuple(sorted(rng.sample(range(r), w)))
-            spec = spectrum_of_support(supp, r)
-            got = reconstruct_from_spectrum(spec, w, r)
+            spec = spectrum_of(supp, RingParams(r))
+            got = reconstruct_from_spectrum(spec, w)
             assert got is not None
             assert canonical_orbit(got.support, r) == canonical_orbit(supp, r)
 
     def test_infeasible_total_fails_fast(self):
-        bad = DistanceSpectrum(r=31, U=15, mult=dict.fromkeys(range(1, 16), 1))
-        assert reconstruct_from_spectrum(bad, 3, 31) is None
-
-    def test_incomplete_spectrum_rejected(self):
-        spec = spectrum_of_support((0, 4), 31, U=10)
-        with pytest.raises(ParameterError):
-            reconstruct_from_spectrum(spec, 2, 31)
+        bad = DistanceSpectrum(r=31, mult=dict.fromkeys(range(1, 16), 1))
+        assert reconstruct_from_spectrum(bad, 3) is None
 
 
 class TestWeakKeySpecParsing:
