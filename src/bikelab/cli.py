@@ -14,6 +14,7 @@ import functools
 import math
 import sys
 import time
+from dataclasses import asdict, astuple
 
 from . import dfr as dfrlab
 from . import files
@@ -59,8 +60,7 @@ def _int(text: str, error: str) -> int:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        files.write_text(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -97,10 +97,8 @@ def cmd_decaps(args) -> int:
     files.write_shared_key(args.ss_out, k)
     report = {"shared_key_file": args.ss_out}
     if args.trace_csv:
-        with open(args.trace_csv, "w") as fh:
-            fh.write(IterationTrace.CSV_HEADER + "\n")
-            for row in outcome.trace:
-                fh.write(row.csv_row() + "\n")
+        files.write_text(args.trace_csv,
+                         files.csv_text(IterationTrace.CSV_HEADER, map(astuple, outcome.trace)))
     if args.diagnostics:
         report.update(decoder_success=outcome.success, iterations=outcome.iterations_run)
     sys.stdout.write(files.dumps_canonical(report))
@@ -117,12 +115,9 @@ def cmd_weakkey_gen(args) -> int:
     files.write_key(args.key_out, params, sk, public_key(sk.h0, sk.h1))
     if args.spectrum_csv:
         spec0 = spectrum(sk.h0)
-        with open(args.spectrum_csv, "w") as fh:
-            fh.write(spec0.CSV_HEADER + "\n")
-            for row in spec0.csv_rows():
-                fh.write(row + "\n")
+        files.write_text(args.spectrum_csv, files.csv_text(spec0.CSV_HEADER, spec0.mult.items()))
     sys.stdout.write(files.dumps_canonical(
-        {"key_file": args.key_out, "weak_spec": spec.to_json_dict()}))
+        {"key_file": args.key_out, "weak_spec": asdict(spec)}))
     return 0
 
 
@@ -197,8 +192,6 @@ def cmd_dfr(args) -> int:
     error_source = _parse_error_source(args.error_source)
 
     records = []
-    points = []
-    dropped = []   # r values left out of the extrapolation, with the reason
     for params in sweep:
         progress = _progress_printer(params.r, stop) if args.verbose else None
         rec = dfrlab.run_dfr(params, key_class, error_source, stop,
@@ -207,31 +200,29 @@ def cmd_dfr(args) -> int:
         if not args.no_timestamp:
             rec["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         records.append(rec)
-        if rec["failures"] > 0:
-            points.append((params.r, math.log2(rec["dfr_point"])))
-        else:
-            dropped.append({"r": params.r, "reason": f"0 failures in {rec['trials']} "
-                            "trials, so log2 DFR is -inf"})
 
     out: dict = {"records": records, "extrapolation": None, "pw": None}
     if args.extrapolate_to is not None:
-        if len(points) < 2:
+        # records run in ascending r, so the line runs through the last two with failures
+        fit = [rec for rec in records if rec["failures"]][-2:]
+        dropped = [{"r": rec["params"]["r"], "reason": (
+                        "the line runs through the two largest r with failures" if rec["failures"]
+                        else f"0 failures in {rec['trials']} trials, so log2 DFR is -inf")}
+                   for rec in records if rec not in fit]
+        if len(fit) < 2:
             zero = ", ".join(str(d["r"]) for d in dropped)
             raise ParameterError("extrapolation needs two r values with failures "
                                  f"(r without failures: {zero})")
-        extra = dfrlab.extrapolate(points[-2], points[-1], args.extrapolate_to)
-        dropped += [{"r": r, "reason": "the line runs through the two largest r with "
-                     "failures"} for r, _ in points[:-2]]
-        dropped.sort(key=lambda d: d["r"])
+        extra = dfrlab.extrapolate(*[(rec["params"]["r"], math.log2(rec["dfr_point"]))
+                                     for rec in fit], args.extrapolate_to)
         out["extrapolation"] = {**extra, "dropped": dropped}
         if args.eta_from:
             out["pw"] = dfrlab.pw_check(log2_eta, extra["log2_dfr_at_target"],
                                         target.security_bits, queries=args.queries)
 
     if args.format == "csv":
-        lines = [dfrlab.SUMMARY_CSV_HEADER]
-        lines += [dfrlab.summary_csv_row(rec) for rec in records]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, files.csv_text(dfrlab.SUMMARY_CSV_HEADER,
+                                   map(dfrlab.summary_csv_row, records)))
     else:
         _emit(args, files.dumps_canonical(out))
     return 0
@@ -240,7 +231,7 @@ def cmd_dfr(args) -> int:
 def cmd_eta(args) -> int:
     params = _params_from_args(args)
     values = _parse_range(args.param_range)
-    lines = [ETA_CSV_HEADER]
+    rows = []
     if args.s is not None and args.type != 2:
         raise ParameterError(f"--s is read only with --type 2, not --type {args.type}")
     s = 2 if args.s is None else args.s
@@ -250,12 +241,12 @@ def cmd_eta(args) -> int:
     for v in values:
         cnt = count(params, v)
         eta = log2_density(params, cnt)
-        lines.append(f"{args.type},{v},{s_field},{log2_count(cnt):.6f},{eta:.6f}")
+        rows.append([args.type, v, s_field, f"{log2_count(cnt):.6f}", f"{eta:.6f}"])
         if eta > 0:
             print(f"note: type {args.type} param {v}: log2_eta {eta:.2f} > 0, the count "
                   "bound exceeds the key space, so this row is not a density",
                   file=sys.stderr)
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, files.csv_text(ETA_CSV_HEADER, rows))
     return 0
 
 

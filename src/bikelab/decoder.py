@@ -114,11 +114,8 @@ class IterationTrace:
     black: int
     gray: int
 
+    # the fields in order, so a row is astuple(trace)
     CSV_HEADER = "iter,syndrome_weight,threshold,flips,black,gray"
-
-    def csv_row(self) -> str:
-        return (f"{self.iteration},{self.syndrome_weight},{self.threshold},"
-                f"{self.flips},{self.black},{self.gray}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__, files
 from .decoder import DecoderConfig, bgf_decode
@@ -55,7 +55,7 @@ class WeakKeys:
         return self.spec.generate(params, seed)
 
     def describe(self) -> dict:
-        return {"kind": "weak", **self.spec.to_json_dict()}
+        return {"kind": "weak", **asdict(self.spec)}
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,6 @@ class StopRule:
             needed = max(needed, -(-self.min_failures * trials // failures))
         return min(self.max_trials, needed)
 
-    def to_json_dict(self) -> dict:
-        return {"min_trials": self.min_trials, "min_failures": self.min_failures,
-                "max_trials": self.max_trials}
-
 
 def trial_seeds(master_seed: int, index: int) -> tuple[bytes, bytes]:
     """(key seed, error seed) for one trial; the only source of trial randomness."""
@@ -202,7 +198,7 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
     rec = {"schema_version": RECORD_SCHEMA_VERSION, "code_version": __version__,
            "params": params.to_json_dict(), "key_class": key_class.describe(),
            "error_source": error_source.describe(), "decoder": cfg.to_json_dict(),
-           "stop": stop.to_json_dict(), "master_seed": master_seed}
+           "stop": asdict(stop), "master_seed": master_seed}
 
     trials = failures = 0
     tag = _checkpoint_tag(rec, key_class)
@@ -257,11 +253,9 @@ def _checkpoint_tag(rec: dict, key_class) -> str:
 
 
 def _save_checkpoint(path: str, tag: str, trials: int, failures: int) -> None:
-    blob = {"schema_version": RECORD_SCHEMA_VERSION, "tag": tag,
-            "trials_done": trials, "failures": failures}
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(blob, fh)
+    files.write_json(tmp, {"schema_version": RECORD_SCHEMA_VERSION, "tag": tag,
+                           "trials_done": trials, "failures": failures})
     os.replace(tmp, path)
 
 
@@ -414,6 +408,7 @@ def avg_dfr_decompose(eta_w: float, dfr_w: float, dfr_s: float) -> float:
 SUMMARY_CSV_HEADER = "r,trials,failures,dfr,ci_low,ci_high"
 
 
-def summary_csv_row(record: dict) -> str:
-    return (f"{record['params']['r']},{record['trials']},{record['failures']},"
-            f"{record['dfr_point']:.10g},{record['ci_low']:.10g},{record['ci_high']:.10g}")
+def summary_csv_row(record: dict) -> list:
+    """One record's fields under SUMMARY_CSV_HEADER, for :func:`files.csv_text`."""
+    return [record["params"]["r"], record["trials"], record["failures"],
+            *(format(record[k], ".10g") for k in ("dfr_point", "ci_low", "ci_high"))]

@@ -1,4 +1,4 @@
-"""JSON file formats for keys, ciphertexts, shared keys, and verdicts.
+"""File formats for keys, ciphertexts, shared keys and verdicts, and the one file writer.
 
 Key files carry both halves of the key pair:
 
@@ -7,7 +7,8 @@ Key files carry both halves of the key pair:
 
 Ciphertext files are {"c0_hex": "...", "c1_hex": "..."}.  All JSON emitted by
 the package uses sorted keys and compact separators so identical inputs
-produce byte-identical files.
+produce byte-identical files.  Every file the package writes, CSV included,
+goes through :func:`write_text`.
 """
 
 from __future__ import annotations
@@ -23,9 +24,19 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def write_json(path: str, obj) -> None:
+def write_text(path: str, text: str) -> None:
+    """The package's one file writer."""
     with open(path, "w") as fh:
-        fh.write(dumps_canonical(obj))
+        fh.write(text)
+
+
+def write_json(path: str, obj) -> None:
+    write_text(path, dumps_canonical(obj))
+
+
+def csv_text(header: str, rows) -> str:
+    """The header line, then each row's fields joined by commas, one line each."""
+    return "".join(f"{line}\n" for line in [header, *(",".join(map(str, row)) for row in rows)])
 
 
 def load_json(path: str) -> dict:
@@ -68,18 +79,10 @@ def params_from_dict(blob: dict, path: str = "<params>") -> SystemParams:
         raise SchemaError(f"{path}: invalid params ({exc})", field="params") from exc
 
 
-def key_to_dict(params: SystemParams, sk: PrivateKey, pk: PublicKey) -> dict:
-    return {
-        "params": params.to_json_dict(),
-        "h0_support": list(sk.h0.support),
-        "h1_support": list(sk.h1.support),
-        "sigma_hex": sk.sigma.hex(),
-        "h_hex": pk.h.to_hex(),
-    }
-
-
 def write_key(path: str, params: SystemParams, sk: PrivateKey, pk: PublicKey) -> None:
-    write_json(path, key_to_dict(params, sk, pk))
+    write_json(path, {"params": params.to_json_dict(), "h0_support": list(sk.h0.support),
+                      "h1_support": list(sk.h1.support), "sigma_hex": sk.sigma.hex(),
+                      "h_hex": pk.h.to_hex()})
 
 
 def read_key(path: str) -> tuple[SystemParams, PrivateKey, PublicKey]:
@@ -114,12 +117,8 @@ def read_public_key(path: str) -> tuple[SystemParams, PublicKey]:
     return params, PublicKey(h=h)
 
 
-def ciphertext_to_dict(c: Ciphertext) -> dict:
-    return {"c0_hex": c.c0.to_hex(), "c1_hex": c.c1.hex()}
-
-
 def write_ciphertext(path: str, c: Ciphertext) -> None:
-    write_json(path, ciphertext_to_dict(c))
+    write_json(path, {"c0_hex": c.c0.to_hex(), "c1_hex": c.c1.hex()})
 
 
 def read_ciphertext(path: str, params: SystemParams) -> Ciphertext:

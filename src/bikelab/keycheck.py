@@ -34,31 +34,15 @@ class KeyCheckConfig:
 
 
 @dataclass(frozen=True)
-class PerBlockMultiplicity:
-    block: int
-    distance: int
-    multiplicity: int
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "per_block_multiplicity", "block": self.block,
-                "distance": self.distance, "multiplicity": self.multiplicity}
-
-
-@dataclass(frozen=True)
-class CrossBlockIntersection:
-    shift: int
-    size: int
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "cross_block_intersection", "shift": self.shift,
-                "size": self.size}
-
-
-@dataclass(frozen=True)
 class KeyVerdict:
-    """A key is Weak exactly when the screen found a reason; Normal otherwise."""
+    """A key is Weak exactly when the screen found a reason; Normal otherwise.
 
-    reason: PerBlockMultiplicity | CrossBlockIntersection | None = None
+    The reason is the dict the verdict JSON prints: {"kind":
+    "per_block_multiplicity", "block", "distance", "multiplicity"} or {"kind":
+    "cross_block_intersection", "shift", "size"}.
+    """
+
+    reason: dict | None = None
 
     @property
     def is_weak(self) -> bool:
@@ -69,9 +53,7 @@ class KeyVerdict:
         return "Weak" if self.is_weak else "Normal"
 
     def to_json_dict(self, cfg: KeyCheckConfig) -> dict:
-        return {"verdict": self.verdict,
-                "reason": self.reason.to_json_dict() if self.reason else None,
-                "T": cfg.threshold_T}
+        return {"verdict": self.verdict, "reason": self.reason, "T": cfg.threshold_T}
 
 
 def key_check(h0: SparsePoly, h1: SparsePoly, cfg: KeyCheckConfig) -> KeyVerdict:
@@ -86,14 +68,15 @@ def key_check(h0: SparsePoly, h1: SparsePoly, cfg: KeyCheckConfig) -> KeyVerdict
         mult = distance_multiplicities(h.support, r)
         worst = int(np.argmax(mult))  # first maximum: ties go to the smallest d
         if mult[worst] > t:
-            return KeyVerdict(PerBlockMultiplicity(
-                block=block_index, distance=worst, multiplicity=int(mult[worst])))
+            return KeyVerdict({"kind": "per_block_multiplicity", "block": block_index,
+                               "distance": worst, "multiplicity": int(mult[worst])})
 
     overlap = difference_counts(h0.support, h1.support, r)
     if overlap.max() > t:
         shifts = pair_differences(h0.support, h1.support, r)
         shift = int(shifts[np.argmax(overlap[shifts] > t)])
-        return KeyVerdict(CrossBlockIntersection(shift=shift, size=int(overlap[shift])))
+        return KeyVerdict({"kind": "cross_block_intersection", "shift": shift,
+                           "size": int(overlap[shift])})
     return KeyVerdict()
 
 

@@ -31,6 +31,8 @@ class SystemParams:
             raise ParameterError(f"r must be odd and >= 3, got {self.r}")
         if self.w % 2 != 0 or (self.w // 2) % 2 != 1:
             raise ParameterError(f"w must be even with w/2 odd, got {self.w}")
+        if self.w // 2 > self.r:
+            raise ParameterError(f"w/2 must be at most r, got w={self.w} and r={self.r}")
         if not 0 < self.t <= 2 * self.r:
             raise ParameterError(f"t out of range: {self.t}")
         if self.l <= 0 or self.security_bits <= 0:

@@ -86,9 +86,6 @@ class DistanceSpectrum:
     def existing(self) -> set[int]:
         return {d for d, m in self.mult.items() if m > 0}
 
-    def csv_rows(self) -> list[str]:
-        return [f"{d},{m}" for d, m in self.mult.items()]
-
     CSV_HEADER = "d,multiplicity"
 
 
@@ -146,10 +143,6 @@ class WeakKeySpec:
         if self.family == 3:
             return log2_density(params, count_type3_upper(params, self.m))
         raise ParameterError("type 2 has no density without a run count; use type1 or type3")
-
-    def to_json_dict(self) -> dict:
-        return {"family": self.family, "f": self.f, "d": self.d,
-                "l_shift": self.l_shift, "m": self.m}
 
     @classmethod
     def parse(cls, text: str) -> "WeakKeySpec":
@@ -232,6 +225,9 @@ def gen_type3(params: SystemParams, m: int, seed: bytes) -> PrivateKey:
     """Blocks where a rotation of h1 matches h0 in exactly m support positions."""
     r, w2 = params.r, params.w2
     _check_range("m", m, 1, w2)
+    if r < params.w - m:
+        # h1's fill draws w/2 - m positions from the r - w/2 that miss the rotated h0
+        raise ParameterError(f"type 3 needs r >= w - m = {params.w - m}, got r={r}")
     ring = params.ring
     stream = XofStream(TAG_WEAK, [seed, bytes([3])])
     for _ in range(_RESAMPLE_BUDGET):

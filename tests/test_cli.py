@@ -1,7 +1,12 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +21,7 @@ from bikelab.weakkeys import WeakKeySpec, log2_density, spectrum
 from ring_oracle import invert_oracle
 
 TOY_ARGS = ["--r", "613", "--w", "30", "--t", "14"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -396,7 +402,7 @@ class TestWeakkeyAndKeycheck:
         code, out, _ = run_cli(capsys, "weakkey", "gen", *flags, *TOY_ARGS, "--seed", "4",
                                "--key-out", str(tmp_path / "k.json"))
         assert code == 0
-        assert json.loads(out)["weak_spec"] == WeakKeySpec.parse(descriptor).to_json_dict()
+        assert json.loads(out)["weak_spec"] == asdict(WeakKeySpec.parse(descriptor))
 
     @pytest.mark.parametrize("flags", [
         ["--type", "3", "--m", "3", "--f", "9"],
@@ -410,6 +416,24 @@ class TestWeakkeyAndKeycheck:
                                "--key-out", str(tmp_path / "k.json"))
         assert code == 2
         assert f"type {flags[1]} takes no {flags[4][2:]}" in err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--type", "3", "--m", "1", "--r", "11", "--w", "14", "--t", "4"],
+         "type 3 needs r >= w - m = 13, got r=11"),
+        (["--type", "2", "--m", "2", "--d", "1", "--r", "11", "--w", "30", "--t", "4"],
+         "w/2 must be at most r, got w=30 and r=11"),
+    ], ids=["type3-fill-short", "type2-w2-above-r"])
+    def test_unfillable_weak_key_rejected(self, tmp_path, flags, message):
+        # in a child process with a timeout: a fill loop that cannot finish
+        # would hang the suite instead of failing this test
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "bikelab.cli", "weakkey", "gen", *flags,
+                               "--key-out", str(tmp_path / "k.json")],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert not (tmp_path / "k.json").exists()
 
 
 class TestDfrCommand:

@@ -1,11 +1,12 @@
 import math
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from bikelab import (DecoderConfig, ParameterError, bgf_decode, compute_upc,
-                     custom_params, decoder, level_params, threshold)
+                     custom_params, decoder, files, level_params, threshold)
 from bikelab.decoder import DecodeOutcome, IterationTrace
 from bikelab.dfr import HonestErrors
 from bikelab.kem import expand_u64_seed, sample_private_key
@@ -285,8 +286,9 @@ class TestBgfDecode:
         assert first.iteration == 1
         assert first.syndrome_weight == s.weight()
         assert first.threshold == threshold(s.weight(), cfg)
-        row = first.csv_row()
-        assert row.count(",") == 5
+        header, row = files.csv_text(IterationTrace.CSV_HEADER, [astuple(first)]).splitlines()
+        assert row.count(",") == header.count(",") == 5
+        assert row.startswith(f"1,{s.weight()},")
 
     def test_dimension_mismatch(self, toy_params):
         rng = random.Random(14)

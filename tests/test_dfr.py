@@ -8,7 +8,7 @@ from bikelab import (DecoderConfig, FixedKey, HonestErrors, NormalKeys, Paramete
                      PsiErrors, StopRule, WeakKeys, avg_dfr_decompose,
                      confidence_interval, custom_params, extrapolate, level_params,
                      pw_check, run_dfr, sample_private_key)
-from bikelab import bgf_decode, dfr
+from bikelab import bgf_decode, dfr, files
 from bikelab.dfr import SUMMARY_CSV_HEADER, run_trial, summary_csv_row, trial_seeds
 from bikelab.kem import expand_u64_seed
 from bikelab.ring import mul_sparse
@@ -404,7 +404,7 @@ class TestRecord:
         }
         assert rec["params"]["standard"] is False
         assert rec["decoder"] == DecoderConfig.for_params(TOY).to_json_dict()
-        assert rec["stop"] == stop.to_json_dict()
+        assert rec["stop"] == {"min_trials": 0, "min_failures": 10**9, "max_trials": 16}
         assert rec["timestamp"] == ""  # only the CLI stamps a record
         json.dumps(rec)  # serializable
 
@@ -432,10 +432,21 @@ class TestRecord:
         tag = json.load(open(path))["tag"]
         assert tag == "fb05b11e34caeedf1d905347146ef4c2dfc11dcc2ac94d68e977a52c2a60034a"
 
+    def test_checkpoint_is_canonical_json(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        run_dfr(TOY, NormalKeys(), HonestErrors(), StopRule(max_trials=1), master_seed=7,
+                checkpoint_path=str(path))
+        text = path.read_text()
+        blob = json.loads(text)
+        assert set(blob) == {"schema_version", "tag", "trials_done", "failures"}
+        assert text == files.dumps_canonical(blob)
+        assert not (tmp_path / "ckpt.json.tmp").exists()
+
     def test_summary_csv(self):
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=16)
         rec = run_dfr(TOY, NormalKeys(), HonestErrors(), stop, master_seed=16)
         assert SUMMARY_CSV_HEADER.split(",") == ["r", "trials", "failures", "dfr",
                                                  "ci_low", "ci_high"]
         row = summary_csv_row(rec)
-        assert row.startswith("613,16,")
+        assert row[:2] == [613, 16]
+        assert len(row) == 6

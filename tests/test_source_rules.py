@@ -1,7 +1,10 @@
-"""Rules the package source keeps: no assert statements, and only stdlib and numpy imports.
+"""Rules the package source keeps: no assert statements, only stdlib and numpy
+imports, and no file opened outside ``files.py``.
 
 An ``assert`` vanishes under ``python -O``, so nothing in the package validates
-with one.  The runtime dependencies are the standard library plus numpy.
+with one.  The runtime dependencies are the standard library plus numpy.  Every
+file the package reads or writes goes through ``files``, so output formats and
+write paths live in one module.
 """
 
 import ast
@@ -30,3 +33,14 @@ def test_no_assert_and_only_stdlib_or_numpy_imports(path):
             roots.add(node.module.split(".")[0])
     assert asserts == []
     assert roots - ALLOWED == set()
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "files.py"],
+                         ids=lambda p: p.name)
+def test_only_files_opens_files(path):
+    # open(...), and io.open / os.open / Path.open alike
+    tree = ast.parse(path.read_text(), filename=str(path))
+    opens = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) == "open"
+                  or getattr(node.func, "attr", None) == "open")]
+    assert opens == []

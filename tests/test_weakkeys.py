@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bikelab import (ParameterError, count_type1, count_type2_upper, count_type3_upper,
+from bikelab import (ParameterError, WeakKeys, count_type1, count_type2_upper, count_type3_upper,
                      custom_params, distance, gen_psi_d_error, gen_type1, gen_type2,
                      gen_type3, level_params, log2_count, reconstruct_from_spectrum,
                      spectrum)
@@ -379,10 +379,10 @@ class TestWeakKeySpecParsing:
                 WeakKeySpec.parse(text)
 
     def test_type2_and_type3_describe_no_run(self):
-        assert WeakKeySpec.parse("type2:m=3").to_json_dict() == {
-            "family": 2, "f": None, "d": 1, "l_shift": 0, "m": 3}
-        assert WeakKeySpec.parse("type3:m=3").to_json_dict() == {
-            "family": 3, "f": None, "d": None, "l_shift": 0, "m": 3}
+        assert WeakKeys(WeakKeySpec.parse("type2:m=3")).describe() == {
+            "kind": "weak", "family": 2, "f": None, "d": 1, "l_shift": 0, "m": 3}
+        assert WeakKeys(WeakKeySpec.parse("type3:m=3")).describe() == {
+            "kind": "weak", "family": 3, "f": None, "d": None, "l_shift": 0, "m": 3}
 
     def test_log2_eta(self):
         params = level_params(1)
@@ -394,5 +394,5 @@ class TestWeakKeySpecParsing:
             WeakKeySpec.parse("type2:m=3").log2_eta(params)
 
     def test_json_round_shape(self):
-        blob = WeakKeySpec.parse("type1:f=8").to_json_dict()
-        assert set(blob) == {"family", "f", "d", "l_shift", "m"}
+        blob = WeakKeys(WeakKeySpec.parse("type1:f=8")).describe()
+        assert blob == {"kind": "weak", "family": 1, "f": 8, "d": 1, "l_shift": 0, "m": None}
