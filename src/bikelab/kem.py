@@ -70,12 +70,24 @@ class XofStream:
         self._pos = end
         return out
 
-    def read_u32(self) -> int:
-        return int.from_bytes(self.read(4), "little")
-
     def read_u32s(self, k: int) -> tuple[int, ...]:
-        """k little-endian 32-bit words, as k calls of :meth:`read_u32` would give."""
+        """The next k little-endian 32-bit words."""
         return struct.unpack(f"<{k}I", self.read(4 * k))
+
+    def indices(self, n: int, k: int) -> list[int]:
+        """The next k accepted indices in [0, n), in stream order.
+
+        A word v is accepted when it lies below the largest multiple of n that is
+        at most 2^32 (no modulo bias), and gives v mod n.  Each round reads as many
+        words as indices are missing: a word gives at most one index, so the
+        stream ends right after the k-th accepted word, where a one-word-at-a-time
+        loop would leave it.
+        """
+        limit = (1 << 32) // n * n
+        out: list[int] = []
+        while len(out) < k:
+            out += [v % n for v in self.read_u32s(k - len(out)) if v < limit]
+        return out
 
     def read_bits(self, nbits: int) -> bytes:
         """ceil(nbits/8) bytes with bits above nbits cleared in the last byte."""
@@ -95,20 +107,15 @@ def expand_u64_seed(seed: int) -> bytes:
 def sample_fixed_weight(stream: XofStream, n_total: int, weight: int) -> tuple[int, ...]:
     """Exactly ``weight`` distinct indices in [0, n_total), uniform and unbiased.
 
-    Reads little-endian 32-bit values; values at or above the largest multiple
-    of n_total below 2^32 are rejected (no modulo bias), as are duplicates.
-    Each round reads as many words as indices are missing: a word adds at most
-    one index, so no word is read that a one-word-at-a-time loop would skip,
-    and the stream ends where that loop would leave it.
+    The first ``weight`` distinct values of :meth:`XofStream.indices`; each round
+    asks for as many indices as are missing, so the stream ends right after the
+    index that completes the set.
     """
     if weight > n_total:
         raise ParameterError(f"weight {weight} exceeds domain size {n_total}")
-    limit = (1 << 32) // n_total * n_total
     chosen: set[int] = set()
     while len(chosen) < weight:
-        for v in stream.read_u32s(weight - len(chosen)):
-            if v < limit:
-                chosen.add(v % n_total)
+        chosen.update(stream.indices(n_total, weight - len(chosen)))
     return tuple(sorted(chosen))
 
 

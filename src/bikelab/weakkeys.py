@@ -67,15 +67,6 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
         raise ParameterError(f"{name} must be in [{lo}, {hi}], got {value}")
 
 
-def _draw_index(stream: XofStream, n: int) -> int:
-    """One unbiased index in [0, n) (same rejection rule as the weight sampler)."""
-    limit = (1 << 32) // n * n
-    while True:
-        v = stream.read_u32()
-        if v < limit:
-            return v % n
-
-
 @dataclass(frozen=True)
 class DistanceSpectrum:
     """Multiplicity of every distance 1..floor(r/2) among a support's position pairs."""
@@ -201,13 +192,12 @@ def gen_type2(params: SystemParams, d: int, m: int, seed: bytes) -> PrivateKey:
     stream = XofStream(TAG_WEAK, [seed, bytes([2])])
     weak_index = stream.read(1)[0] & 1
     for _ in range(_RESAMPLE_BUDGET):
-        start = _draw_index(stream, r)
-        chain = {(start + j * d) % r for j in range(m + 1)}
-        if len(chain) != m + 1:
+        [start] = stream.indices(r, 1)
+        support = {(start + j * d) % r for j in range(m + 1)}
+        if len(support) != m + 1:
             continue
-        support = set(chain)
         while len(support) < w2:
-            support.add(_draw_index(stream, r))
+            support.update(stream.indices(r, w2 - len(support)))
         block = SparsePoly.from_indices(ring, support)
         if distance_multiplicities(block.support, r)[d] == m:
             structured = block
@@ -234,15 +224,12 @@ def gen_type3(params: SystemParams, m: int, seed: bytes) -> PrivateKey:
         h0 = SparsePoly(ring, sample_fixed_weight(stream, r, w2))
         picked = sample_fixed_weight(stream, w2, m)
         shared = [h0.support[i] for i in picked]
-        rot = _draw_index(stream, r)
+        [rot] = stream.indices(r, 1)
         support = {(p + rot) % r for p in shared}
         while len(support) < w2:
-            cand = _draw_index(stream, r)
-            if cand in support:
-                continue
-            if (cand - rot) % r in h0.support:
-                continue  # would inflate the overlap at the planted alignment
-            support.add(cand)
+            # a candidate whose pre-image lies in h0 would inflate the planted overlap
+            support.update(c for c in stream.indices(r, w2 - len(support))
+                           if (c - rot) % r not in h0.support)
         h1 = SparsePoly.from_indices(ring, support)
         align = (-rot) % r
         if difference_counts(h0.support, h1.support, r)[align] == m:
@@ -251,31 +238,35 @@ def gen_type3(params: SystemParams, m: int, seed: bytes) -> PrivateKey:
 
 
 def gen_psi_d_error(params: SystemParams, d: int, seed: bytes) -> ErrorPair:
-    """Error with all weight in the first half: t/2 disjoint pairs at distance d."""
+    """Error with all weight in the first half: t/2 disjoint pairs at distance d.
+
+    Each accepted index p proposes the pair (p, p + d); a pair that meets a placed
+    one is a miss.  A run of _RESAMPLE_BUDGET misses in a row restarts the
+    placement, and _RESAMPLE_BUDGET restarts give up.
+    """
     r, t = params.r, params.t
     if t % 2 != 0:
         raise ParameterError("crafted pair errors need an even t")
     _check_range("d", d, 1, r // 2)
-    ring = params.ring
+    # the d-pairs of Z_r form gcd(r, d) cycles of odd length r/gcd
+    if t > r - math.gcd(r, d):
+        raise ParameterError(f"at most {(r - math.gcd(r, d)) // 2} disjoint pairs at "
+                             f"distance {d} fit in r={r}; t={t} needs {t // 2}")
     stream = XofStream(TAG_WEAK, [seed, bytes([4]), d.to_bytes(4, "big")])
-    for _ in range(_RESAMPLE_BUDGET):
-        used: set[int] = set()
-        ok = True
-        for _ in range(t // 2):
-            for _ in range(_RESAMPLE_BUDGET):
-                p = _draw_index(stream, r)
-                q = (p + d) % r
-                if p not in used and q not in used and p != q:
-                    used.add(p)
-                    used.add(q)
-                    break
-            else:
-                ok = False
-                break
-        if ok:
-            return ErrorPair(e0=SparsePoly.from_indices(ring, used),
-                             e1=SparsePoly(ring, ()))
-    raise BudgetExhaustedError("could not place disjoint distance-d pairs")
+    used: set[int] = set()
+    misses = restarts = 0
+    while len(used) < t:
+        for p in stream.indices(r, (t - len(used)) // 2):
+            pair = {p, (p + d) % r}
+            misses = 0 if used.isdisjoint(pair) else misses + 1
+            if not misses:
+                used |= pair
+            elif misses == _RESAMPLE_BUDGET:
+                used, misses, restarts = set(), 0, restarts + 1
+                if restarts == _RESAMPLE_BUDGET:
+                    raise BudgetExhaustedError("could not place disjoint distance-d pairs")
+    return ErrorPair(e0=SparsePoly.from_indices(params.ring, used),
+                     e1=SparsePoly(params.ring, ()))
 
 
 # -- exact key-space counting -------------------------------------------------

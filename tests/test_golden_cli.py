@@ -85,11 +85,15 @@ CASES = [
                             "fixed:k1259.json", "--max-trials", "20"]),
     ("exit2-l-without-custom", ["keygen", *L1, "--l", "128", "--key-out", "never.json"]),
     ("exit2-level-with-custom", ["keygen", "--level", "3", *TOY, "--key-out", "never.json"]),
+    ("exit2-psi-unplaceable", [*DFR, "--r", "9", "--w", "2", "--t", "8", "--error-source",
+                               "psi:3", "--max-trials", "3"]),
     # the verdict's cross-block reason and the extrapolation's dropped list, both reasons
     ("keycheck-type3", ["keycheck", "--key", "weak3.json"]),
     ("dfr-dropped", [*DFR, "--r", "523", "--w", "30", "--t", "18", "--rs", "523,541,547,1019",
                      "--max-trials", "64", "--min-failures", "1000000", "--seed", "13",
                      "--extrapolate-to", "12323"]),
+    ("weakkey-gen-type2", ["weakkey", "gen", *L1, "--type", "2", "--m", "5", "--d", "3",
+                           "--seed", "6", "--key-out", "weak2.json"]),
 ]
 
 

@@ -12,6 +12,7 @@ from bikelab.keys import ErrorPair, PrivateKey
 from bikelab.ring import DensePoly, SparsePoly, mul_sparse
 from bikelab.weakkeys import WeakKeySpec
 
+from draw_oracle import one_word_fixed_weight, one_word_index
 from ring_oracle import invert_oracle, shift
 
 
@@ -41,16 +42,6 @@ class TestSampleFixedWeight:
         idx = sample_fixed_weight(XofStream(0x54, [b"y"]), 1019, 40)
         assert len(set(idx)) == 40 and list(idx) == sorted(idx)
 
-    @staticmethod
-    def one_word_at_a_time(stream, n_total, weight):
-        limit = (1 << 32) // n_total * n_total
-        chosen = set()
-        while len(chosen) < weight:
-            v = int.from_bytes(stream.read(4), "little")
-            if v < limit:
-                chosen.add(v % n_total)
-        return tuple(sorted(chosen))
-
     @pytest.mark.parametrize("n_total,weight", [
         (13, 3), (1019, 40), (24646, 134), (12323, 71),
         (2**31 + 1, 6),   # limit = n_total: almost half of all words are rejected
@@ -65,14 +56,30 @@ class TestSampleFixedWeight:
             got_stream.read(offset)
             ref_stream.read(offset)
             got = sample_fixed_weight(got_stream, n_total, weight)
-            assert got == self.one_word_at_a_time(ref_stream, n_total, weight)
+            assert got == one_word_fixed_weight(ref_stream, n_total, weight)
+            assert got_stream.read(16) == ref_stream.read(16)
+
+    @pytest.mark.parametrize("n,k", [
+        (13, 5), (1019, 40), (12323, 1), (13, 0),
+        (2**31 + 1, 6),   # limit = n: almost half of all words are rejected
+        (5, 20),          # more indices than values: repeats are kept, in order
+    ])
+    @pytest.mark.parametrize("offset", [0, 1], ids=["aligned", "odd-offset"])
+    def test_indices_match_one_word_reference_and_leave_stream_in_place(self, n, k, offset):
+        for seed in range(40):
+            fields = [b"idx", seed.to_bytes(4, "big")]
+            got_stream, ref_stream = XofStream(0x54, fields), XofStream(0x54, fields)
+            got_stream.read(offset)
+            ref_stream.read(offset)
+            got = got_stream.indices(n, k)
+            assert got == [one_word_index(ref_stream, n) for _ in range(k)]
             assert got_stream.read(16) == ref_stream.read(16)
 
     def test_read_u32s_equals_repeated_read_u32(self):
         a, b = XofStream(0x54, [b"words"]), XofStream(0x54, [b"words"])
         a.read(3)
         b.read(3)
-        assert a.read_u32s(37) == tuple(b.read_u32() for _ in range(37))
+        assert a.read_u32s(37) == tuple(int.from_bytes(b.read(4), "little") for _ in range(37))
         assert a.read_u32s(0) == ()
         assert a.read(8) == b.read(8)
 

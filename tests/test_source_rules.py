@@ -1,10 +1,11 @@
 """Rules the package source keeps: no assert statements, only stdlib and numpy
-imports, and no file opened outside ``files.py``.
+imports, no file opened outside ``files.py``, and one rejection rule.
 
 An ``assert`` vanishes under ``python -O``, so nothing in the package validates
 with one.  The runtime dependencies are the standard library plus numpy.  Every
 file the package reads or writes goes through ``files``, so output formats and
-write paths live in one module.
+write paths live in one module.  Every index draw goes through
+``XofStream.indices``, so the rejection limit floor(2^32 / n) is computed once.
 """
 
 import ast
@@ -44,3 +45,12 @@ def test_only_files_opens_files(path):
              and (getattr(node.func, "id", None) == "open"
                   or getattr(node.func, "attr", None) == "open")]
     assert opens == []
+
+
+def test_one_rejection_rule():
+    # (1 << 32) // n, or 2**32 // n, anywhere in the package
+    sites = [(path.name, node.lineno) for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+             and ast.unparse(node.left) in ("1 << 32", "2 ** 32", str(1 << 32))]
+    assert len(sites) == 1, sites

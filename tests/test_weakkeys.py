@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bikelab import (ParameterError, WeakKeys, count_type1, count_type2_upper, count_type3_upper,
-                     custom_params, distance, gen_psi_d_error, gen_type1, gen_type2,
-                     gen_type3, level_params, log2_count, reconstruct_from_spectrum,
-                     spectrum)
+from bikelab import (BudgetExhaustedError, ParameterError, WeakKeys, count_type1,
+                     count_type2_upper, count_type3_upper, custom_params, distance,
+                     gen_psi_d_error, gen_type1, gen_type2, gen_type3, level_params, log2_count,
+                     reconstruct_from_spectrum, spectrum, weakkeys)
 from bikelab.kem import expand_u64_seed
 from bikelab.ring import RingParams, SparsePoly
 from bikelab.weakkeys import DistanceSpectrum, WeakKeySpec, difference_counts, log2_density
 
+import draw_oracle
 from ring_oracle import canonical_orbit, shift, star
 
 TOY = custom_params(r=1019, w=42, t=30)
@@ -227,6 +228,90 @@ class TestPsiErrors:
         odd_t = custom_params(r=1019, w=42, t=31)
         with pytest.raises(ParameterError):
             gen_psi_d_error(odd_t, 3, seed(12))
+
+    def test_unplaceable_rejected_up_front(self):
+        # at r=9 the 3-pairs form three 3-cycles, one pair each: 3 pairs, not 4
+        with pytest.raises(ParameterError, match="at most 3 disjoint pairs"):
+            gen_psi_d_error(custom_params(r=9, w=2, t=8), 3, seed(13))
+        with pytest.raises(ParameterError, match="at most 5 disjoint pairs"):
+            gen_psi_d_error(custom_params(r=15, w=2, t=12), 5, seed(13))
+
+    @pytest.mark.parametrize("r,t,d", [(9, 6, 3), (9, 8, 1), (15, 10, 5), (15, 14, 1)])
+    def test_largest_placeable_t_placed(self, r, t, d):
+        # t = r - gcd(r, d): every cycle carries its maximum of pairs
+        e = gen_psi_d_error(custom_params(r=r, w=2, t=t), d, seed(14))
+        assert e.e0.weight() == t
+        assert psi_pairs_matchable(set(e.e0.support), d, r)
+
+
+def outcome(generate, *args):
+    """The generator's output, or the type of the error it raised."""
+    try:
+        return generate(*args)
+    except BudgetExhaustedError as exc:
+        return type(exc)
+
+
+R43 = custom_params(r=43, w=10, t=36)
+
+
+class TestOneWordReference:
+    """Each generator against its one-word reference loop in ``draw_oracle``."""
+
+    @pytest.mark.parametrize("params", [TOY, R43], ids=["r1019", "r43"])
+    def test_type2(self, params):
+        for i in range(100):
+            d, m = 1 + i % 7, 1 + i % (params.w2 - 1)
+            assert outcome(gen_type2, params, d, m, seed(i)) == \
+                outcome(draw_oracle.type2, params, d, m, seed(i))
+
+    @pytest.mark.parametrize("params", [TOY, R43], ids=["r1019", "r43"])
+    def test_type3(self, params):
+        for i in range(100):
+            m = 1 + i % params.w2
+            assert gen_type3(params, m, seed(i)) == draw_oracle.type3(params, m, seed(i))
+
+    def test_psi(self):
+        for i in range(100):
+            d = 1 + i % 509
+            assert gen_psi_d_error(TOY, d, seed(i)) == draw_oracle.psi_counted(TOY, d, seed(i))[0]
+
+    def test_psi_with_restarts(self):
+        restarts = 0
+        for i in range(100):
+            ref, n = draw_oracle.psi_counted(R43, 1, seed(i))
+            assert gen_psi_d_error(R43, 1, seed(i)) == ref
+            restarts += n
+        assert restarts > 0
+
+    @pytest.mark.parametrize("params,paths", [
+        (R43, {"restarted", "gave up"}),
+        (custom_params(r=101, w=10, t=100), {"gave up"}),   # placeable, but never in budget
+    ], ids=["r43", "r101"])
+    def test_psi_small_budget(self, params, paths, monkeypatch):
+        monkeypatch.setattr(weakkeys, "_RESAMPLE_BUDGET", 4)
+        seen = set()
+        for i in range(100):
+            ref = outcome(draw_oracle.psi_counted, params, 1, seed(i))
+            if ref is BudgetExhaustedError:
+                assert outcome(gen_psi_d_error, params, 1, seed(i)) is ref
+                seen.add("gave up")
+            else:
+                assert gen_psi_d_error(params, 1, seed(i)) == ref[0]
+                seen.add("restarted" if ref[1] else "placed")
+        assert seen == paths
+
+    def test_type2_small_budget(self, monkeypatch):
+        # at r=23 an exact multiplicity often needs a redraw, so both paths fire
+        monkeypatch.setattr(weakkeys, "_RESAMPLE_BUDGET", 2)
+        params = custom_params(r=23, w=14, t=36)
+        seen = set()
+        for i in range(100):
+            d, m = 1 + i % 3, 1 + i % (params.w2 - 1)
+            ref = outcome(draw_oracle.type2, params, d, m, seed(i))
+            assert outcome(gen_type2, params, d, m, seed(i)) == ref
+            seen.add(ref is BudgetExhaustedError)
+        assert seen == {True, False}
 
 
 class TestCounting:
