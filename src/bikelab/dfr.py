@@ -14,13 +14,14 @@ continued fraction so the statistics need no external dependency).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 from . import __version__, files
 from .decoder import DecoderConfig, bgf_decode
@@ -46,6 +47,9 @@ class NormalKeys:
     def describe(self) -> dict:
         return {"kind": "normal"}
 
+    def check_params(self, params: SystemParams) -> None:
+        """Every valid parameter set has normal keys."""
+
 
 @dataclass(frozen=True)
 class WeakKeys:
@@ -56,6 +60,10 @@ class WeakKeys:
 
     def describe(self) -> dict:
         return {"kind": "weak", **asdict(self.spec)}
+
+    def check_params(self, params: SystemParams) -> None:
+        """ParameterError unless the family can plant its structure at these parameters."""
+        self.spec.check_params(params)
 
 
 @dataclass(frozen=True)
@@ -174,8 +182,52 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@dataclass(frozen=True)
+class TrialPool:
+    """Where a campaign's batches run: ``map`` over one task per worker.
+
+    Open one with :func:`trial_pool` and hand it to every :func:`run_dfr` of a
+    sweep, so the workers start once for all its campaigns.
+    """
+
+    map: Callable
+    workers: int
+
+
+def _spawn_pool(workers: int):
+    # imported here, so a run without a pool never loads multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context("spawn"))
+
+
+@contextlib.contextmanager
+def trial_pool(parallelism: int):
+    """What :func:`run_dfr` takes as ``parallelism`` to share workers across campaigns.
+
+    Yields a :class:`TrialPool` of min(parallelism, usable CPUs) spawn-start
+    processes, shut down when the block exits.  When that minimum is 1 the
+    pool is this process alone: no process starts and :mod:`multiprocessing`
+    is never imported.
+    """
+    if parallelism < 1:
+        raise ParameterError("parallelism must be >= 1")
+    # a batch splits into one task per worker, and workers beyond the usable
+    # CPUs would only take turns on them
+    workers = min(parallelism, _usable_cpus())
+    if workers == 1:
+        yield TrialPool(map, 1)
+        return
+    executor = _spawn_pool(workers)
+    try:
+        yield TrialPool(executor.map, workers)
+    finally:
+        executor.shutdown()
+
+
 def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
-            master_seed: int, parallelism: int = 1,
+            master_seed: int, parallelism: int | TrialPool = 1,
             checkpoint_path: str | None = None, progress=None) -> dict:
     """Estimate the failure rate of one key class under one error source.
 
@@ -184,16 +236,16 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
     ``timestamp`` field is left blank, so a record is a pure function of its
     arguments apart from ``wall_time_s``.
 
-    ``parallelism`` only splits batches across processes, at most one per
-    usable CPU, and never affects the outcome.  With ``checkpoint_path`` set,
+    ``parallelism`` only splits batches across processes and never affects the
+    outcome.  A number N runs the campaign in its own :func:`trial_pool`,
+    opened after every check passes and shut down before returning (for a
+    single usable worker, trials run in this process); an open
+    :class:`TrialPool` is used and left open.  With ``checkpoint_path`` set,
     a run resumes from the checkpoint there and rewrites it after every batch.
     """
-    if parallelism < 1:
-        raise ParameterError("parallelism must be >= 1")
     if not 0 <= master_seed < 1 << 64:
         raise ParameterError("master_seed must be an unsigned 64-bit integer")
-    if isinstance(key_class, FixedKey):
-        key_class.check_params(params)
+    key_class.check_params(params)
     cfg = DecoderConfig.for_params(params)
     rec = {"schema_version": RECORD_SCHEMA_VERSION, "code_version": __version__,
            "params": params.to_json_dict(), "key_class": key_class.describe(),
@@ -208,26 +260,20 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
         raise ParameterError("stop rule is satisfied before any trial runs")
 
     started = time.monotonic()
-    # under the fork start method the executor starts all max_workers at the
-    # first submit, so never ask for more workers than there are CPUs
-    workers = min(parallelism, _usable_cpus())
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    with (contextlib.nullcontext(parallelism) if isinstance(parallelism, TrialPool)
+          else trial_pool(parallelism)) as pool:
         while not stop.satisfied(trials, failures):
             todo = min(BATCH_SIZE, stop.max_trials - trials)
-            chunk = (todo + workers - 1) // workers
+            chunk = (todo + pool.workers - 1) // pool.workers
             tasks = [(params, key_class, error_source, cfg, master_seed,
                       trials + lo, min(chunk, todo - lo))
                      for lo in range(0, todo, chunk)]
-            failures += sum((pool.map if pool else map)(_worker, tasks))
+            failures += sum(pool.map(_worker, tasks))
             trials += todo
             if progress is not None:
                 progress(trials, failures)
             if checkpoint_path:
                 _save_checkpoint(checkpoint_path, tag, trials, failures)
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     ci_low, ci_high = confidence_interval(failures, trials)
     rec.update(trials=trials, failures=failures, dfr_point=failures / trials,

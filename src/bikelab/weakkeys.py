@@ -16,8 +16,9 @@ For types 1 and 2 the structured block index is a fair coin from the seed
 stream: the family's counting formulas carry a factor 2 for exactly this
 choice, so sampling the class uniformly requires it (and the measured
 failure rates of the family depend on the other block staying random).
-Every generator re-verifies its defining property before returning and
-resamples on the rare collision, so outputs are correct by construction.
+Each generator refuses, before any draw, parameters whose structure cannot
+be planted, re-verifies its defining property before returning, and types 1
+and 2 resample on the rare collision, so outputs are correct by construction.
 Spectra and block overlaps both come from :func:`difference_counts`.
 Key-space counts for the families are exact integers from big-integer
 binomials; only their log2 (:func:`log2_count`, :func:`log2_density`) is a float.
@@ -120,6 +121,15 @@ class WeakKeySpec:
         return cls(family, f=given.get("f"), d=given.get("d", 1 if family in (1, 2) else None),
                    l_shift=given.get("shift", 0), m=given.get("m"))
 
+    def check_params(self, params: SystemParams) -> None:
+        """ParameterError unless :meth:`generate` can plant the family at these parameters."""
+        if self.family == 1:
+            _check_type1(params, self.f, self.d, self.l_shift)
+        elif self.family == 2:
+            _check_type2(params, self.d, self.m)
+        else:
+            _check_type3(params, self.m)
+
     def generate(self, params: SystemParams, seed: bytes) -> PrivateKey:
         if self.family == 1:
             return gen_type1(params, self.f, self.d, self.l_shift, seed)
@@ -158,13 +168,22 @@ def _phi_map(positions, d: int, l_shift: int, r: int) -> tuple[int, ...]:
     return tuple(sorted(((p + l_shift) % r) * d % r for p in positions))
 
 
-def gen_type1(params: SystemParams, f: int, d: int, l_shift: int, seed: bytes) -> PrivateKey:
-    """One block with f support positions at constant step d plus random fill."""
+def _check_type1(params: SystemParams, f: int, d: int, l_shift: int) -> None:
     r, w2 = params.r, params.w2
     _check_range("f", f, 2, w2)
     _check_range("d", d, 1, r // 2)
     if not 0 <= l_shift < r:
         raise ParameterError(f"shift must be in [0, {r}), got {l_shift}")
+    if w2 > r // math.gcd(r, d):
+        # p -> p*d mod r hits only the r/gcd(r, d) multiples of gcd(r, d)
+        raise ParameterError(f"type 1 needs w/2 <= r/gcd(r, d) = {r // math.gcd(r, d)}, "
+                             f"got w/2={w2} at d={d}")
+
+
+def gen_type1(params: SystemParams, f: int, d: int, l_shift: int, seed: bytes) -> PrivateKey:
+    """One block with f support positions at constant step d plus random fill."""
+    _check_type1(params, f, d, l_shift)
+    r, w2 = params.r, params.w2
     ring = params.ring
     stream = XofStream(TAG_WEAK, [seed, bytes([1])])
     weak_index = stream.read(1)[0] & 1
@@ -183,11 +202,21 @@ def gen_type1(params: SystemParams, f: int, d: int, l_shift: int, seed: bytes) -
     return PrivateKey(h0=blocks[0], h1=blocks[1], sigma=sample_sigma(seed, params))
 
 
+def _check_type2(params: SystemParams, d: int, m: int) -> None:
+    r = params.r
+    _check_range("m", m, 1, params.w2 - 1)
+    _check_range("d", d, 1, r // 2)
+    # the chain start, start + d, ... runs round a cycle of r/gcd(r, d) positions,
+    # and m + 1 terms that fill it close it into m + 1 pairs at distance d
+    if m + 1 >= r // math.gcd(r, d):
+        raise ParameterError(f"type 2 needs m + 1 < r/gcd(r, d) = {r // math.gcd(r, d)}, "
+                             f"got m={m} at d={d}")
+
+
 def gen_type2(params: SystemParams, d: int, m: int, seed: bytes) -> PrivateKey:
     """One block whose spectrum multiplicity at distance d is exactly m."""
+    _check_type2(params, d, m)
     r, w2 = params.r, params.w2
-    _check_range("m", m, 1, w2 - 1)
-    _check_range("d", d, 1, r // 2)
     ring = params.ring
     stream = XofStream(TAG_WEAK, [seed, bytes([2])])
     weak_index = stream.read(1)[0] & 1
@@ -211,30 +240,33 @@ def gen_type2(params: SystemParams, d: int, m: int, seed: bytes) -> PrivateKey:
     return PrivateKey(h0=blocks[0], h1=blocks[1], sigma=sample_sigma(seed, params))
 
 
+def _check_type3(params: SystemParams, m: int) -> None:
+    _check_range("m", m, 1, params.w2)
+    if params.r < params.w - m:
+        # h1's fill draws w/2 - m positions from the r - w/2 that miss the rotated h0
+        raise ParameterError(f"type 3 needs r >= w - m = {params.w - m}, got r={params.r}")
+
+
 def gen_type3(params: SystemParams, m: int, seed: bytes) -> PrivateKey:
     """Blocks where a rotation of h1 matches h0 in exactly m support positions."""
+    _check_type3(params, m)
     r, w2 = params.r, params.w2
-    _check_range("m", m, 1, w2)
-    if r < params.w - m:
-        # h1's fill draws w/2 - m positions from the r - w/2 that miss the rotated h0
-        raise ParameterError(f"type 3 needs r >= w - m = {params.w - m}, got r={r}")
     ring = params.ring
     stream = XofStream(TAG_WEAK, [seed, bytes([3])])
-    for _ in range(_RESAMPLE_BUDGET):
-        h0 = SparsePoly(ring, sample_fixed_weight(stream, r, w2))
-        picked = sample_fixed_weight(stream, w2, m)
-        shared = [h0.support[i] for i in picked]
-        [rot] = stream.indices(r, 1)
-        support = {(p + rot) % r for p in shared}
-        while len(support) < w2:
-            # a candidate whose pre-image lies in h0 would inflate the planted overlap
-            support.update(c for c in stream.indices(r, w2 - len(support))
-                           if (c - rot) % r not in h0.support)
-        h1 = SparsePoly.from_indices(ring, support)
-        align = (-rot) % r
-        if difference_counts(h0.support, h1.support, r)[align] == m:
-            return PrivateKey(h0=h0, h1=h1, sigma=sample_sigma(seed, params))
-    raise BudgetExhaustedError("type-3 overlap kept colliding")
+    h0 = SparsePoly(ring, sample_fixed_weight(stream, r, w2))
+    picked = sample_fixed_weight(stream, w2, m)
+    shared = [h0.support[i] for i in picked]
+    [rot] = stream.indices(r, 1)
+    support = {(p + rot) % r for p in shared}
+    while len(support) < w2:
+        # a candidate whose pre-image lies in h0 would inflate the planted overlap
+        support.update(c for c in stream.indices(r, w2 - len(support))
+                       if (c - rot) % r not in h0.support)
+    h1 = SparsePoly.from_indices(ring, support)
+    # the fill skips every pre-image in h0, so the overlap is the m shared positions
+    if difference_counts(h0.support, h1.support, r)[(-rot) % r] != m:
+        raise RuntimeError(f"type-3 overlap at the planted alignment is not m={m}")
+    return PrivateKey(h0=h0, h1=h1, sigma=sample_sigma(seed, params))
 
 
 def gen_psi_d_error(params: SystemParams, d: int, seed: bytes) -> ErrorPair:

@@ -30,6 +30,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH, for child processes."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+
+def without_wall_time(dfr_stdout):
+    blob = json.loads(dfr_stdout)
+    for rec in blob["records"]:
+        rec["wall_time_s"] = None
+    return blob
+
+
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -422,15 +435,20 @@ class TestWeakkeyAndKeycheck:
          "type 3 needs r >= w - m = 13, got r=11"),
         (["--type", "2", "--m", "2", "--d", "1", "--r", "11", "--w", "30", "--t", "4"],
          "w/2 must be at most r, got w=30 and r=11"),
-    ], ids=["type3-fill-short", "type2-w2-above-r"])
+        (["--type", "1", "--f", "4", "--d", "5", "--r", "15", "--w", "10", "--t", "4"],
+         "type 1 needs w/2 <= r/gcd(r, d) = 3, got w/2=5 at d=5"),
+        (["--type", "2", "--m", "2", "--d", "5", "--r", "15", "--w", "10", "--t", "4"],
+         "type 2 needs m + 1 < r/gcd(r, d) = 3, got m=2 at d=5"),
+        (["--type", "2", "--m", "6", "--d", "3", "--r", "21", "--w", "14", "--t", "4"],
+         "type 2 needs m + 1 < r/gcd(r, d) = 7, got m=6 at d=3"),
+    ], ids=["type3-fill-short", "type2-w2-above-r", "type1-too-few-images",
+            "type2-chain-overflows-cycle", "type2-chain-fills-cycle"])
     def test_unfillable_weak_key_rejected(self, tmp_path, flags, message):
         # in a child process with a timeout: a fill loop that cannot finish
         # would hang the suite instead of failing this test
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "bikelab.cli", "weakkey", "gen", *flags,
                                "--key-out", str(tmp_path / "k.json")],
-                              capture_output=True, text=True, timeout=60, env=env)
+                              capture_output=True, text=True, timeout=60, env=src_env())
         assert proc.returncode == 2
         assert message in proc.stderr
         assert not (tmp_path / "k.json").exists()
@@ -482,12 +500,43 @@ class TestDfrCommand:
                 "--min-failures", "1000000", "--seed", "12", "--no-timestamp"]
         _, out1, _ = run_cli(capsys, *args, "--threads", "1")
         _, out2, _ = run_cli(capsys, *args, "--threads", "2")
-        def strip_wall(text):
-            blob = json.loads(text)
-            for rec in blob["records"]:
-                rec["wall_time_s"] = None
-            return blob
-        assert strip_wall(out1) == strip_wall(out2)
+        assert without_wall_time(out1) == without_wall_time(out2)
+
+    def test_sweep_starts_one_pool(self, capsys, spawned_pools):
+        args = ["dfr", "--r", "523", "--w", "30", "--t", "18", "--rs", "523,541,547",
+                "--max-trials", "300", "--min-failures", "1000000", "--seed", "12",
+                "--no-timestamp"]
+        _, out1, _ = run_cli(capsys, *args, "--threads", "1")
+        assert spawned_pools == []
+        _, out2, _ = run_cli(capsys, *args, "--threads", "2")
+        assert [(pool.workers, pool.open) for pool in spawned_pools] == [(2, False)]
+        assert without_wall_time(out1) == without_wall_time(out2)
+
+    def test_single_thread_run_loads_no_pool(self):
+        script = ("import sys\n"
+                  "from bikelab import cli\n"
+                  "cli.main(['dfr', '--r', '523', '--w', '30', '--t', '18', '--max-trials', '4',"
+                  " '--threads', '1'])\n"
+                  "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+                  " & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("key_class,message", [
+        ("weak:type1:f=4,d=5", "type 1 needs w/2 <= r/gcd(r, d) = 3, got w/2=5 at d=5"),
+        ("weak:type2:m=2,d=5", "type 2 needs m + 1 < r/gcd(r, d) = 3, got m=2 at d=5"),
+    ], ids=["type1", "type2"])
+    def test_unplantable_weak_class_refused_before_any_campaign(self, capsys, spawned_pools,
+                                                                key_class, message):
+        # both classes pass the check at r=13; only the sweep's second r, 15, refuses them
+        code, out, err = run_cli(capsys, "dfr", "--r", "13", "--w", "10", "--t", "4",
+                                 "--rs", "13,15", "--key-class", key_class,
+                                 "--max-trials", "2", "--threads", "2")
+        assert (code, out) == (2, "")
+        assert message in err
+        assert spawned_pools == []
 
     def test_verbose_reports_running_dfr_interval_and_eta(self, capsys):
         args = ["dfr", "--r", "523", "--w", "30", "--t", "18", "--max-trials", "80",

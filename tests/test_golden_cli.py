@@ -87,6 +87,12 @@ CASES = [
     ("exit2-level-with-custom", ["keygen", "--level", "3", *TOY, "--key-out", "never.json"]),
     ("exit2-psi-unplaceable", [*DFR, "--r", "9", "--w", "2", "--t", "8", "--error-source",
                                "psi:3", "--max-trials", "3"]),
+    ("exit2-type1-too-few-images", ["weakkey", "gen", "--r", "15", "--w", "10", "--t", "4",
+                                    "--type", "1", "--f", "4", "--d", "5",
+                                    "--key-out", "never.json"]),
+    ("exit2-type2-chain-fills-cycle", [*DFR, "--r", "19", "--w", "14", "--t", "4",
+                                       "--rs", "19,21", "--key-class", "weak:type2:m=6,d=3",
+                                       "--max-trials", "2"]),
     # the verdict's cross-block reason and the extrapolation's dropped list, both reasons
     ("keycheck-type3", ["keycheck", "--key", "weak3.json"]),
     ("dfr-dropped", [*DFR, "--r", "523", "--w", "30", "--t", "18", "--rs", "523,541,547,1019",

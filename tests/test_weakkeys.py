@@ -138,6 +138,9 @@ class TestGenType1:
             gen_type1(TOY, 5, 0, 0, seed(5))
         with pytest.raises(ParameterError):
             gen_type1(TOY, 5, 1, TOY.r, seed(5))
+        with pytest.raises(ParameterError, match="w/2 <= r/gcd"):
+            # d = 5 maps every position of r = 15 onto the three multiples of 5
+            gen_type1(custom_params(r=15, w=10, t=4), 4, 5, 0, seed(5))
 
 
 class TestGenType2:
@@ -167,6 +170,12 @@ class TestGenType2:
             gen_type2(TOY, 1, 0, seed(8))
         with pytest.raises(ParameterError):
             gen_type2(TOY, 1, TOY.w2, seed(8))
+        # the chain's cycle at r = 21, d = 3 has 7 positions; 7 terms close it
+        r21 = custom_params(r=21, w=14, t=4)
+        with pytest.raises(ParameterError, match="m \\+ 1 < r/gcd"):
+            gen_type2(r21, 3, 6, seed(8))
+        key = gen_type2(r21, 3, 5, seed(8))
+        assert 5 in [spectrum(h).mult[3] for h in (key.h0, key.h1)]
 
 
 class TestGenType3:
