@@ -191,15 +191,14 @@ def cmd_dfr(args) -> int:
     error_source = _parse_error_source(args.error_source)
 
     records = []
-    # one set of workers for the whole sweep, started after every check above
-    with dfrlab.trial_pool(args.threads) as pool:
-        for params in sweep:
-            progress = _progress_printer(params.r, stop) if args.verbose else None
-            rec = dfrlab.run_dfr(params, key_class, error_source, stop,
-                                 master_seed=args.seed, parallelism=pool, progress=progress)
-            if not args.no_timestamp:
-                rec["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-            records.append(rec)
+    for params in sweep:
+        progress = _progress_printer(params.r, stop) if args.verbose else None
+        rec = dfrlab.run_dfr(params, key_class, error_source, stop,
+                             master_seed=args.seed, parallelism=args.threads,
+                             progress=progress)
+        if not args.no_timestamp:
+            rec["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        records.append(rec)
 
     out: dict = {"records": records, "extrapolation": None, "pw": None}
     if args.extrapolate_to is not None:
@@ -331,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-timestamp", action="store_true",
                    help="blank the timestamp field (reproducible records)")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, shared by every campaign of the run and at "
-                        "most one per usable CPU; with one, trials run in this process")
+                   help="worker processes, at most one per usable CPU; with one, "
+                        "trials run in this process")
     p.add_argument("--verbose", action="store_true",
                    help="per-batch progress on stderr: running DFR, 95%% CI, ETA")
     p.add_argument("--format", choices=("json", "csv"), default="json")

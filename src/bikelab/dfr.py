@@ -14,14 +14,12 @@ continued fraction so the statistics need no external dependency).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 from . import __version__, files
 from .decoder import DecoderConfig, bgf_decode
@@ -182,52 +180,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
-class TrialPool:
-    """Where a campaign's batches run: ``map`` over one task per worker.
-
-    Open one with :func:`trial_pool` and hand it to every :func:`run_dfr` of a
-    sweep, so the workers start once for all its campaigns.
-    """
-
-    map: Callable
-    workers: int
-
-
-def _spawn_pool(workers: int):
-    # imported here, so a run without a pool never loads multiprocessing
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers,
-                               mp_context=multiprocessing.get_context("spawn"))
-
-
-@contextlib.contextmanager
-def trial_pool(parallelism: int):
-    """What :func:`run_dfr` takes as ``parallelism`` to share workers across campaigns.
-
-    Yields a :class:`TrialPool` of min(parallelism, usable CPUs) spawn-start
-    processes, shut down when the block exits.  When that minimum is 1 the
-    pool is this process alone: no process starts and :mod:`multiprocessing`
-    is never imported.
-    """
-    if parallelism < 1:
-        raise ParameterError("parallelism must be >= 1")
-    # a batch splits into one task per worker, and workers beyond the usable
-    # CPUs would only take turns on them
-    workers = min(parallelism, _usable_cpus())
-    if workers == 1:
-        yield TrialPool(map, 1)
-        return
-    executor = _spawn_pool(workers)
-    try:
-        yield TrialPool(executor.map, workers)
-    finally:
-        executor.shutdown()
-
-
 def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
-            master_seed: int, parallelism: int | TrialPool = 1,
+            master_seed: int, parallelism: int = 1,
             checkpoint_path: str | None = None, progress=None) -> dict:
     """Estimate the failure rate of one key class under one error source.
 
@@ -237,12 +191,14 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
     arguments apart from ``wall_time_s``.
 
     ``parallelism`` only splits batches across processes and never affects the
-    outcome.  A number N runs the campaign in its own :func:`trial_pool`,
-    opened after every check passes and shut down before returning (for a
-    single usable worker, trials run in this process); an open
-    :class:`TrialPool` is used and left open.  With ``checkpoint_path`` set,
-    a run resumes from the checkpoint there and rewrites it after every batch.
+    outcome.  The campaign starts a pool of min(parallelism, usable CPUs)
+    workers after every check passes and shuts it down before returning; when
+    that minimum is 1, trials run in this process and :mod:`multiprocessing`
+    is never imported.  With ``checkpoint_path`` set, a run resumes from the
+    checkpoint there and rewrites it after every batch.
     """
+    if parallelism < 1:
+        raise ParameterError("parallelism must be >= 1")
     if not 0 <= master_seed < 1 << 64:
         raise ParameterError("master_seed must be an unsigned 64-bit integer")
     key_class.check_params(params)
@@ -260,20 +216,31 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
         raise ParameterError("stop rule is satisfied before any trial runs")
 
     started = time.monotonic()
-    with (contextlib.nullcontext(parallelism) if isinstance(parallelism, TrialPool)
-          else trial_pool(parallelism)) as pool:
+    # a batch splits into one task per worker, and under the fork start method
+    # the executor starts all max_workers at the first submit, so never ask
+    # for more workers than there are CPUs
+    workers = min(parallelism, _usable_cpus())
+    pool = None
+    if workers > 1:
+        # imported here, so a run in this process never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
+    try:
         while not stop.satisfied(trials, failures):
             todo = min(BATCH_SIZE, stop.max_trials - trials)
-            chunk = (todo + pool.workers - 1) // pool.workers
+            chunk = (todo + workers - 1) // workers
             tasks = [(params, key_class, error_source, cfg, master_seed,
                       trials + lo, min(chunk, todo - lo))
                      for lo in range(0, todo, chunk)]
-            failures += sum(pool.map(_worker, tasks))
+            failures += sum((pool.map if pool else map)(_worker, tasks))
             trials += todo
             if progress is not None:
                 progress(trials, failures)
             if checkpoint_path:
                 _save_checkpoint(checkpoint_path, tag, trials, failures)
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
     ci_low, ci_high = confidence_interval(failures, trials)
     rec.update(trials=trials, failures=failures, dfr_point=failures / trials,

@@ -16,9 +16,12 @@ For types 1 and 2 the structured block index is a fair coin from the seed
 stream: the family's counting formulas carry a factor 2 for exactly this
 choice, so sampling the class uniformly requires it (and the measured
 failure rates of the family depend on the other block staying random).
-Each generator refuses, before any draw, parameters whose structure cannot
-be planted, re-verifies its defining property before returning, and types 1
-and 2 resample on the rare collision, so outputs are correct by construction.
+Before any draw, each generator refuses parameters whose planted part cannot
+fit: type 1's mapped positions, type 2's chain, type 3's fill of h1.  Type 2
+does not check that its random fill can reach w/2 positions without adding
+pairs at distance d; where it cannot, the resample budget runs out.  Each
+generator re-verifies its defining property before returning, and types 1 and
+2 resample on the rare collision, so outputs are correct by construction.
 Spectra and block overlaps both come from :func:`difference_counts`.
 Key-space counts for the families are exact integers from big-integer
 binomials; only their log2 (:func:`log2_count`, :func:`log2_density`) is a float.

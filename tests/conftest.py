@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bikelab import RingParams, custom_params, dfr, level_params
+from bikelab import RingParams, custom_params, level_params
 from bikelab.ring import DensePoly
 
 _acceptance_results: list[tuple[str, str]] = []
@@ -48,28 +48,3 @@ def random_odd_dense(ring, rng: random.Random) -> DensePoly:
         p = random_dense(ring, rng)
         if p.weight() % 2 == 1 and p.bits != ring.mask:
             return p
-
-
-@pytest.fixture
-def spawned_pools(monkeypatch):
-    """Stands in for the process pool that ``dfr`` spawns, with two usable CPUs.
-
-    Each stand-in records its worker count and whether it was shut down, and
-    runs its tasks in this process; the list holds every pool started.
-    """
-    started = []
-
-    class InProcessPool:
-        def __init__(self, workers):
-            self.workers, self.open = workers, True
-            started.append(self)
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-        def shutdown(self):
-            self.open = False
-
-    monkeypatch.setattr(dfr, "_spawn_pool", InProcessPool)
-    monkeypatch.setattr(dfr.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return started

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 
@@ -17,6 +18,30 @@ from bikelab.weakkeys import WeakKeySpec
 TOY = custom_params(r=613, w=30, t=14)
 FAILY = custom_params(r=523, w=30, t=18)  # ~40% failure rate, good for counting
 TINY = custom_params(r=31, w=6, t=6)  # some decodes clear s with a wrong error
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Stands in for the process pool that ``run_dfr`` starts; lists every pool started.
+
+    Each stand-in records its worker count and whether it was shut down, and
+    runs its tasks in this process.
+    """
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.workers, self.open = max_workers, True
+            started.append(self)
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+        def shutdown(self):
+            self.open = False
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return started
 
 
 def scipy_clopper_pearson(k, n, level=0.95):
@@ -202,31 +227,23 @@ class TestRunDfr:
         assert seq["trials"] == par["trials"]
 
     @pytest.mark.parametrize("cpus,workers", [({0, 1, 2}, [3]), ({0}, [])])
-    def test_pool_capped_at_usable_cpus(self, monkeypatch, spawned_pools, cpus, workers):
+    def test_pool_capped_at_usable_cpus(self, monkeypatch, recorded_pools, cpus, workers):
         monkeypatch.setattr(dfr.os, "sched_getaffinity", lambda pid: cpus, raising=False)
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=40)
         kwargs = dict(master_seed=8)
         wide = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, parallelism=5000, **kwargs)
-        assert [pool.workers for pool in spawned_pools] == workers
-        assert not any(pool.open for pool in spawned_pools)
+        assert [pool.workers for pool in recorded_pools] == workers
+        assert not any(pool.open for pool in recorded_pools)
         seq = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, parallelism=1, **kwargs)
         assert (wide["trials"], wide["failures"]) == (seq["trials"], seq["failures"])
 
-    def test_pool_shared_across_campaigns(self, spawned_pools):
-        stop = StopRule(min_trials=0, min_failures=10**9, max_trials=300)
-        with dfr.trial_pool(2) as pool:
-            for seed in (8, 9):
-                run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, master_seed=seed,
-                        parallelism=pool)
-            assert len(spawned_pools) == 1 and spawned_pools[0].open
-        assert not spawned_pools[0].open
-
-    def test_pool_shut_down_when_a_trial_raises(self, spawned_pools):
+    def test_pool_shut_down_when_a_trial_raises(self, monkeypatch, recorded_pools):
+        monkeypatch.setattr(dfr.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         # t = 8 pairs at distance 3 cannot be placed in r = 9: the first trial raises
         with pytest.raises(ParameterError):
             run_dfr(custom_params(r=9, w=2, t=8), NormalKeys(), PsiErrors(3),
                     StopRule(max_trials=3), master_seed=1, parallelism=2)
-        assert [pool.open for pool in spawned_pools] == [False]
+        assert [pool.open for pool in recorded_pools] == [False]
 
     def test_fixed_key_and_psi_source(self):
         key = sample_private_key(TOY, expand_u64_seed(99))
