@@ -109,7 +109,7 @@ def cmd_weakkey_gen(args) -> int:
     params = _params_from_args(args)
     given = {"f": args.f, "d": args.d, "shift": args.shift, "m": args.m}
     spec = WeakKeySpec.of(args.type, {k: v for k, v in given.items() if v is not None})
-    sk = spec.generate(params, expand_u64_seed(args.seed))
+    sk = spec.sample(params, expand_u64_seed(args.seed))
     # weak keys drive decoding experiments, but publishing h keeps the file
     # usable with encaps as well
     files.write_key(args.key_out, params, sk, public_key(sk.h0, sk.h1))
@@ -133,7 +133,7 @@ def _parse_key_class(text: str):
     if text == "normal":
         return dfrlab.NormalKeys()
     if text.startswith("weak:"):
-        return dfrlab.WeakKeys(WeakKeySpec.parse(text[len("weak:"):]))
+        return WeakKeySpec.parse(text[len("weak:"):])
     if text.startswith("fixed:"):
         path = text[len("fixed:"):]
         _params, sk, _pk = files.read_key(path)
@@ -186,9 +186,10 @@ def cmd_dfr(args) -> int:
     stop = dfrlab.StopRule(min_trials=args.min_trials, min_failures=args.min_failures,
                            max_trials=args.max_trials)
     key_class = _parse_key_class(args.key_class)
-    for params in sweep:
-        key_class.check_params(params)
     error_source = _parse_error_source(args.error_source)
+    for params in sweep:
+        for part in (key_class, error_source):
+            part.check_params(params)
 
     records = []
     for params in sweep:

@@ -27,7 +27,7 @@ from .errors import ParameterError, SchemaError
 from .kem import TAG_ENCAPS_M, TAG_TRIAL, XofStream, hash_H, sample_private_key
 from .keys import ErrorPair, PrivateKey, SystemParams
 from .ring import mul_sparse
-from .weakkeys import WeakKeySpec, gen_psi_d_error
+from .weakkeys import _check_psi, gen_psi_d_error
 
 RECORD_SCHEMA_VERSION = 1
 # the stop rule's granularity: a different value gives different counts, and
@@ -47,21 +47,6 @@ class NormalKeys:
 
     def check_params(self, params: SystemParams) -> None:
         """Every valid parameter set has normal keys."""
-
-
-@dataclass(frozen=True)
-class WeakKeys:
-    spec: WeakKeySpec
-
-    def sample(self, params: SystemParams, seed: bytes) -> PrivateKey:
-        return self.spec.generate(params, seed)
-
-    def describe(self) -> dict:
-        return {"kind": "weak", **asdict(self.spec)}
-
-    def check_params(self, params: SystemParams) -> None:
-        """ParameterError unless the family can plant its structure at these parameters."""
-        self.spec.check_params(params)
 
 
 @dataclass(frozen=True)
@@ -98,6 +83,9 @@ class HonestErrors:
     def describe(self) -> dict:
         return {"kind": "honest"}
 
+    def check_params(self, params: SystemParams) -> None:
+        """Every valid parameter set has honest errors."""
+
 
 @dataclass(frozen=True)
 class PsiErrors:
@@ -110,6 +98,10 @@ class PsiErrors:
 
     def describe(self) -> dict:
         return {"kind": "psi", "d": self.d}
+
+    def check_params(self, params: SystemParams) -> None:
+        """ParameterError unless t/2 disjoint pairs at distance d fit at these parameters."""
+        _check_psi(params, self.d)
 
 
 @dataclass(frozen=True)
@@ -185,6 +177,11 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
             checkpoint_path: str | None = None, progress=None) -> dict:
     """Estimate the failure rate of one key class under one error source.
 
+    A key class (``NormalKeys``, ``FixedKey`` or a ``weakkeys.WeakKeySpec``)
+    and an error source (``HonestErrors`` or ``PsiErrors``) each have
+    ``sample``, ``describe`` and ``check_params``; both parts check the
+    parameters before any trial runs or any pool starts.
+
     Returns the schema-v1 experiment record: the fields that fix the campaign,
     then its counts, point estimate, 95% interval and wall time.  The
     ``timestamp`` field is left blank, so a record is a pure function of its
@@ -201,7 +198,8 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
         raise ParameterError("parallelism must be >= 1")
     if not 0 <= master_seed < 1 << 64:
         raise ParameterError("master_seed must be an unsigned 64-bit integer")
-    key_class.check_params(params)
+    for part in (key_class, error_source):
+        part.check_params(params)
     cfg = DecoderConfig.for_params(params)
     rec = {"schema_version": RECORD_SCHEMA_VERSION, "code_version": __version__,
            "params": params.to_json_dict(), "key_class": key_class.describe(),

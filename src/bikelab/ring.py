@@ -233,17 +233,14 @@ class DensePoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_bytes_le(cls, ring: RingParams, raw: bytes) -> "DensePoly":
+    def from_hex(cls, ring: RingParams, s: str) -> "DensePoly":
+        raw = bytes.fromhex(s)
         if len(raw) != ring.nbytes:
             raise ParameterError(f"expected {ring.nbytes} bytes, got {len(raw)}")
         v = int.from_bytes(raw, "little")
         if v > ring.mask:
             raise ParameterError("pad bits beyond r must be zero")
         return cls(ring, v)
-
-    @classmethod
-    def from_hex(cls, ring: RingParams, s: str) -> "DensePoly":
-        return cls.from_bytes_le(ring, bytes.fromhex(s))
 
     # -- serialization ------------------------------------------------------
 

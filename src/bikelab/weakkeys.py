@@ -12,16 +12,19 @@ Three families of dangerous private keys are generated constructively:
           m support positions of h0, so some alignment of the two blocks
           intersects in exactly m positions.
 
-For types 1 and 2 the structured block index is a fair coin from the seed
-stream: the family's counting formulas carry a factor 2 for exactly this
-choice, so sampling the class uniformly requires it (and the measured
-failure rates of the family depend on the other block staying random).
+Types 1 and 2 share one draw (:func:`_plant`) and differ only in how they
+draw the structured block.  Its index is a fair coin from the seed stream:
+the family's counting formulas carry a factor 2 for exactly this choice, so
+sampling the class uniformly requires it (and the measured failure rates of
+the family depend on the other block staying random).
 Before any draw, each generator refuses parameters whose planted part cannot
-fit: type 1's mapped positions, type 2's chain, type 3's fill of h1.  Type 2
-does not check that its random fill can reach w/2 positions without adding
-pairs at distance d; where it cannot, the resample budget runs out.  Each
+fit: type 1's mapped positions; type 2's chain, and a w/2 above the most
+positions that keep exactly m pairs at distance d (:func:`_type2_capacity`);
+type 3's fill of h1; the t/2 pairs of a psi error (:func:`_check_psi`).  Each
 generator re-verifies its defining property before returning, and types 1 and
 2 resample on the rare collision, so outputs are correct by construction.
+A :class:`WeakKeySpec` is itself a DFR campaign's key class: it samples,
+describes and checks itself like ``dfr.NormalKeys``.
 Spectra and block overlaps both come from :func:`difference_counts`.
 Key-space counts for the families are exact integers from big-integer
 binomials; only their log2 (:func:`log2_count`, :func:`log2_density`) is a float.
@@ -30,7 +33,7 @@ binomials; only their log2 (:func:`log2_count`, :func:`log2_density`) is a float
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -125,7 +128,7 @@ class WeakKeySpec:
                    l_shift=given.get("shift", 0), m=given.get("m"))
 
     def check_params(self, params: SystemParams) -> None:
-        """ParameterError unless :meth:`generate` can plant the family at these parameters."""
+        """ParameterError unless :meth:`sample` can plant the family at these parameters."""
         if self.family == 1:
             _check_type1(params, self.f, self.d, self.l_shift)
         elif self.family == 2:
@@ -133,12 +136,16 @@ class WeakKeySpec:
         else:
             _check_type3(params, self.m)
 
-    def generate(self, params: SystemParams, seed: bytes) -> PrivateKey:
+    def sample(self, params: SystemParams, seed: bytes) -> PrivateKey:
+        # through the module globals, where a tracer may wrap the generators
         if self.family == 1:
             return gen_type1(params, self.f, self.d, self.l_shift, seed)
         if self.family == 2:
             return gen_type2(params, self.d, self.m, seed)
         return gen_type3(params, self.m, seed)
+
+    def describe(self) -> dict:
+        return {"kind": "weak", **asdict(self)}
 
     def log2_eta(self, params: SystemParams) -> float:
         """log2 density of the family (type 2's count bound also needs a run count s)."""
@@ -183,64 +190,82 @@ def _check_type1(params: SystemParams, f: int, d: int, l_shift: int) -> None:
                              f"got w/2={w2} at d={d}")
 
 
-def gen_type1(params: SystemParams, f: int, d: int, l_shift: int, seed: bytes) -> PrivateKey:
-    """One block with f support positions at constant step d plus random fill."""
-    _check_type1(params, f, d, l_shift)
-    r, w2 = params.r, params.w2
-    ring = params.ring
-    stream = XofStream(TAG_WEAK, [seed, bytes([1])])
+def _plant(params: SystemParams, seed: bytes, family: int, draw, exhausted: str) -> PrivateKey:
+    """Key with one structured block, at a fair-coin index, and one uniform block.
+
+    ``draw(stream)`` returns the structured block's support, or None to draw
+    again; _RESAMPLE_BUDGET draws without a support raise ``exhausted``.
+    """
+    stream = XofStream(TAG_WEAK, [seed, bytes([family])])
     weak_index = stream.read(1)[0] & 1
     for _ in range(_RESAMPLE_BUDGET):
-        # run on positions 0..f-1; random section disjoint on f..r-1
-        fill = sample_fixed_weight(stream, r - f, w2 - f)
-        base = list(range(f)) + [f + p for p in fill]
-        mapped = _phi_map(base, d, l_shift, r)
-        if len(set(mapped)) == w2:
-            structured = SparsePoly(ring, mapped)
+        support = draw(stream)
+        if support is not None:
             break
     else:
-        raise BudgetExhaustedError("type-1 position map kept colliding")
-    free = SparsePoly(ring, sample_fixed_weight(stream, r, w2))
+        raise BudgetExhaustedError(exhausted)
+    # draws give Python ints, so from_indices' int() pass (10 us per L1 key) is skipped
+    structured = SparsePoly(params.ring, tuple(sorted(support)))
+    free = SparsePoly(params.ring, sample_fixed_weight(stream, params.r, params.w2))
     blocks = (structured, free) if weak_index == 0 else (free, structured)
     return PrivateKey(h0=blocks[0], h1=blocks[1], sigma=sample_sigma(seed, params))
 
 
+def gen_type1(params: SystemParams, f: int, d: int, l_shift: int, seed: bytes) -> PrivateKey:
+    """One block with f support positions at constant step d plus random fill."""
+    _check_type1(params, f, d, l_shift)
+    r, w2 = params.r, params.w2
+
+    def draw(stream):
+        # run on positions 0..f-1; random section disjoint on f..r-1
+        fill = sample_fixed_weight(stream, r - f, w2 - f)
+        mapped = _phi_map(list(range(f)) + [f + p for p in fill], d, l_shift, r)
+        return mapped if len(set(mapped)) == w2 else None
+    return _plant(params, seed, 1, draw, "type-1 position map kept colliding")
+
+
+def _type2_capacity(r: int, d: int, m: int) -> int:
+    """Largest weight of a block that holds the (m+1)-term chain at step d and has
+    exactly m pairs at distance d, for m + 1 < r/gcd(r, d).
+
+    The d-steps split Z_r into g = gcd(r, d) cycles of odd length L = r/g.  The
+    chain's two outer neighbours stay empty, which leaves a path of L - m - 3
+    positions on its cycle for at most (L - m - 2)/2 more, and each of the
+    other g - 1 cycles holds (L - 1)/2.
+    """
+    g = math.gcd(r, d)
+    return m + 1 + (r // g - m - 2) // 2 + (g - 1) * (r // g - 1) // 2
+
+
 def _check_type2(params: SystemParams, d: int, m: int) -> None:
-    r = params.r
-    _check_range("m", m, 1, params.w2 - 1)
+    r, w2 = params.r, params.w2
+    _check_range("m", m, 1, w2 - 1)
     _check_range("d", d, 1, r // 2)
     # the chain start, start + d, ... runs round a cycle of r/gcd(r, d) positions,
     # and m + 1 terms that fill it close it into m + 1 pairs at distance d
     if m + 1 >= r // math.gcd(r, d):
         raise ParameterError(f"type 2 needs m + 1 < r/gcd(r, d) = {r // math.gcd(r, d)}, "
                              f"got m={m} at d={d}")
+    if w2 > _type2_capacity(r, d, m):
+        raise ParameterError(f"type 2 fits at most {_type2_capacity(r, d, m)} positions with "
+                             f"exactly m={m} pairs at d={d} in r={r}, got w/2={w2}")
 
 
 def gen_type2(params: SystemParams, d: int, m: int, seed: bytes) -> PrivateKey:
     """One block whose spectrum multiplicity at distance d is exactly m."""
     _check_type2(params, d, m)
     r, w2 = params.r, params.w2
-    ring = params.ring
-    stream = XofStream(TAG_WEAK, [seed, bytes([2])])
-    weak_index = stream.read(1)[0] & 1
-    for _ in range(_RESAMPLE_BUDGET):
+
+    def draw(stream):
+        # m + 1 < r/gcd(r, d), so the chain's terms are distinct
         [start] = stream.indices(r, 1)
         support = {(start + j * d) % r for j in range(m + 1)}
-        if len(support) != m + 1:
-            continue
         while len(support) < w2:
             support.update(stream.indices(r, w2 - len(support)))
-        block = SparsePoly.from_indices(ring, support)
-        if distance_multiplicities(block.support, r)[d] == m:
-            structured = block
-            break
-    else:
-        raise BudgetExhaustedError(
-            f"no weight-{w2} block with multiplicity exactly {m} at d={d} "
-            f"within {_RESAMPLE_BUDGET} attempts")
-    free = SparsePoly(ring, sample_fixed_weight(stream, r, w2))
-    blocks = (structured, free) if weak_index == 0 else (free, structured)
-    return PrivateKey(h0=blocks[0], h1=blocks[1], sigma=sample_sigma(seed, params))
+        return support if distance_multiplicities(support, r)[d] == m else None
+    return _plant(params, seed, 2, draw,
+                  f"no weight-{w2} block with multiplicity exactly {m} at d={d} "
+                  f"within {_RESAMPLE_BUDGET} attempts")
 
 
 def _check_type3(params: SystemParams, m: int) -> None:
@@ -272,13 +297,7 @@ def gen_type3(params: SystemParams, m: int, seed: bytes) -> PrivateKey:
     return PrivateKey(h0=h0, h1=h1, sigma=sample_sigma(seed, params))
 
 
-def gen_psi_d_error(params: SystemParams, d: int, seed: bytes) -> ErrorPair:
-    """Error with all weight in the first half: t/2 disjoint pairs at distance d.
-
-    Each accepted index p proposes the pair (p, p + d); a pair that meets a placed
-    one is a miss.  A run of _RESAMPLE_BUDGET misses in a row restarts the
-    placement, and _RESAMPLE_BUDGET restarts give up.
-    """
+def _check_psi(params: SystemParams, d: int) -> None:
     r, t = params.r, params.t
     if t % 2 != 0:
         raise ParameterError("crafted pair errors need an even t")
@@ -287,6 +306,17 @@ def gen_psi_d_error(params: SystemParams, d: int, seed: bytes) -> ErrorPair:
     if t > r - math.gcd(r, d):
         raise ParameterError(f"at most {(r - math.gcd(r, d)) // 2} disjoint pairs at "
                              f"distance {d} fit in r={r}; t={t} needs {t // 2}")
+
+
+def gen_psi_d_error(params: SystemParams, d: int, seed: bytes) -> ErrorPair:
+    """Error with all weight in the first half: t/2 disjoint pairs at distance d.
+
+    Each accepted index p proposes the pair (p, p + d); a pair that meets a placed
+    one is a miss.  A run of _RESAMPLE_BUDGET misses in a row restarts the
+    placement, and _RESAMPLE_BUDGET restarts give up.
+    """
+    _check_psi(params, d)
+    r, t = params.r, params.t
     stream = XofStream(TAG_WEAK, [seed, bytes([4]), d.to_bytes(4, "big")])
     used: set[int] = set()
     misses = restarts = 0

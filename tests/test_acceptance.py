@@ -13,7 +13,7 @@ import time
 import pytest
 
 from bikelab import (FixedKey, HonestErrors, KeyCheckConfig,
-                     PsiErrors, StopRule, WeakKeys, confidence_interval, custom_params,
+                     PsiErrors, StopRule, confidence_interval, custom_params,
                      decaps_with_diagnostics, encaps, extrapolate, gen_type1, gen_type2,
                      gen_type3, invert_counted, key_check, keygen,
                      level_params, pw_check, run_dfr, sample_private_key, spectrum)
@@ -74,12 +74,12 @@ def test_criterion_2_security_budget_arithmetic(capsys):
 def test_criterion_3_high_dfr_weak_keys(capsys):
     """f=40 keys fail >= 90% of 200 decodings; f=35 lands in [0.6, 0.95] of 500."""
     stop200 = StopRule(min_trials=0, min_failures=10**9, max_trials=200)
-    res40 = run_dfr(L1, WeakKeys(WeakKeySpec(1, f=40, d=1)), HonestErrors(),
+    res40 = run_dfr(L1, WeakKeySpec(1, f=40, d=1), HonestErrors(),
                     stop200, master_seed=31415)
     assert res40["failures"] >= 0.90 * res40["trials"]
 
     stop500 = StopRule(min_trials=0, min_failures=10**9, max_trials=500)
-    res35 = run_dfr(L1, WeakKeys(WeakKeySpec(1, f=35, d=1)), HonestErrors(),
+    res35 = run_dfr(L1, WeakKeySpec(1, f=35, d=1), HonestErrors(),
                     stop500, master_seed=27182)
     frac = res35["failures"] / res35["trials"]
     assert 0.6 <= frac <= 0.95
@@ -124,7 +124,7 @@ def test_criterion_5_extrapolation_and_reduced_r_trend(capsys):
     points = []
     for r in rs:
         params = custom_params(r=r, w=42, t=30)
-        out = run_dfr(params, WeakKeys(WeakKeySpec(1, f=10, d=1)), HonestErrors(),
+        out = run_dfr(params, WeakKeySpec(1, f=10, d=1), HonestErrors(),
                       stop, master_seed=20255)
         points.append((r, out["failures"], out["trials"], out["ci_low"], out["ci_high"]))
     fractions = [f / t for _, f, t, _, _ in points]

@@ -387,7 +387,7 @@ class TestWeakkeyAndKeycheck:
     ], ids=["type1-r105", "type3-r127"])
     def test_non_invertible_h0_is_a_parameter_error(self, tmp_path, capsys, argv, descriptor):
         params = custom_params(r=int(argv[5]), w=14, t=4)
-        h0 = WeakKeySpec.parse(descriptor).generate(params, expand_u64_seed(int(argv[7]))).h0
+        h0 = WeakKeySpec.parse(descriptor).sample(params, expand_u64_seed(int(argv[7]))).h0
         with pytest.raises(NotInvertibleError):
             invert_oracle(h0.to_dense())  # the Euclid oracle agrees: h0 has no inverse
         path = tmp_path / "k.json"
@@ -434,8 +434,13 @@ class TestWeakkeyAndKeycheck:
          "type 2 needs m + 1 < r/gcd(r, d) = 3, got m=2 at d=5"),
         (["--type", "2", "--m", "6", "--d", "3", "--r", "21", "--w", "14", "--t", "4"],
          "type 2 needs m + 1 < r/gcd(r, d) = 7, got m=6 at d=3"),
+        (["--type", "2", "--m", "1", "--d", "1", "--r", "11", "--w", "18", "--t", "4"],
+         "type 2 fits at most 6 positions with exactly m=1 pairs at d=1 in r=11, got w/2=9"),
+        (["--type", "2", "--m", "1", "--d", "5", "--r", "15", "--w", "14", "--t", "4"],
+         "type 2 fits at most 6 positions with exactly m=1 pairs at d=5 in r=15, got w/2=7"),
     ], ids=["type3-fill-short", "type2-w2-above-r", "type1-too-few-images",
-            "type2-chain-overflows-cycle", "type2-chain-fills-cycle"])
+            "type2-chain-overflows-cycle", "type2-chain-fills-cycle",
+            "type2-fill-beyond-capacity-d1", "type2-fill-beyond-capacity-d5"])
     def test_unfillable_weak_key_rejected(self, tmp_path, flags, message):
         # in a child process with a timeout: a fill loop that cannot finish
         # would hang the suite instead of failing this test
@@ -528,6 +533,37 @@ class TestDfrCommand:
         assert (code, out) == (2, "")
         assert message in err
         assert campaigns == []
+
+    def test_unplaceable_psi_r_refused_before_any_campaign(self, capsys, monkeypatch):
+        campaigns = []
+        monkeypatch.setattr("bikelab.dfr.run_dfr",
+                            lambda params, *args, **kwargs: campaigns.append(params))
+        # 11 pairs at distance 5 fit at r=23, but only 10 at r=25
+        code, out, err = run_cli(capsys, "dfr", "--r", "23", "--w", "2", "--t", "22",
+                                 "--rs", "23,25", "--error-source", "psi:5",
+                                 "--max-trials", "300", "--verbose")
+        assert (code, out) == (2, "")
+        assert err == ("parameter error: at most 10 disjoint pairs at distance 5 fit in "
+                       "r=25; t=22 needs 11\n")
+        assert campaigns == []
+
+    @pytest.mark.parametrize("key_class", ["normal", "weak:type1:f=4", "weak:type2:m=2",
+                                           "weak:type3:m=2", "fixed:KEY"])
+    def test_every_key_class_is_a_campaign_part(self, keyfile, key_class):
+        part = cli._parse_key_class(key_class.replace("KEY", keyfile))
+        params = custom_params(r=613, w=30, t=14)
+        part.check_params(params)
+        assert part.sample(params, expand_u64_seed(1)).h0.weight() == params.w2
+        assert part.describe()["kind"] == key_class.split(":")[0]
+
+    @pytest.mark.parametrize("error_source", ["honest", "psi:3"])
+    def test_every_error_source_is_a_campaign_part(self, error_source):
+        part = cli._parse_error_source(error_source)
+        params = custom_params(r=613, w=30, t=14)
+        part.check_params(params)
+        err = part.sample(params, expand_u64_seed(1))
+        assert err.e0.weight() + err.e1.weight() == params.t
+        assert part.describe()["kind"] == error_source.split(":")[0]
 
     def test_verbose_reports_running_dfr_interval_and_eta(self, capsys):
         args = ["dfr", "--r", "523", "--w", "30", "--t", "18", "--max-trials", "80",

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from bikelab import (DecoderConfig, FixedKey, HonestErrors, NormalKeys, ParameterError,
-                     PsiErrors, StopRule, WeakKeys, avg_dfr_decompose,
+                     PsiErrors, StopRule, avg_dfr_decompose,
                      confidence_interval, custom_params, extrapolate, level_params,
                      pw_check, run_dfr, sample_private_key)
 from bikelab import bgf_decode, dfr, files
@@ -42,6 +42,19 @@ def recorded_pools(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return started
+
+
+class RaisingErrors:
+    """An error source that passes its parameter check and raises at every trial."""
+
+    def sample(self, params, seed):
+        raise RuntimeError("no error for this trial")
+
+    def describe(self):
+        return {"kind": "raising"}
+
+    def check_params(self, params):
+        pass
 
 
 def scipy_clopper_pearson(k, n, level=0.95):
@@ -210,7 +223,7 @@ class TestRunDfr:
         assert res["met_failure_rule"]
 
     def test_all_failures_degenerate(self):
-        weak = WeakKeys(WeakKeySpec.parse("type1:f=14"))
+        weak = WeakKeySpec.parse("type1:f=14")
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=50)
         res = run_dfr(custom_params(r=1019, w=42, t=30), weak, HonestErrors(), stop,
                       master_seed=7)
@@ -239,11 +252,15 @@ class TestRunDfr:
 
     def test_pool_shut_down_when_a_trial_raises(self, monkeypatch, recorded_pools):
         monkeypatch.setattr(dfr.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        # t = 8 pairs at distance 3 cannot be placed in r = 9: the first trial raises
-        with pytest.raises(ParameterError):
-            run_dfr(custom_params(r=9, w=2, t=8), NormalKeys(), PsiErrors(3),
+        with pytest.raises(RuntimeError, match="no error"):
+            run_dfr(custom_params(r=9, w=2, t=8), NormalKeys(), RaisingErrors(),
                     StopRule(max_trials=3), master_seed=1, parallelism=2)
         assert [pool.open for pool in recorded_pools] == [False]
+        # t = 8 pairs at distance 3 cannot be placed in r = 9: refused before any pool starts
+        with pytest.raises(ParameterError, match="at most 3 disjoint pairs"):
+            run_dfr(custom_params(r=9, w=2, t=8), NormalKeys(), PsiErrors(3),
+                    StopRule(max_trials=3), master_seed=1, parallelism=2)
+        assert len(recorded_pools) == 1
 
     def test_fixed_key_and_psi_source(self):
         key = sample_private_key(TOY, expand_u64_seed(99))
@@ -322,7 +339,7 @@ class TestRunDfr:
         path = str(tmp_path / "ckpt.json")
         params = custom_params(r=1019, w=42, t=30)
         stop = StopRule(min_trials=0, min_failures=10**9, max_trials=16)
-        weak = WeakKeys(WeakKeySpec(1, f=15, d=1))
+        weak = WeakKeySpec(1, f=15, d=1)
         run_dfr(params, weak, HonestErrors(), stop, master_seed=14, checkpoint_path=path)
         with pytest.raises(SchemaError):
             run_dfr(params, NormalKeys(), HonestErrors(), stop, master_seed=14,
@@ -447,7 +464,7 @@ class TestRecord:
     def test_checkpoint_tag_frozen(self, tmp_path):
         # an existing checkpoint resumes only under the same tag
         path = str(tmp_path / "ckpt.json")
-        run_dfr(custom_params(r=1259, w=42, t=30), WeakKeys(WeakKeySpec.parse("type1:f=10")),
+        run_dfr(custom_params(r=1259, w=42, t=30), WeakKeySpec.parse("type1:f=10"),
                 HonestErrors(), StopRule(max_trials=1), master_seed=7, checkpoint_path=path)
         tag = json.load(open(path))["tag"]
         assert tag == "fb05b11e34caeedf1d905347146ef4c2dfc11dcc2ac94d68e977a52c2a60034a"

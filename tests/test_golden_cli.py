@@ -93,6 +93,11 @@ CASES = [
     ("exit2-type2-chain-fills-cycle", [*DFR, "--r", "19", "--w", "14", "--t", "4",
                                        "--rs", "19,21", "--key-class", "weak:type2:m=6,d=3",
                                        "--max-trials", "2"]),
+    ("exit2-type2-fill-beyond-capacity", ["weakkey", "gen", "--r", "15", "--w", "14", "--t",
+                                          "4", "--type", "2", "--m", "1", "--d", "5",
+                                          "--key-out", "never.json"]),
+    ("exit2-psi-unplaceable-rs", [*DFR, "--r", "23", "--w", "2", "--t", "22", "--rs", "23,25",
+                                  "--error-source", "psi:5", "--max-trials", "300"]),
     # the verdict's cross-block reason and the extrapolation's dropped list, both reasons
     ("keycheck-type3", ["keycheck", "--key", "weak3.json"]),
     ("dfr-dropped", [*DFR, "--r", "523", "--w", "30", "--t", "18", "--rs", "523,541,547,1019",

@@ -286,7 +286,7 @@ class TestEncapsDecaps:
 
     def test_decoder_failure_takes_sigma_path(self, l1_params):
         # an f=40 key with the run in h0 makes honest decoding fail
-        sk = WeakKeySpec(1, f=40, d=1).generate(l1_params, expand_u64_seed(2))
+        sk = WeakKeySpec(1, f=40, d=1).sample(l1_params, expand_u64_seed(2))
         h = mul_sparse(sk.h1, sk.h0.to_dense().invert())
         from bikelab.keys import PublicKey
         pk = PublicKey(h=h)

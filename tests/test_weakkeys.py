@@ -1,11 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bikelab import (BudgetExhaustedError, ParameterError, WeakKeys, count_type1,
+from bikelab import (BudgetExhaustedError, ParameterError, count_type1,
                      count_type2_upper, count_type3_upper, custom_params, distance,
                      gen_psi_d_error, gen_type1, gen_type2, gen_type3, level_params, log2_count,
                      reconstruct_from_spectrum, spectrum, weakkeys)
@@ -176,6 +177,40 @@ class TestGenType2:
             gen_type2(r21, 3, 6, seed(8))
         key = gen_type2(r21, 3, 5, seed(8))
         assert 5 in [spectrum(h).mult[3] for h in (key.h0, key.h1)]
+        # at r = 15 the 5-steps form five 3-cycles: the chain's cycle holds its
+        # pair, each other cycle one position, so 6 positions fit, not 7
+        with pytest.raises(ParameterError, match="fits at most 6 positions"):
+            gen_type2(custom_params(r=15, w=14, t=4), 5, 1, seed(8))
+        # w/2 = 7 is exactly the capacity at r = 13, d = 1, m = 2
+        r13 = custom_params(r=13, w=14, t=4)
+        for i in range(20):
+            key = gen_type2(r13, 1, 2, seed(i))
+            assert 2 in [spectrum(h).mult[1] for h in (key.h0, key.h1)]
+
+    def test_capacity_matches_exhaustive_search(self):
+        cases = 0
+        for r in range(3, 16, 2):
+            for d in range(1, r // 2 + 1):
+                for m, fill in largest_fills(r, d).items():
+                    assert weakkeys._type2_capacity(r, d, m) == fill, (r, d, m)
+                    cases += 1
+        assert cases == 214
+
+
+def largest_fills(r, d):
+    """{m: largest weight of a subset of Z_r that holds the chain 0, d, ..., m*d and has
+    exactly m pairs at distance d}, for every m with m + 1 < r/gcd(r, d), by trying
+    every subset."""
+    masks = np.arange(1 << r)
+    # bit q of masks & rotated is set when q and q - d are both in the subset
+    rotated = ((masks << d) | (masks >> (r - d))) & ((1 << r) - 1)
+    weight = sum((masks >> k) & 1 for k in range(r))
+    pairs = sum(((masks & rotated) >> k) & 1 for k in range(r))
+    out = {}
+    for m in range(1, r // math.gcd(r, d) - 1):
+        chain = sum(1 << (j * d % r) for j in range(m + 1))
+        out[m] = int(weight[((masks & chain) == chain) & (pairs == m)].max())
+    return out
 
 
 class TestGenType3:
@@ -473,9 +508,9 @@ class TestWeakKeySpecParsing:
                 WeakKeySpec.parse(text)
 
     def test_type2_and_type3_describe_no_run(self):
-        assert WeakKeys(WeakKeySpec.parse("type2:m=3")).describe() == {
+        assert WeakKeySpec.parse("type2:m=3").describe() == {
             "kind": "weak", "family": 2, "f": None, "d": 1, "l_shift": 0, "m": 3}
-        assert WeakKeys(WeakKeySpec.parse("type3:m=3")).describe() == {
+        assert WeakKeySpec.parse("type3:m=3").describe() == {
             "kind": "weak", "family": 3, "f": None, "d": None, "l_shift": 0, "m": 3}
 
     def test_log2_eta(self):
@@ -488,5 +523,5 @@ class TestWeakKeySpecParsing:
             WeakKeySpec.parse("type2:m=3").log2_eta(params)
 
     def test_json_round_shape(self):
-        blob = WeakKeys(WeakKeySpec.parse("type1:f=8")).describe()
+        blob = WeakKeySpec.parse("type1:f=8").describe()
         assert blob == {"kind": "weak", "family": 1, "f": 8, "d": 1, "l_shift": 0, "m": None}
