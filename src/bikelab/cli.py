@@ -69,8 +69,11 @@ def cmd_keygen(args) -> int:
     params = _params_from_args(args)
     seed = expand_u64_seed(args.seed)
     if args.check:
-        cfg = KeyCheckConfig(threshold_T=args.check_threshold)
-        sk, pk, rejected = keygen_checked(params, seed, cfg, budget=args.check_budget)
+        threshold = 10 if args.check_threshold is None else args.check_threshold
+        budget = 100 if args.check_budget is None else args.check_budget
+        sk, pk, rejected = keygen_checked(params, seed, KeyCheckConfig(threshold), budget)
+    elif (args.check_threshold, args.check_budget) != (None, None):
+        raise ParameterError("--check-threshold and --check-budget are read only with --check")
     else:
         sk, pk = keygen(params, seed)
         rejected = 0
@@ -171,6 +174,8 @@ def cmd_dfr(args) -> int:
         raise ParameterError("--rs values must be distinct")
     # every r checked before any campaign runs, so a bad one costs none
     sweep = [params_with_r(base, r) for r in sorted(rs)]
+    if args.extrapolate_to is not None and args.format == "csv":
+        raise ParameterError("--extrapolate-to is read only with --format json")
     if args.queries is not None and not args.eta_from:
         raise ParameterError("--queries is read only with --eta-from")
     if args.eta_from:
@@ -274,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="64-bit seed")
     p.add_argument("--key-out", required=True)
     p.add_argument("--check", action="store_true", help="reject weak candidates")
-    p.add_argument("--check-threshold", type=int, default=10)
-    p.add_argument("--check-budget", type=int, default=100)
+    p.add_argument("--check-threshold", type=int, help="read only with --check (default 10)")
+    p.add_argument("--check-budget", type=int, help="read only with --check (default 100)")
     p.set_defaults(handler="cmd_keygen")
 
     p = sub.add_parser("encaps", help="encapsulate a shared key", allow_abbrev=False)

@@ -214,27 +214,25 @@ def bgf_decode(s: DensePoly, h0: SparsePoly, h1: SparsePoly, cfg: DecoderConfig,
         upc = _upc_blocks(_doubled(s_cur, r), supp)
         black = upc >= thr
         e ^= black
-        flips = int(np.count_nonzero(black))
-        n_black = n_gray = 0
-        if it == 1:
-            n_black = flips
-            gray = (upc >= thr - TAU) & ~black
-            n_gray = int(np.count_nonzero(gray))
-            for mask in (black, gray):
-                s2 = _doubled(residual_syndrome(), r)
-                if gather:
-                    hits = np.flatnonzero(mask & (_upc_blocks(s2, supp) >= mask_thr))
-                else:
-                    # upc only where the mask is set: (w/2) x |mask| entries
-                    hits = np.flatnonzero(mask)
-                    blk, pos = np.divmod(hits, r)
-                    hits = hits[s2[supp[blk].T + pos].sum(axis=0) >= mask_thr]
-                e.reshape(-1)[hits] ^= 1   # hits index the flat (2r,) view of e
-                flips += hits.size
+        masks = (black, (upc >= thr - TAU) & ~black) if it == 1 else ()
+        rechecked = 0
+        for mask in masks:
+            s2 = _doubled(residual_syndrome(), r)
+            if gather:
+                hits = np.flatnonzero(mask & (_upc_blocks(s2, supp) >= mask_thr))
+            else:
+                # upc only where the mask is set: (w/2) x |mask| entries
+                hits = np.flatnonzero(mask)
+                blk, pos = np.divmod(hits, r)
+                hits = hits[s2[supp[blk].T + pos].sum(axis=0) >= mask_thr]
+            e.reshape(-1)[hits] ^= 1   # hits index the flat (2r,) view of e
+            rechecked += hits.size
 
         if record_trace:
-            trace.append(IterationTrace(iteration=it, syndrome_weight=weight,
-                                        threshold=thr, flips=flips,
+            # only the trace reads the counts, so a decode without one skips them
+            n_black, n_gray = [int(np.count_nonzero(m)) for m in masks] or (0, 0)
+            trace.append(IterationTrace(iteration=it, syndrome_weight=weight, threshold=thr,
+                                        flips=int(np.count_nonzero(black)) + rechecked,
                                         black=n_black, gray=n_gray))
 
     success = residual_syndrome() == 0

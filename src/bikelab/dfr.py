@@ -207,7 +207,8 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
            "stop": asdict(stop), "master_seed": master_seed}
 
     trials = failures = 0
-    tag = _checkpoint_tag(rec, key_class)
+    # only a checkpoint reads the tag
+    tag = _checkpoint_tag(rec, key_class) if checkpoint_path else None
     if checkpoint_path and os.path.exists(checkpoint_path):
         trials, failures = _load_checkpoint(checkpoint_path, tag, stop.max_trials)
     if trials == 0 and stop.satisfied(0, 0):
@@ -324,11 +325,7 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 
 def _betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
+    """Regularized incomplete beta I_x(a, b) for 0 < x < 1."""
     ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
                 + a * math.log(x) + b * math.log1p(-x))
     front = math.exp(ln_front)
@@ -343,7 +340,7 @@ def _betainc_inv(a: float, b: float, p: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             # no double lies strictly between lo and hi, so no later step can
-            # move the result off mid
+            # move the result off mid; _betainc thus only sees 0 < mid < 1
             return mid
         if _betainc(a, b, mid) < p:
             lo = mid
@@ -375,8 +372,6 @@ def extrapolate(p1: tuple[int, float], p2: tuple[int, float],
     log2 DFR there, and whether the DFR failed to fall from r1 to r2.
     """
     (r1, v1), (r2, v2) = p1, p2
-    if r1 == r2:
-        raise ParameterError("extrapolation needs two distinct r values")
     if not r1 < r2 < r_target:
         raise ParameterError("points must satisfy r1 < r2 < r_target")
     if not (math.isfinite(v1) and math.isfinite(v2)):

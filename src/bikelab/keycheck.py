@@ -48,12 +48,9 @@ class KeyVerdict:
     def is_weak(self) -> bool:
         return self.reason is not None
 
-    @property
-    def verdict(self) -> str:
-        return "Weak" if self.is_weak else "Normal"
-
     def to_json_dict(self, cfg: KeyCheckConfig) -> dict:
-        return {"verdict": self.verdict, "reason": self.reason, "T": cfg.threshold_T}
+        return {"verdict": "Weak" if self.is_weak else "Normal", "reason": self.reason,
+                "T": cfg.threshold_T}
 
 
 def key_check(h0: SparsePoly, h1: SparsePoly, cfg: KeyCheckConfig) -> KeyVerdict:

@@ -149,10 +149,7 @@ def _mul_int(a: int, b: int, r: int, mask: int) -> int:
 
 def _frobenius_int(v: int, r: int, e: int) -> int:
     """Raise to the power 2^e: permutes index i to i * 2^e mod r."""
-    supp = _support_of(v, r)
-    if supp.size == 0:
-        return 0
-    dest = (supp.astype(np.int64) * pow(2, e, r)) % r
+    dest = (_support_of(v, r).astype(np.int64) * pow(2, e, r)) % r
     arr = np.zeros(r, dtype=np.uint8)
     arr[dest] = 1
     return _array_to_bits(arr)

@@ -238,6 +238,15 @@ def _type2_capacity(r: int, d: int, m: int) -> int:
 
 
 def _check_type2(params: SystemParams, d: int, m: int) -> None:
+    """ParameterError unless type 2's chain closes no cycle and w/2 is within capacity.
+
+    The capacity bound is necessary but not sufficient: the fill is random, and
+    near the bound few arrangements keep exactly m pairs at distance d, so an
+    accepted draw can still exhaust its budget (``BudgetExhaustedError``, exit
+    4).  With w/2 at the capacity, for every odd r in 11..31 and every d and m
+    that ``custom_params`` accepts, 1102 of 3138 draws (3 seeds each) did, e.g.
+    r=17, w=18, d=1, m=1 at seed 0.
+    """
     r, w2 = params.r, params.w2
     _check_range("m", m, 1, w2 - 1)
     _check_range("d", d, 1, r // 2)

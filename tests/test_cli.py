@@ -86,6 +86,32 @@ class TestKeygen:
         assert err == f"parameter error: check budget must be >= 1, got {budget}\n"
         assert out == "" and not path.exists()
 
+    @pytest.mark.parametrize("argv", [["--check-threshold", "3"], ["--check-budget", "1"],
+                                      ["--check-threshold", "3", "--check-budget", "1"]],
+                             ids=["threshold", "budget", "both"])
+    def test_check_setting_without_check_refused_before_any_draw(self, tmp_path, capsys,
+                                                                 monkeypatch, argv):
+        for name in ("keygen", "keygen_checked"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("a key was drawn"))
+        path = tmp_path / "k.json"
+        code, out, err = run_cli(capsys, "keygen", "--r", "613", "--w", "14", "--t", "4",
+                                 *argv, "--key-out", str(path))
+        assert code == 2
+        assert err == ("parameter error: --check-threshold and --check-budget are read only "
+                       "with --check\n")
+        assert out == "" and not path.exists()
+
+    def test_check_defaults(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def fake(params, seed, cfg, budget):
+            seen.append((cfg.threshold_T, budget))
+            return cli.keygen(params, seed) + (0,)
+        monkeypatch.setattr(cli, "keygen_checked", fake)
+        code, _, _ = run_cli(capsys, "keygen", *TOY_ARGS, "--check",
+                             "--key-out", str(tmp_path / "k.json"))
+        assert code == 0 and seen == [(10, 100)]
+
     def test_partial_custom_params_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "keygen", "--r", "613", "--seed", "1",
                                "--key-out", str(tmp_path / "k.json"))
@@ -688,6 +714,23 @@ class TestDfrCommand:
                                "--eta-from", eta_from)
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--extrapolate-to", "12323"],
+        ["--extrapolate-to", "12323", "--eta-from", "type1:f=5"],
+        ["--extrapolate-to", "12323", "--eta-from", "type1:f=5", "--queries", "8"],
+    ], ids=["extrapolate", "eta-from", "queries"])
+    def test_extrapolation_with_csv_refused_before_any_campaign(self, capsys, monkeypatch,
+                                                                argv):
+        # the CSV holds the records alone, so the line and the pw verdict would go unread
+        monkeypatch.setattr(cli.dfrlab, "run_dfr",
+                            lambda *args, **kwargs: pytest.fail("a campaign ran"))
+        code, out, err = run_cli(capsys, "dfr", "--r", "523", "--w", "30", "--t", "18",
+                                 "--rs", "523,541", "--max-trials", "256", *argv,
+                                 "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert err == "parameter error: --extrapolate-to is read only with --format json\n"
 
     def test_bad_queries_rejected_before_any_campaign(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.dfrlab, "run_dfr",

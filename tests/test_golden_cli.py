@@ -98,6 +98,13 @@ CASES = [
                                           "--key-out", "never.json"]),
     ("exit2-psi-unplaceable-rs", [*DFR, "--r", "23", "--w", "2", "--t", "22", "--rs", "23,25",
                                   "--error-source", "psi:5", "--max-trials", "300"]),
+    ("exit2-extrapolate-csv", [*DFR, "--r", "523", "--w", "30", "--t", "18", "--rs", "523,541",
+                               "--max-trials", "256", "--min-failures", "1000000",
+                               "--extrapolate-to", "12323", "--eta-from", "type1:f=5",
+                               "--format", "csv"]),
+    ("exit2-check-setting-without-check", ["keygen", "--r", "613", "--w", "14", "--t", "4",
+                                           "--check-threshold", "3", "--check-budget", "1",
+                                           "--key-out", "never.json"]),
     # the verdict's cross-block reason and the extrapolation's dropped list, both reasons
     ("keycheck-type3", ["keycheck", "--key", "weak3.json"]),
     ("dfr-dropped", [*DFR, "--r", "523", "--w", "30", "--t", "18", "--rs", "523,541,547,1019",
