@@ -19,7 +19,8 @@ from dataclasses import asdict, astuple
 from . import dfr as dfrlab
 from . import files
 from .decoder import IterationTrace
-from .errors import BudgetExhaustedError, NotInvertibleError, ParameterError, SchemaError
+from .errors import (BudgetExhaustedError, NotInvertibleError, ParameterError, SchemaError,
+                     parse_int)
 from .kem import decaps_with_diagnostics, encaps, expand_u64_seed, keygen, public_key
 from .keycheck import KeyCheckConfig, key_check, keygen_checked
 from .keys import SystemParams, custom_params, level_params, params_with_r
@@ -49,13 +50,6 @@ def _add_params(p) -> None:
     p.add_argument("--w", type=int, help="custom row weight")
     p.add_argument("--t", type=int, help="custom error weight")
     p.add_argument("--l", type=int, help="shared key bits of a custom set (default 256)")
-
-
-def _int(text: str, error: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ParameterError(error) from exc
 
 
 def _emit(args, text: str) -> None:
@@ -148,7 +142,7 @@ def _parse_error_source(text: str):
     if text == "honest":
         return dfrlab.HonestErrors()
     if text.startswith("psi:"):
-        return dfrlab.PsiErrors(_int(text[len("psi:"):], f"bad psi distance in {text!r}"))
+        return dfrlab.PsiErrors(parse_int(text[len("psi:"):], f"bad psi distance in {text!r}"))
     raise ParameterError(f"unknown error source {text!r}")
 
 
@@ -168,8 +162,8 @@ def _progress_printer(r: int, stop: dfrlab.StopRule):
 
 def cmd_dfr(args) -> int:
     base = _params_from_args(args)
-    rs = ([_int(x, f"bad --rs value {x!r}") for x in args.rs.split(",")] if args.rs
-          else [base.r])
+    rs = ([parse_int(x, f"bad --rs value {x!r}") for x in args.rs.split(",")]
+          if args.rs is not None else [base.r])
     if len(set(rs)) != len(rs):
         raise ParameterError("--rs values must be distinct")
     # every r checked before any campaign runs, so a bad one costs none
@@ -257,51 +251,53 @@ def cmd_eta(args) -> int:
 
 def _parse_range(text: str) -> list[int]:
     """Accept "5:40:5" (start:stop:step, inclusive) or "5,10,15"."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (2, 3) or not all(p.lstrip("-").isdigit() for p in parts):
-            raise ParameterError(f"bad range {text!r}")
-        start, stop = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
-        if step <= 0 or stop < start:
-            raise ParameterError(f"bad range {text!r}")
-        return list(range(start, stop + 1, step))
-    return [_int(x, f"bad range {text!r}") for x in text.split(",")]
+    error = f"bad range {text!r}"
+    if ":" not in text:
+        return [parse_int(x, error) for x in text.split(",")]
+    parts = [parse_int(x, error) for x in text.split(":")]
+    start, stop, step = (*parts, 1)[:3]
+    if len(parts) > 3 or step <= 0 or stop < start:
+        raise ParameterError(error)
+    return list(range(start, stop + 1, step))
+
+
+def _command(sub, name: str, handler: str, help: str) -> argparse.ArgumentParser:
+    """A leaf subcommand that runs the cmd_* function named ``handler``."""
+    # no abbreviations: "decaps --t 14" would otherwise be read as --trace-csv 14
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    p.set_defaults(handler=handler)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="bikelab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    # no abbreviations: "decaps --t 14" would otherwise be read as --trace-csv 14
-    p = sub.add_parser("keygen", help="generate a key pair", allow_abbrev=False)
+    p = _command(sub, "keygen", "cmd_keygen", "generate a key pair")
     _add_params(p)
     p.add_argument("--seed", type=int, default=0, help="64-bit seed")
     p.add_argument("--key-out", required=True)
     p.add_argument("--check", action="store_true", help="reject weak candidates")
     p.add_argument("--check-threshold", type=int, help="read only with --check (default 10)")
     p.add_argument("--check-budget", type=int, help="read only with --check (default 100)")
-    p.set_defaults(handler="cmd_keygen")
 
-    p = sub.add_parser("encaps", help="encapsulate a shared key", allow_abbrev=False)
+    p = _command(sub, "encaps", "cmd_encaps", "encapsulate a shared key")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed")
     p.add_argument("--key", required=True, help="key file (only params and h used)")
     p.add_argument("--ct-out", required=True)
     p.add_argument("--ss-out", required=True)
-    p.set_defaults(handler="cmd_encaps")
 
-    p = sub.add_parser("decaps", help="decapsulate a ciphertext", allow_abbrev=False)
+    p = _command(sub, "decaps", "cmd_decaps", "decapsulate a ciphertext")
     p.add_argument("--key", required=True)
     p.add_argument("--ct", required=True)
     p.add_argument("--ss-out", required=True)
     p.add_argument("--diagnostics", action="store_true",
                    help="also report decoder success/failure")
     p.add_argument("--trace-csv", help="write per-iteration decoder trace CSV")
-    p.set_defaults(handler="cmd_decaps")
 
     p = sub.add_parser("weakkey", help="weak-key utilities")
     wk_sub = p.add_subparsers(dest="weakkey_command", required=True)
-    g = wk_sub.add_parser("gen", help="generate a weak key", allow_abbrev=False)
+    g = _command(wk_sub, "gen", "cmd_weakkey_gen", "generate a weak key")
     _add_params(g)
     g.add_argument("--seed", type=int, default=0, help="64-bit seed")
     g.add_argument("--type", type=int, required=True, choices=(1, 2, 3))
@@ -311,15 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=int)
     g.add_argument("--key-out", required=True)
     g.add_argument("--spectrum-csv", help="write the h0 distance spectrum CSV")
-    g.set_defaults(handler="cmd_weakkey_gen")
 
-    p = sub.add_parser("keycheck", help="classify a key as Weak or Normal", allow_abbrev=False)
+    p = _command(sub, "keycheck", "cmd_keycheck", "classify a key as Weak or Normal")
     p.add_argument("--key", required=True)
     p.add_argument("--threshold", type=int, default=10)
     p.add_argument("--out", help="write the verdict here instead of stdout")
-    p.set_defaults(handler="cmd_keycheck")
 
-    p = sub.add_parser("dfr", help="measure decoding failure rates", allow_abbrev=False)
+    p = _command(sub, "dfr", "cmd_dfr", "measure decoding failure rates")
     _add_params(p)
     p.add_argument("--seed", type=int, default=0, help="64-bit seed")
     p.add_argument("--key-class", default="normal",
@@ -342,16 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-batch progress on stderr: running DFR, 95%% CI, ETA")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="write the records here instead of stdout")
-    p.set_defaults(handler="cmd_dfr")
 
-    p = sub.add_parser("eta", help="weak-key densities as CSV", allow_abbrev=False)
+    p = _command(sub, "eta", "cmd_eta", "weak-key densities as CSV")
     _add_params(p)
     p.add_argument("--type", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--param-range", required=True,
                    help='f or m values: "5:40:5" or "5,10,15"')
     p.add_argument("--s", type=int, help="run-block count, type 2 only (default 2)")
     p.add_argument("--out", help="write the CSV here instead of stdout")
-    p.set_defaults(handler="cmd_eta")
 
     return top
 

@@ -3,9 +3,11 @@
 Trials are indexed: trial i derives every random choice (key, error) from
 (master_seed, i) through the seed stream, so a run's failure count is a pure
 function of its configuration and is identical for any degree of parallelism.
-Trials execute in batches of BATCH_SIZE; the stop rule is evaluated only at
-batch boundaries, and workers split batches without reordering anything that
-matters (failure counts are sums).
+Trials execute in batches of BATCH_SIZE = 256: batch k covers trials
+[256k, 256(k+1)), cut short at the trial cap.  The stop rule is evaluated only
+at batch boundaries, and a run resumed from a checkpoint keeps the same
+boundaries, so it stops where a one-shot run would.  Workers split batches
+without reordering anything that matters (failure counts are sums).
 
 The 95% intervals are exact Clopper-Pearson bounds computed from the
 regularized incomplete beta function (implemented here with the standard
@@ -226,7 +228,8 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
         pool = ProcessPoolExecutor(max_workers=workers)
     try:
         while not stop.satisfied(trials, failures):
-            todo = min(BATCH_SIZE, stop.max_trials - trials)
+            # to the next multiple of BATCH_SIZE, also after a checkpoint at any count
+            todo = min(BATCH_SIZE - trials % BATCH_SIZE, stop.max_trials - trials)
             chunk = (todo + workers - 1) // workers
             tasks = [(params, key_class, error_source, cfg, master_seed,
                       trials + lo, min(chunk, todo - lo))
@@ -274,13 +277,13 @@ def _save_checkpoint(path: str, tag: str, trials: int, failures: int) -> None:
 def _load_checkpoint(path: str, tag: str, max_trials: int) -> tuple[int, int]:
     blob = files.load_json(path)
     if blob.get("tag") != tag:
-        raise SchemaError("checkpoint belongs to a different experiment", field="tag")
+        raise SchemaError("checkpoint belongs to a different experiment")
     for name in ("trials_done", "failures"):
         if type(blob.get(name)) is not int or blob[name] < 0:
-            raise SchemaError(f"checkpoint {name} must be a nonnegative integer", field=name)
+            raise SchemaError(f"checkpoint {name} must be a nonnegative integer")
     trials, failures = blob["trials_done"], blob["failures"]
     if failures > trials:
-        raise SchemaError("checkpoint has more failures than trials", field="failures")
+        raise SchemaError("checkpoint has more failures than trials")
     if trials > max_trials:
         raise ParameterError(f"checkpoint holds {trials} trials, above max_trials={max_trials}")
     return trials, failures
@@ -300,25 +303,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 400):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # one Lentz update per coefficient: the even one, then the odd one
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-14:
             break
     return h

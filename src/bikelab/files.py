@@ -52,7 +52,7 @@ def load_json(path: str) -> dict:
 
 def _need(blob: dict, field: str, path: str):
     if field not in blob:
-        raise SchemaError(f"{path}: missing field {field!r}", field=field)
+        raise SchemaError(f"{path}: missing field {field!r}")
     return blob[field]
 
 
@@ -60,23 +60,23 @@ def _indices(blob: dict, field: str, path: str) -> list[int]:
     # int() in SparsePoly.from_indices would read 3.7 or "3" as 3; JSON true is an int too
     v = _need(blob, field, path)
     if not isinstance(v, list) or any(type(i) is not int for i in v):
-        raise SchemaError(f"{path}: {field} must be a list of integers", field=field)
+        raise SchemaError(f"{path}: {field} must be a list of integers")
     return v
 
 
 def params_from_dict(blob: dict, path: str = "<params>") -> SystemParams:
     if not isinstance(blob, dict):
-        raise SchemaError(f"{path}: params must be a JSON object", field="params")
+        raise SchemaError(f"{path}: params must be a JSON object")
     for f in ("r", "w", "t", "l", "lambda"):
         if f not in blob:
-            raise SchemaError(f"{path}: params missing {f!r}", field=f)
+            raise SchemaError(f"{path}: params missing {f!r}")
         if type(blob[f]) is not int:
-            raise SchemaError(f"{path}: params field {f!r} must be an integer", field=f)
+            raise SchemaError(f"{path}: params field {f!r} must be an integer")
     try:
         return custom_params(r=blob["r"], w=blob["w"], t=blob["t"], l=blob["l"],
                              security_bits=blob["lambda"])
     except ParameterError as exc:
-        raise SchemaError(f"{path}: invalid params ({exc})", field="params") from exc
+        raise SchemaError(f"{path}: invalid params ({exc})") from exc
 
 
 def write_key(path: str, params: SystemParams, sk: PrivateKey, pk: PublicKey) -> None:
@@ -102,7 +102,7 @@ def read_key(path: str) -> tuple[SystemParams, PrivateKey, PublicKey]:
     except ParameterError as exc:
         raise SchemaError(f"{path}: inconsistent key material ({exc})") from exc
     if mul_sparse(h0, h) != h1.to_dense():
-        raise SchemaError(f"{path}: h_hex is not h1 * h0^-1 (h * h0 != h1)", field="h_hex")
+        raise SchemaError(f"{path}: h_hex is not h1 * h0^-1 (h * h0 != h1)")
     return params, sk, PublicKey(h=h)
 
 
@@ -113,7 +113,7 @@ def read_public_key(path: str) -> tuple[SystemParams, PublicKey]:
     try:
         h = DensePoly.from_hex(params.ring, _need(blob, "h_hex", path))
     except (ValueError, TypeError) as exc:
-        raise SchemaError(f"{path}: malformed h_hex ({exc})", field="h_hex") from exc
+        raise SchemaError(f"{path}: malformed h_hex ({exc})") from exc
     return params, PublicKey(h=h)
 
 
@@ -126,11 +126,11 @@ def read_ciphertext(path: str, params: SystemParams) -> Ciphertext:
     try:
         c0 = DensePoly.from_hex(params.ring, _need(blob, "c0_hex", path))
     except (ValueError, TypeError) as exc:
-        raise SchemaError(f"{path}: malformed c0_hex ({exc})", field="c0_hex") from exc
+        raise SchemaError(f"{path}: malformed c0_hex ({exc})") from exc
     try:
         c1 = bytes.fromhex(_need(blob, "c1_hex", path))
     except (ValueError, TypeError) as exc:
-        raise SchemaError(f"{path}: malformed c1_hex ({exc})", field="c1_hex") from exc
+        raise SchemaError(f"{path}: malformed c1_hex ({exc})") from exc
     try:
         c = Ciphertext(c0=c0, c1=c1)
         c.check_params(params)

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, ParameterError
+from .errors import BudgetExhaustedError, ParameterError, parse_int
 from .kem import TAG_WEAK, XofStream, sample_fixed_weight, sample_sigma
 from .keys import ErrorPair, PrivateKey, SystemParams
 from .ring import RingParams, SparsePoly
@@ -165,11 +165,11 @@ class WeakKeySpec:
         if rest:
             for part in rest.split(","):
                 k, _, v = part.partition("=")
-                if k not in ("f", "d", "m", "shift") or not v.lstrip("-").isdigit():
+                if k not in ("f", "d", "m", "shift"):
                     raise ParameterError(f"bad weak-key parameter {part!r}")
                 if k in kv:
                     raise ParameterError(f"weak-key parameter {k} given twice in {text!r}")
-                kv[k] = int(v)
+                kv[k] = parse_int(v, f"bad weak-key parameter {part!r}")
         return cls.of(int(head[4:]), kv)
 
 
@@ -415,10 +415,8 @@ def reconstruct_from_spectrum(spec: DistanceSpectrum, target_weight: int) -> Spa
     if target_weight == 1:
         return SparsePoly(RingParams(r), (0,))
     remaining = dict(spec.mult)
-    existing = sorted(d for d, mcount in spec.mult.items() if mcount > 0)
-    if not existing:
-        return None
-    d1 = existing[0]
+    # the multiplicities sum to w(w-1)/2 >= 1, so some distance occurs
+    d1 = min(d for d, mcount in spec.mult.items() if mcount > 0)
     remaining[d1] -= 1
     placed = [0, d1]
 

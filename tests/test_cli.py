@@ -749,8 +749,9 @@ class TestDfrCommand:
         (["--rs", "523,541,1019", "--extrapolate-to", "900"], "all below"),
         (["--rs", "523,613", "--extrapolate-to", "613"], "all below"),
         (["--extrapolate-to", "12323"], "at least two --rs values"),
+        (["--rs", ""], "bad --rs value ''"),
     ], ids=["even-r", "target-inside", "target-below-largest", "target-at-largest",
-            "single-r"])
+            "single-r", "empty-rs"])
     def test_bad_sweep_rejected_before_any_campaign(self, capsys, monkeypatch, argv, message):
         monkeypatch.setattr(cli.dfrlab, "run_dfr",
                             lambda *args, **kwargs: pytest.fail("a campaign ran"))
@@ -768,6 +769,27 @@ class TestDfrCommand:
         assert code == 2
         assert out == ""
         assert "f given twice" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--key-class", "weak:type1:f=--5"],
+        ["--key-class", "weak:type1:f=\u00b2"],
+        ["--rs", "523,613", "--extrapolate-to", "12323", "--eta-from", "type1:f=--5"],
+    ], ids=["key-class-double-minus", "key-class-superscript", "eta-from-double-minus"])
+    def test_weak_value_int_cannot_read_is_a_parameter_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli.dfrlab, "run_dfr",
+                            lambda *args, **kwargs: pytest.fail("a campaign ran"))
+        code, out, err = run_cli(capsys, "dfr", *TOY_ARGS, "--max-trials", "8", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parameter error: bad weak-key parameter 'f=")
+
+    def test_bad_weak_parameter_exits_2_without_traceback(self):
+        proc = subprocess.run([sys.executable, "-m", "bikelab.cli", "dfr", "--r", "101",
+                               "--w", "14", "--t", "4", "--key-class", "weak:type1:f=--5",
+                               "--max-trials", "1"],
+                              capture_output=True, text=True, env=src_env(), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == "parameter error: bad weak-key parameter 'f=--5'\n"
 
     @pytest.fixture
     def key1259(self, tmp_path, capsys):
@@ -919,6 +941,20 @@ class TestEtaCommand:
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(capsys, "eta", "--type", "1", "--param-range", "x:y")
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["--5:10", "5:\u00b2", "1:5:2:1", "5:40:0", "5,x"])
+    def test_bad_range_message(self, capsys, text):
+        code, out, err = run_cli(capsys, "eta", "--type", "1", f"--param-range={text}")
+        assert code == 2
+        assert out == ""
+        assert err == f"parameter error: bad range {text!r}\n"
+
+    def test_range_reads_what_int_reads(self, capsys):
+        # one integer rule for every command-text number: int()'s own
+        code, out, _ = run_cli(capsys, "eta", "--type", "1", "--level", "1",
+                               "--param-range=+5:1_0:2")
+        assert code == 0
+        assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["5", "7", "9"]
 
     def test_out_file(self, tmp_path, capsys):
         path = str(tmp_path / "eta.csv")

@@ -85,6 +85,31 @@ def full_bisection_interval(k, n, level=0.95):
 
 SCIPY_GRID = [(1, 10), (5, 50), (17, 200), (999, 1000), (1000, 10**6), (3, 100000)]
 
+# float.hex of both 95% bounds: a change in any bit of the continued fraction
+# or the bisection shows here, where the scipy check allows 1e-9
+PINNED_INTERVALS = {
+    (1, 10): ('0x1.4b6d044ec2e40p-9', '0x1.c7b24e1350e74p-2'),
+    (5, 50): ('0x1.1096edd78edf2p-5', '0x1.bebdc1477cad2p-3'),
+    (17, 200): ('0x1.9c062fb4749e8p-5', '0x1.0f934c14260b8p-3'),
+    (999, 1000): ('0x1.fd27617408cfep-1', '0x1.fffcae7c703c0p-1'),
+    (1000, 1000000): ('0x1.ec4e9bd51a2d0p-11', '0x1.16e655e7fa188p-10'),
+    (3, 100000): ('0x1.9f2fcba46d318p-18', '0x1.6fb729c87a0dcp-14'),
+    (0, 5): ('0x0.0p+0', '0x1.0b2c7b89f435ap-1'),
+    (3, 5): ('0x1.2c4dd1379d5f2p-3', '0x1.e4fe9d24ebb08p-1'),
+    (5, 5): ('0x1.e9a708ec17948p-2', '0x1.0000000000000p+0'),
+    (363, 500): ('0x1.5e89dc6674048p-1', '0x1.87814c348b840p-1'),
+    (1, 1000000): ('0x1.b2f4e54a45564p-26', '0x1.75e7e2c3540b2p-18'),
+    (0, 1): ('0x0.0p+0', '0x1.f333333333332p-1'),
+    (1, 1): ('0x1.99999999999a0p-6', '0x1.0000000000000p+0'),
+    (0, 256): ('0x0.0p+0', '0x1.d4ca7805e1494p-7'),
+    (113, 256): ('0x1.84bada516049ep-2', '0x1.025677794a18cp-1'),
+    (274, 600): ('0x1.aa43dcca53596p-2', '0x1.fd6d516bdabc2p-2'),
+    (10, 100): ('0x1.91724831d257ep-5', '0x1.68e764b0e0604p-3'),
+    (50, 5000): ('0x1.e70047d666fc0p-8', '0x1.af510d2d3beecp-7'),
+    (255, 256): ('0x1.f4f4a906c7d18p-1', '0x1.fff309b557194p-1'),
+    (7, 1259): ('0x1.255e8ac93d80ep-9', '0x1.7645f4b428370p-7'),
+}
+
 
 class TestConfidenceInterval:
     def test_zero_failures_low_boundary(self):
@@ -113,6 +138,11 @@ class TestConfidenceInterval:
                                                   (1, 10**6)])
     def test_early_stop_is_bit_identical(self, k, n):
         assert confidence_interval(k, n) == full_bisection_interval(k, n)
+
+    @pytest.mark.parametrize("k,n", list(PINNED_INTERVALS))
+    def test_bounds_are_pinned_bit_for_bit(self, k, n):
+        low, high = confidence_interval(k, n)
+        assert (low.hex(), high.hex()) == PINNED_INTERVALS[k, n]
 
     def test_bisection_stops_when_it_cannot_move(self, monkeypatch):
         calls = [0]
@@ -323,6 +353,21 @@ class TestRunDfr:
         oneshot = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop_full, **kwargs)
         assert resumed["failures"] == oneshot["failures"]
         assert resumed["trials"] == oneshot["trials"]
+
+    def test_resume_from_unaligned_checkpoint_gives_one_shot_record(self, tmp_path):
+        # batch k covers trials [256k, 256(k+1)), so the run resumed at 300 checks
+        # the stop rule at 512 and 600, where the one-shot run does
+        path = str(tmp_path / "ckpt.json")
+        run_dfr(FAILY, NormalKeys(), HonestErrors(), StopRule(min_failures=10**9, max_trials=300),
+                master_seed=7, checkpoint_path=path)
+        stop = StopRule(max_trials=600, min_failures=251)
+        seen = []
+        resumed = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, master_seed=7,
+                          checkpoint_path=path, progress=lambda t, f: seen.append(t))
+        oneshot = run_dfr(FAILY, NormalKeys(), HonestErrors(), stop, master_seed=7)
+        assert seen == [512, 600]
+        assert (oneshot["trials"], oneshot["failures"]) == (600, 274)
+        assert {**resumed, "wall_time_s": 0} == {**oneshot, "wall_time_s": 0}
 
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         from bikelab.errors import SchemaError

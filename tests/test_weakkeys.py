@@ -492,9 +492,14 @@ class TestWeakKeySpecParsing:
         assert WeakKeySpec.parse("type3:m=7").family == 3
 
     def test_bad_inputs(self):
-        for text in ("type4:m=1", "type1:q=3", "type1:f=abc", "type2:d=1"):
+        for text in ("type4:m=1", "type1:q=3", "type1:f=abc", "type2:d=1", "type1:f=--5",
+                     "type1:f=\u00b2", "type1:f="):
             with pytest.raises(ParameterError):
                 WeakKeySpec.parse(text)
+
+    def test_values_read_as_int_reads_them(self):
+        assert WeakKeySpec.parse("type1:f=+5") == WeakKeySpec.parse("type1:f=5")
+        assert WeakKeySpec.parse("type3:m=1_0").m == 10
 
     def test_parameters_the_family_does_not_read_rejected(self):
         for text in ("type2:m=3,shift=5,f=4", "type3:m=3,d=1", "type3:m=3,f=9",
