@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .decoder import DecodeOutcome, DecoderConfig, bgf_decode, compute_upc, threshold
-from .dfr import (FixedKey, HonestErrors, NormalKeys, PsiErrors, StopRule, avg_dfr_decompose,
-                  confidence_interval, extrapolate, pw_check, run_dfr)
+from .dfr import (FixedKey, HonestErrors, NormalKeys, PsiErrors, StopRule, confidence_interval,
+                  extrapolate, pw_check, run_dfr)
 from .errors import (BudgetExhaustedError, NotInvertibleError, ParameterError,
                      SchemaError)
 from .kem import (XofStream, decaps, decaps_with_diagnostics, encaps, hash_H, hash_K,

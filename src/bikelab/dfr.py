@@ -393,18 +393,6 @@ def pw_check(log2_eta: float, log2_dfr: float, security_bits: int,
     return out
 
 
-def avg_dfr_decompose(eta_w: float, dfr_w: float, dfr_s: float) -> float:
-    """Average failure rate of the split key space: (1 - eta_w) dfr_s + eta_w dfr_w.
-
-    This is the paper's average-DFR decomposition over weak and strong keys;
-    it stays in the public API because the paper's 2^-106.5 average figure
-    is reproduced through it.
-    """
-    if not 0.0 <= eta_w <= 1.0:
-        raise ParameterError("eta_w must be a probability")
-    return (1.0 - eta_w) * dfr_s + eta_w * dfr_w
-
-
 # -- the serialized experiment record -------------------------------------------
 
 SUMMARY_CSV_HEADER = "r,trials,failures,dfr,ci_low,ci_high"

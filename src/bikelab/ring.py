@@ -15,20 +15,24 @@ two coefficients per float as x[2i] + B*x[2i+1] with B = 2^s > r + 1, so its
 transforms have about r/2 points.  Each packed sum holds three base-B digits,
 each a count of at most r + 1 < B, and stays below B^2 * (h + 1) < 2^48 with
 h = (r + 1)/2 while r + 1 < 2^16; larger rings use the shift product.  A guard
-raises if any value strays from an integer by 0.25 or more; the worst case,
-all-ones squared, strays by 4.9e-4 at r=12323, 7.8e-3 at r=24659 and 7.8e-2
-at r=40973.  Inversion raises to 2^L - 2, where L is the order of 2 mod r,
-with a square-and-multiply addition chain; raising to 2^k is a single index
-permutation i -> i*2^k mod r.  For odd r the ring splits into fields
-F_(2^d) with each d dividing L, so every unit's order divides 2^L - 1 and
-a^(2^L - 2) is its inverse.  Where 2 is primitive mod a prime r, L = r - 1
-and this is the Fermat exponent 2^(r-1) - 2.
+raises if any value strays from an integer by 0.25 or more.  The transforms
+run at the 2^i * 3^j * 5^k length in [r, 1.05 r] with the most factors of two
+(12800, 25600 and 41472 at r=12323, 24659 and 40973), since radix-2 passes
+are the fastest.  There the worst case, all-ones squared, strays by 7.3e-4 at
+r=12323, 5.9e-3 at r=24659 and 7.8e-2 at r=40973, and by at most 0.16 over
+every odd r from 513 to 65533 (at r=55191).  Inversion raises to 2^L - 2,
+where L is the order of 2 mod r, with a square-and-multiply addition chain;
+raising to 2^k is a single gather through a cached index j -> j*2^(-k) mod r.
+For odd r the ring splits into fields F_(2^d) with each d dividing L, so
+every unit's order divides 2^L - 1 and a^(2^L - 2) is its inverse.  Where 2
+is primitive mod a prime r, L = r - 1 and this is the Fermat exponent
+2^(r-1) - 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -97,17 +101,22 @@ def _rotate_xor(support, b: int, r: int, mask: int) -> int:
 
 @cache
 def _fft_len(n: int) -> int:
-    """Smallest 2^i * 3^j * 5^k >= n, a length numpy's FFT handles fast."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # p35 times the least power of two reaching n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+    """The 2^i * 3^j * 5^k in [n, 1.05 n] with the most factors of two (the
+    least such on a tie), or the least one >= n where that range holds none.
+
+    numpy's FFT runs radix-2 passes fastest, so a length a few percent longer
+    with fewer odd-radix passes wins.  Forward plus inverse real transform
+    (numpy 2.4, 2-vCPU VM): 134.7 us at 12500 = 2^2 * 5^5 against 125.2 us at
+    12800 = 2^9 * 5^2 (r=12323), 462.6 against 435.6 us at 25000 and 25600
+    (r=24659), 15.0 us at 1280 against 17.2 at 1296 (r=1259); 41472 = 2^9 *
+    3^4 (r=40973) runs in 813 us, against 831 at 43200 and 939 at 49152.
+    """
+    top = 1 << (n - 1).bit_length()   # a power of two >= n bounds the search
+    k = range(top.bit_length())
+    odd = [3**b * 5**c for b in k for c in k if 3**b * 5**c <= top]
+    smooth = [p << a for p in odd for a in k if n <= p << a <= top]
+    near = [m for m in smooth if 20 * m <= 21 * n] or [min(smooth)]
+    return max(near, key=lambda m: (m & -m, -m))
 
 
 def _mul_int_fft(a: int, b: int, r: int) -> int:
@@ -141,18 +150,26 @@ def _mul_int(a: int, b: int, r: int, mask: int) -> int:
     # The FFT product is shown exact only while r + 1 < 2^16, so B = 2^s <= 2^16:
     # each packed digit is at most r + 1 < B, every packed sum is below
     # B^2 * (h + 1) < 2^48, and all-ones squared, the worst case, rounds within
-    # 7.8e-2 of an integer.
+    # 0.16 of an integer.
     if a.bit_count() <= _SPARSE_MUL_CUTOFF or r + 1 >= 1 << 16:
         return _rotate_xor(_support_of(a, r).tolist(), b, r, mask)
     return _mul_int_fft(a, b, r)
 
 
+# One chain raises to 2^e for at most bit_length(L - 1) distinct e: 13, 14 and
+# 15 at L1/L3/L5, and at most 17 for any r < 2^17.  64 tables hold the chains of
+# all three levels at once; each holds r indices, 24.6 KB at L1.
+@lru_cache(maxsize=64)
+def _frobenius_index(r: int, e: int) -> np.ndarray:
+    """Coefficient j of v^(2^e) is coefficient j * 2^(-e) mod r of v."""
+    index = (np.arange(r, dtype=np.int64) * pow(2, -e, r) % r).astype(np.min_scalar_type(r - 1))
+    index.flags.writeable = False   # every call shares the one cached copy
+    return index
+
+
 def _frobenius_int(v: int, r: int, e: int) -> int:
-    """Raise to the power 2^e: permutes index i to i * 2^e mod r."""
-    dest = (_support_of(v, r).astype(np.int64) * pow(2, e, r)) % r
-    arr = np.zeros(r, dtype=np.uint8)
-    arr[dest] = 1
-    return _array_to_bits(arr)
+    """Raise to the power 2^e: moves index i to i * 2^e mod r, as one gather."""
+    return _array_to_bits(np.take(_bits_to_array(v, r), _frobenius_index(r, e)))
 
 
 @cache

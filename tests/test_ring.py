@@ -9,8 +9,8 @@ from bikelab import (NotInvertibleError, ParameterError, RingParams, custom_para
                      invert_counted, mul_sparse, sample_private_key)
 from bikelab import ring as ring_module
 from bikelab.kem import expand_u64_seed
-from bikelab.ring import (_SPARSE_MUL_CUTOFF, DensePoly, SparsePoly, _frobenius_int, _mul_int,
-                          _mul_int_fft, _support_of)
+from bikelab.ring import (_SPARSE_MUL_CUTOFF, DensePoly, SparsePoly, _fft_len, _frobenius_int,
+                          _mul_int, _mul_int_fft, _support_of)
 
 from conftest import random_dense, random_odd_dense
 from ring_oracle import invert_oracle, is_kem_grade, iti_mul_bound, shift, star
@@ -111,6 +111,22 @@ class TestMul:
             if min(a.weight(), b.weight()) > _SPARSE_MUL_CUTOFF:
                 assert (a * b).bits == rotate_xor_mul(a, b).bits
         assert _mul_int_fft(ones.bits, ones.bits, r) == ring.mask
+
+    def test_fft_len_is_5_smooth_and_at_least_n(self):
+        for n in [*range(127, 65536, 11), 65536]:
+            m = _fft_len(n)
+            assert n <= m <= 1 << (n - 1).bit_length()
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            assert m == 1
+
+    # the lengths the FFT products at r=1259 and L1/L3/L5 run at; a change of
+    # the rule moves the rounding error measured in the ring docstring
+    @pytest.mark.parametrize("r,n", [(1259, 1280), (12323, 12800), (24659, 25600),
+                                     (40973, 41472)])
+    def test_fft_len_pins(self, r, n):
+        assert _fft_len(r) == n
 
     @pytest.mark.parametrize("weight", [_SPARSE_MUL_CUTOFF - 1, _SPARSE_MUL_CUTOFF,
                                         _SPARSE_MUL_CUTOFF + 1])
@@ -217,6 +233,24 @@ class TestSquareShiftStarWeight:
         a = DensePoly(ring, av)
         expected = {(2 * int(i)) % 13 for i in _support_of(a.bits, 13)}
         assert set(int(i) for i in _support_of(_frobenius_int(a.bits, 13, 1), 13)) == expected
+
+    @pytest.mark.parametrize("r", [13, 105, 1259, 12323])
+    def test_gather_matches_scatter_definition(self, r):
+        # the definition moves coefficient i to i * 2^e mod r; r=105 = 3*5*7 is
+        # composite and 2 has order 12 there, so 2^(-e) is not 2^(r-1-e)
+        order = next(k for k in range(1, r) if pow(2, k, r) == 1)
+        ring = RingParams(r)
+        rng = random.Random(r)
+        for e in (1, 2, 3, order - 1, order, 3 * order + 2):
+            for _ in range(3):
+                v = random_dense(ring, rng).bits
+                want = 0
+                for i in range(r):
+                    if v >> i & 1:
+                        want |= 1 << (i * pow(2, e, r) % r)
+                assert _frobenius_int(v, r, e) == want
+        # the cached index is the smallest unsigned type that holds r - 1
+        assert ring_module._frobenius_index(r, 1).dtype == (np.uint8 if r <= 256 else np.uint16)
 
     def test_shift_trivials(self, ring13):
         a = random_dense(ring13, random.Random(9))
