@@ -189,6 +189,8 @@ def cmd_dfr(args) -> int:
     for params in sweep:
         for part in (key_class, error_source):
             part.check_params(params)
+    if args.out:
+        files.check_output_dir(args.out)
 
     records = []
     for params in sweep:
@@ -237,8 +239,8 @@ def cmd_eta(args) -> int:
     count = {1: count_type1, 2: lambda p, v: count_type2_upper(p, v, s),
              3: count_type3_upper}[args.type]
     s_field = str(s) if args.type == 2 else ""
-    for v in values:
-        cnt = count(params, v)
+    # every value is counted, and so checked, before any row or note is printed
+    for v, cnt in [(v, count(params, v)) for v in values]:
         eta = log2_density(params, cnt)
         rows.append([args.type, v, s_field, f"{log2_count(cnt):.6f}", f"{eta:.6f}"])
         if eta > 0:

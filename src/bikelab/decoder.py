@@ -44,7 +44,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .keys import ErrorPair, SystemParams
-from .ring import DensePoly, SparsePoly, _bits_to_array, _check_same_ring, mul_sparse
+from .ring import (DensePoly, SparsePoly, _bits_to_array, _check_key_blocks, _check_same_ring,
+                   mul_sparse)
 
 
 # BGF's fixed schedule: iterations, and the gray margin below the threshold
@@ -132,12 +133,12 @@ def threshold(syndrome_weight: int, cfg: DecoderConfig) -> int:
                          float(cfg.thr_floor)))
 
 
-def _check_key(s: DensePoly, h0: SparsePoly, h1: SparsePoly) -> None:
-    if h0.weight() != h1.weight():
-        raise ParameterError("key blocks must have equal weight")
-    _check_same_ring(h0, h1)
-    if s.ring.r != h0.ring.r:
-        raise ParameterError("syndrome ring does not match the key")
+def _key_supports(s: DensePoly, h0: SparsePoly, h1: SparsePoly) -> np.ndarray:
+    """The (2, w/2) array whose rows are the supports of h0 and h1, once the
+    key's blocks and the syndrome are checked to share one ring."""
+    _check_key_blocks(h0, h1)
+    _check_same_ring(s, h0)
+    return np.array([h0.support, h1.support], dtype=np.intp)
 
 
 def _doubled(s_bits: int, r: int) -> np.ndarray:
@@ -174,9 +175,7 @@ def compute_upc(s: DensePoly, h0: SparsePoly, h1: SparsePoly) -> np.ndarray:
     The dtype is the smallest unsigned integer type that holds w/2.  The key
     blocks must have equal weight, as for :func:`bgf_decode`.
     """
-    _check_key(s, h0, h1)
-    supp = np.array([h0.support, h1.support], dtype=np.intp)
-    return _upc_blocks(_doubled(s.bits, s.ring.r), supp).reshape(-1)
+    return _upc_blocks(_doubled(s.bits, s.ring.r), _key_supports(s, h0, h1)).reshape(-1)
 
 
 def bgf_decode(s: DensePoly, h0: SparsePoly, h1: SparsePoly, cfg: DecoderConfig,
@@ -187,9 +186,8 @@ def bgf_decode(s: DensePoly, h0: SparsePoly, h1: SparsePoly, cfg: DecoderConfig,
     re-multiplies the current error estimate by the key, one ``mul_sparse``
     per non-zero block, and each UPC pass reads the doubled residual.
     """
-    _check_key(s, h0, h1)
-    r = h0.ring.r
-    supp = np.array([h0.support, h1.support], dtype=np.intp)
+    supp = _key_supports(s, h0, h1)
+    r = s.ring.r
     gather = _gathers(supp, r)
     mask_thr = _majority(h0.weight())
     e = np.zeros((2, r), dtype=np.uint8)

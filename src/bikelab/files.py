@@ -14,6 +14,7 @@ goes through :func:`write_text`.
 from __future__ import annotations
 
 import json
+import os
 
 from .errors import ParameterError, SchemaError
 from .keys import Ciphertext, PrivateKey, PublicKey, SharedKey, SystemParams, custom_params
@@ -28,6 +29,16 @@ def write_text(path: str, text: str) -> None:
     """The package's one file writer."""
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def check_output_dir(path: str) -> None:
+    """OSError unless the directory ``path`` lies in exists and is writable.
+
+    Nothing is opened or created, so a long run can check its output first.
+    """
+    folder = os.path.dirname(path) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise OSError(f"cannot write {path!r}: {folder!r} is not a writable directory")
 
 
 def write_json(path: str, obj) -> None:

@@ -18,7 +18,7 @@ from . import kem
 from .errors import BudgetExhaustedError, ParameterError
 from .kem import TAG_CHECKED_SUBSEED, XofStream, keygen
 from .keys import PrivateKey, PublicKey, SystemParams
-from .ring import SparsePoly, _check_same_ring
+from .ring import SparsePoly, _check_key_blocks
 from .weakkeys import difference_counts, distance_multiplicities, pair_differences
 
 
@@ -55,9 +55,7 @@ class KeyVerdict:
 
 def key_check(h0: SparsePoly, h1: SparsePoly, cfg: KeyCheckConfig) -> KeyVerdict:
     """Weak/Normal verdict from supports alone (sigma never matters)."""
-    if h0.weight() != h1.weight():
-        raise ParameterError("blocks must have equal weight")
-    _check_same_ring(h0, h1)
+    _check_key_blocks(h0, h1)
     r = h0.ring.r
     t = cfg.threshold_T
 

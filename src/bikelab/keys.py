@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ParameterError
-from .ring import DensePoly, RingParams, SparsePoly
+from .ring import DensePoly, RingParams, SparsePoly, _check_key_blocks
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,7 @@ class SystemParams:
     security_bits: int
 
     def __post_init__(self):
-        if self.r < 3 or self.r % 2 == 0:
-            raise ParameterError(f"r must be odd and >= 3, got {self.r}")
+        self.ring   # RingParams refuses an even r or one below 3
         if self.w % 2 != 0 or (self.w // 2) % 2 != 1:
             raise ParameterError(f"w must be even with w/2 odd, got {self.w}")
         if self.w // 2 > self.r:
@@ -104,8 +103,7 @@ class PrivateKey:
     sigma: bytes
 
     def __post_init__(self):
-        if self.h0.weight() != self.h1.weight():
-            raise ParameterError("h0 and h1 must have equal weight")
+        _check_key_blocks(self.h0, self.h1)
 
     def check_params(self, params: SystemParams) -> None:
         if self.h0.ring.r != params.r or self.h0.weight() != params.w2:

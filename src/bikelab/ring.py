@@ -59,7 +59,7 @@ class RingParams:
 
     def __post_init__(self):
         if self.r < 3 or self.r % 2 == 0:
-            raise ParameterError(f"ring size must be odd and >= 3, got {self.r}")
+            raise ParameterError(f"r must be odd and >= 3, got {self.r}")
 
     @cached_property
     def mask(self) -> int:
@@ -73,6 +73,13 @@ class RingParams:
 def _check_same_ring(a, b) -> None:
     if a.ring.r != b.ring.r:
         raise ParameterError(f"ring mismatch: r={a.ring.r} vs r={b.ring.r}")
+
+
+def _check_key_blocks(h0: SparsePoly, h1: SparsePoly) -> None:
+    """A key's two blocks lie in one ring and have equal weight."""
+    _check_same_ring(h0, h1)
+    if h0.weight() != h1.weight():
+        raise ParameterError("h0 and h1 must have equal weight")
 
 
 def _bits_to_array(v: int, r: int) -> np.ndarray:
@@ -251,10 +258,8 @@ class DensePoly:
         raw = bytes.fromhex(s)
         if len(raw) != ring.nbytes:
             raise ParameterError(f"expected {ring.nbytes} bytes, got {len(raw)}")
-        v = int.from_bytes(raw, "little")
-        if v > ring.mask:
-            raise ParameterError("pad bits beyond r must be zero")
-        return cls(ring, v)
+        # set pad bits beyond r fail the constructor's range check
+        return cls(ring, int.from_bytes(raw, "little"))
 
     # -- serialization ------------------------------------------------------
 

@@ -428,22 +428,20 @@ def reconstruct_from_spectrum(spec: DistanceSpectrum, target_weight: int) -> Spa
         for cand in range(min_next, r):
             if cand == d1:
                 continue
-            consumed = 0
-            ok = True
+            taken = []
             for p in placed:
                 dd = distance(cand, p, r)
                 if remaining.get(dd, 0) <= 0:
-                    ok = False
                     break
                 remaining[dd] -= 1
-                consumed += 1
-            if ok:
+                taken.append(dd)
+            else:
                 placed.append(cand)
                 if construct(cand + 1):
                     return True
                 placed.pop()
-            for p in placed[:consumed]:
-                remaining[distance(cand, p, r)] += 1
+            for dd in taken:
+                remaining[dd] += 1
         return False
 
     if construct(1):

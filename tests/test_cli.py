@@ -215,6 +215,25 @@ class TestInputSchema:
         assert code == 3
         assert "malformed h_hex" in err
 
+    def test_pad_bits_in_key_and_ciphertext_files_are_malformed(self, tmp_path, capsys,
+                                                                 keyfile):
+        # r=613 leaves bits 613..615 of the last byte as padding; 0x80 sets bit 615
+        def set_pad_bit(text):
+            return text[:-2] + format(int(text[-2:], 16) | 0x80, "02x")
+
+        code, out, err = run_cli(capsys, "keycheck", "--key",
+                                 edited_copy(keyfile, tmp_path, h_hex=set_pad_bit))
+        assert (code, out) == (3, "")
+        assert "malformed key material" in err
+        ct = str(tmp_path / "ct.json")
+        run_cli(capsys, "encaps", "--key", keyfile, "--ct-out", ct,
+                "--ss-out", str(tmp_path / "ss.json"))
+        code, out, err = run_cli(capsys, "decaps", "--key", keyfile,
+                                 "--ct", edited_copy(ct, tmp_path, c0_hex=set_pad_bit),
+                                 "--ss-out", str(tmp_path / "ss2.json"))
+        assert (code, out) == (3, "")
+        assert "malformed c0_hex" in err
+
     @pytest.mark.parametrize("fields,message", [
         (dict(c1_hex="00"), "inconsistent ciphertext"),
         (dict(c0_hex=5), "malformed c0_hex"),
@@ -761,6 +780,19 @@ class TestDfrCommand:
         assert out == ""
         assert message in err
 
+    def test_out_into_missing_directory_refused_before_any_campaign(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        monkeypatch.setattr(cli.dfrlab, "run_dfr",
+                            lambda *args, **kwargs: pytest.fail("a campaign ran"))
+        missing = tmp_path / "missing"
+        code, out, err = run_cli(capsys, "dfr", "--r", "523", "--w", "30", "--t", "18",
+                                 "--max-trials", "2000", "--out", str(missing / "x.json"))
+        assert code == 3
+        assert out == ""
+        assert err == (f"input error: cannot write {str(missing / 'x.json')!r}: "
+                       f"{str(missing)!r} is not a writable directory\n")
+        assert not missing.exists()
+
     def test_repeated_weak_parameter_rejected(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.dfrlab, "run_dfr",
                             lambda *args, **kwargs: pytest.fail("a campaign ran"))
@@ -932,6 +964,14 @@ class TestEtaCommand:
             assert note == (f"note: type {family} param {param}: log2_eta {value} > 0, "
                             "the count bound exceeds the key space, so this row is not "
                             "a density")
+
+    def test_bad_value_refused_before_any_row_or_note(self, capsys):
+        # f=2 and f=3 would each print a note; f=8 lies beyond w/2 = 7
+        code, out, err = run_cli(capsys, "eta", "--r", "101", "--w", "14", "--t", "4",
+                                 "--type", "1", "--param-range", "2:9")
+        assert code == 2
+        assert out == ""
+        assert err == "parameter error: f must be in [0, 7], got 8\n"
 
     def test_density_rows_have_no_note(self, capsys):
         code, _, err = run_cli(capsys, "eta", "--type", "1", "--level", "1",

@@ -108,6 +108,8 @@ CASES = [
     ("exit2-weak-param-double-minus", [*DFR, *TOY, "--key-class", "weak:type1:f=--5",
                                        "--max-trials", "1"]),
     ("exit2-empty-rs", [*DFR, *TOY, "--rs", "", "--max-trials", "1"]),
+    ("exit2-eta-range-beyond-w2", ["eta", "--r", "101", "--w", "14", "--t", "4", "--type", "1",
+                                   "--param-range", "2:9"]),
     # the verdict's cross-block reason and the extrapolation's dropped list, both reasons
     ("keycheck-type3", ["keycheck", "--key", "weak3.json"]),
     ("dfr-dropped", [*DFR, "--r", "523", "--w", "30", "--t", "18", "--rs", "523,541,547,1019",

@@ -9,7 +9,7 @@ from bikelab import (BudgetExhaustedError, Ciphertext, NotInvertibleError,
                      level_params, sample_fixed_weight, sample_private_key, syndrome)
 from bikelab.kem import TAG_ENCAPS_M, XofStream, expand_u64_seed
 from bikelab.keys import ErrorPair, PrivateKey
-from bikelab.ring import DensePoly, SparsePoly, mul_sparse
+from bikelab.ring import DensePoly, RingParams, SparsePoly, mul_sparse
 from bikelab.weakkeys import WeakKeySpec
 
 from draw_oracle import one_word_fixed_weight, one_word_index
@@ -177,6 +177,21 @@ class TestKeygen:
         monkeypatch.setattr(DensePoly, "invert", never_invertible)
         with pytest.raises(BudgetExhaustedError):
             keygen(toy_params, expand_u64_seed(5))
+
+
+class TestPrivateKey:
+    def test_blocks_in_two_rings_refused_at_construction(self):
+        # equal weights, so only the ring half of the rule can refuse this key
+        h0 = SparsePoly(RingParams(13), (0, 1, 2))
+        h1 = SparsePoly(RingParams(17), (0, 1, 2))
+        with pytest.raises(ParameterError, match="ring mismatch: r=13 vs r=17"):
+            PrivateKey(h0=h0, h1=h1, sigma=bytes(32))
+
+    def test_blocks_of_unequal_weight_refused_at_construction(self):
+        ring = RingParams(13)
+        with pytest.raises(ParameterError, match="h0 and h1 must have equal weight"):
+            PrivateKey(h0=SparsePoly(ring, (0, 1, 2)), h1=SparsePoly(ring, (0,)),
+                       sigma=bytes(32))
 
 
 class TestHashes:

@@ -1,11 +1,15 @@
 """Rules the package source keeps: no assert statements, only stdlib and numpy
-imports, no file opened outside ``files.py``, and one rejection rule.
+imports, no file opened outside ``files.py``, one rejection rule, and one owner
+for each validity rule of a key and a ring element.
 
 An ``assert`` vanishes under ``python -O``, so nothing in the package validates
 with one.  The runtime dependencies are the standard library plus numpy.  Every
 file the package reads or writes goes through ``files``, so output formats and
 write paths live in one module.  Every index draw goes through
 ``XofStream.indices``, so the rejection limit floor(2^32 / n) is computed once.
+A key's two blocks (one ring, equal weight), the ring size (odd, at least 3),
+a dense element's range and the decoder's (2, w/2) support array are each
+written once, so no copy can drift from the others.
 """
 
 import ast
@@ -53,4 +57,33 @@ def test_one_rejection_rule():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
              and ast.unparse(node.left) in ("1 << 32", "2 ** 32", str(1 << 32))]
+    assert len(sites) == 1, sites
+
+
+def _raise_texts(tree):
+    """The string parts of each raise statement's expression, one joined text per raise."""
+    return [" ".join(sub.value for sub in ast.walk(node) if isinstance(sub, ast.Constant)
+                     and isinstance(sub.value, str))
+            for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+
+
+def _sites(found):
+    return [(path.name, item) for path in SOURCES
+            for item in found(ast.parse(path.read_text(), filename=str(path)))]
+
+
+@pytest.mark.parametrize("found", [
+    # a key's two blocks have equal weight
+    lambda tree: [t for t in _raise_texts(tree) if "equal weight" in t],
+    # r is odd and at least 3
+    lambda tree: [t for t in _raise_texts(tree) if "must be odd" in t],
+    # a dense element's bits lie in [0, 2^r): the one comparison against a ring's mask
+    lambda tree: [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  and ".mask" in ast.unparse(node)],
+    # the decoder's (2, w/2) array of the key's supports
+    lambda tree: [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) == "np.array" and ".support" in ast.unparse(node)],
+], ids=["equal-weight", "odd-r", "dense-range", "support-array"])
+def test_one_owner_per_validity_rule(found):
+    sites = _sites(found)
     assert len(sites) == 1, sites

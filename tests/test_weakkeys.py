@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bikelab import (BudgetExhaustedError, ParameterError, count_type1,
+from bikelab import (BudgetExhaustedError, KeyCheckConfig, ParameterError, count_type1,
                      count_type2_upper, count_type3_upper, custom_params, distance,
-                     gen_psi_d_error, gen_type1, gen_type2, gen_type3, level_params, log2_count,
-                     reconstruct_from_spectrum, spectrum, weakkeys)
+                     gen_psi_d_error, gen_type1, gen_type2, gen_type3, key_check, level_params,
+                     log2_count, reconstruct_from_spectrum, spectrum, weakkeys)
 from bikelab.kem import expand_u64_seed
 from bikelab.ring import RingParams, SparsePoly
 from bikelab.weakkeys import DistanceSpectrum, WeakKeySpec, difference_counts, log2_density
@@ -439,6 +440,69 @@ class TestCounting:
             count_type1(l1_params, l1_params.w2 + 1)
         with pytest.raises(ParameterError):
             count_type2_upper(l1_params, 5, 1)
+
+
+def all_blocks(r: int, w2: int) -> np.ndarray:
+    """(N, w2) array of every weight-w2 support in [0, r), N = C(r, w2)."""
+    return np.array(list(itertools.combinations(range(r), w2)), dtype=np.int64)
+
+
+def bitmasks(positions: np.ndarray) -> np.ndarray:
+    """Bit i set for each position i along the last axis (r < 63)."""
+    return np.bitwise_or.reduce(np.int64(1) << positions, axis=-1)
+
+
+def type1_members(blocks: np.ndarray, r: int, f: int) -> np.ndarray:
+    """Which of the bitmask blocks hold {s, s + d, ..., s + (f-1) d} mod r for some
+    start s and step d in [1, r/2]: the type-1 family, block by block."""
+    starts, steps, terms = np.ogrid[0:r, 1:r // 2 + 1, 0:f]
+    runs = np.unique(bitmasks((starts + terms * steps) % r))
+    found = np.zeros(blocks.size, dtype=bool)
+    for run in runs:
+        found |= (blocks & run) == run
+    return found
+
+
+class TestType1Enumeration:
+    """Exact type-1 family sizes at w/2 = 5 against the bound count_type1 / 2.
+
+    The bound counts (start, step, fill) choices, so a block with several runs
+    is counted once per run: it is loose at small f and exact at f = w/2.
+    """
+
+    # r -> (exact family size, count_type1 // 2) for f = 2, 3, 4, 5
+    TABLE = {17: [(6188, 61880), (5916, 12376), (1632, 1768), (136, 136)],
+             23: [(33649, 336490), (28083, 48070), (4554, 4807), (253, 253)],
+             29: [(118755, 1187550), (87087, 131950), (9744, 10150), (406, 406)]}
+
+    @pytest.fixture(scope="class")
+    def members(self):
+        """{r: (supports, {f: family membership})} over every weight-5 block."""
+        out = {}
+        for r in self.TABLE:
+            supports = all_blocks(r, 5)
+            blocks = bitmasks(supports)
+            out[r] = supports, {f: type1_members(blocks, r, f) for f in range(2, 6)}
+        return out
+
+    @pytest.mark.parametrize("r", sorted(TABLE))
+    def test_family_sizes_pin_the_bound(self, members, r):
+        params = custom_params(r=r, w=10, t=4)
+        sizes = {f: int(found.sum()) for f, found in members[r][1].items()}
+        bounds = {f: count_type1(params, f) // 2 for f in range(2, 6)}
+        assert list(zip(sizes.values(), bounds.values())) == self.TABLE[r]
+        assert all(bounds[f] >= sizes[f] for f in sizes)
+        assert bounds[params.w2] == sizes[params.w2]
+
+    @pytest.mark.parametrize("f", [3, 4, 5])
+    def test_key_check_flags_every_family_block_as_h0(self, members, f):
+        # an f-term run holds f - 1 pairs at its step, above T = f - 2
+        ring, cfg = RingParams(17), KeyCheckConfig(threshold_T=f - 2)
+        supports, found = members[17]
+        h1 = SparsePoly(ring, (0, 1, 3, 7, 12))
+        for supp in supports[found[f]].tolist():
+            reason = key_check(SparsePoly(ring, tuple(supp)), h1, cfg).reason
+            assert (reason["kind"], reason["block"]) == ("per_block_multiplicity", 0), supp
 
 
 class TestReconstruction:
