@@ -62,12 +62,13 @@ def _emit(args, text: str) -> None:
 def cmd_keygen(args) -> int:
     params = _params_from_args(args)
     seed = expand_u64_seed(args.seed)
+    if not args.check and (args.check_threshold, args.check_budget) != (None, None):
+        raise ParameterError("--check-threshold and --check-budget are read only with --check")
+    files.check_output_dir(args.key_out)
     if args.check:
         threshold = 10 if args.check_threshold is None else args.check_threshold
         budget = 100 if args.check_budget is None else args.check_budget
         sk, pk, rejected = keygen_checked(params, seed, KeyCheckConfig(threshold), budget)
-    elif (args.check_threshold, args.check_budget) != (None, None):
-        raise ParameterError("--check-threshold and --check-budget are read only with --check")
     else:
         sk, pk = keygen(params, seed)
         rejected = 0
@@ -79,6 +80,7 @@ def cmd_keygen(args) -> int:
 
 def cmd_encaps(args) -> int:
     params, pk = files.read_public_key(args.key)
+    files.check_output_dir(args.ct_out, args.ss_out)
     c, k = encaps(pk, params, expand_u64_seed(args.seed))
     files.write_ciphertext(args.ct_out, c)
     files.write_shared_key(args.ss_out, k)
@@ -90,6 +92,7 @@ def cmd_encaps(args) -> int:
 def cmd_decaps(args) -> int:
     params, sk, _pk = files.read_key(args.key)
     c = files.read_ciphertext(args.ct, params)
+    files.check_output_dir(args.ss_out, args.trace_csv)
     k, outcome = decaps_with_diagnostics(sk, c, params)
     files.write_shared_key(args.ss_out, k)
     report = {"shared_key_file": args.ss_out}
@@ -106,6 +109,7 @@ def cmd_weakkey_gen(args) -> int:
     params = _params_from_args(args)
     given = {"f": args.f, "d": args.d, "shift": args.shift, "m": args.m}
     spec = WeakKeySpec.of(args.type, {k: v for k, v in given.items() if v is not None})
+    files.check_output_dir(args.key_out, args.spectrum_csv)
     sk = spec.sample(params, expand_u64_seed(args.seed))
     # weak keys drive decoding experiments, but publishing h keeps the file
     # usable with encaps as well
@@ -120,6 +124,7 @@ def cmd_weakkey_gen(args) -> int:
 
 def cmd_keycheck(args) -> int:
     _params, sk, _pk = files.read_key(args.key)
+    files.check_output_dir(args.out)
     cfg = KeyCheckConfig(threshold_T=args.threshold)
     verdict = key_check(sk.h0, sk.h1, cfg)
     _emit(args, files.dumps_canonical(verdict.to_json_dict(cfg)))
@@ -189,8 +194,7 @@ def cmd_dfr(args) -> int:
     for params in sweep:
         for part in (key_class, error_source):
             part.check_params(params)
-    if args.out:
-        files.check_output_dir(args.out)
+    files.check_output_dir(args.out)
 
     records = []
     for params in sweep:
@@ -240,7 +244,9 @@ def cmd_eta(args) -> int:
              3: count_type3_upper}[args.type]
     s_field = str(s) if args.type == 2 else ""
     # every value is counted, and so checked, before any row or note is printed
-    for v, cnt in [(v, count(params, v)) for v in values]:
+    counts = [(v, count(params, v)) for v in values]
+    files.check_output_dir(args.out)
+    for v, cnt in counts:
         eta = log2_density(params, cnt)
         rows.append([args.type, v, s_field, f"{log2_count(cnt):.6f}", f"{eta:.6f}"])
         if eta > 0:

@@ -31,14 +31,17 @@ def write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def check_output_dir(path: str) -> None:
-    """OSError unless the directory ``path`` lies in exists and is writable.
+def check_output_dir(*paths: str | None) -> None:
+    """OSError unless the directory each path lies in exists and is writable.
 
-    Nothing is opened or created, so a long run can check its output first.
+    A None path, an output not asked for, is skipped.  Nothing is opened or
+    created, so a command can check all its outputs before it computes or
+    writes any of them.
     """
-    folder = os.path.dirname(path) or "."
-    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-        raise OSError(f"cannot write {path!r}: {folder!r} is not a writable directory")
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise OSError(f"cannot write {path!r}: {folder!r} is not a writable directory")
 
 
 def write_json(path: str, obj) -> None:

@@ -20,13 +20,26 @@ run at the 2^i * 3^j * 5^k length in [r, 1.05 r] with the most factors of two
 (12800, 25600 and 41472 at r=12323, 24659 and 40973), since radix-2 passes
 are the fastest.  There the worst case, all-ones squared, strays by 7.3e-4 at
 r=12323, 5.9e-3 at r=24659 and 7.8e-2 at r=40973, and by at most 0.16 over
-every odd r from 513 to 65533 (at r=55191).  Inversion raises to 2^L - 2,
-where L is the order of 2 mod r, with a square-and-multiply addition chain;
-raising to 2^k is a single gather through a cached index j -> j*2^(-k) mod r.
-For odd r the ring splits into fields F_(2^d) with each d dividing L, so
-every unit's order divides 2^L - 1 and a^(2^L - 2) is its inverse.  Where 2
-is primitive mod a prime r, L = r - 1 and this is the Fermat exponent
-2^(r-1) - 2.
+every odd r from 513 to 65533 (at r=55191).
+
+The FFT product writes every step, from the packed operands through both
+spectra and the inverse transform to the integer digits and the fold, into
+one workspace of arrays per ring size, kept by ``_fft_workspace``.  A warm
+product then allocates only numpy's casting buffers (64 KiB), the operands'
+bytes and the packed result, which leaves as a fresh Python int, so no buffer
+escapes: its traced peak is 67 KiB at r=12323, below glibc's 128 KiB trim
+threshold.  With per-call temporaries it was 547 KiB, and glibc could return
+the heap top to the kernel between products and fault it back in on the
+next.  The package runs no threads, and a forked DFR worker gets its own
+copy, so one workspace per process is safe; a caller that multiplied from
+several threads at once would need one per thread.
+
+Inversion raises to 2^L - 2, where L is the order of 2 mod r, with a
+square-and-multiply addition chain; raising to 2^k is a single gather through
+a cached index j -> j*2^(-k) mod r.  For odd r the ring splits into fields
+F_(2^d) with each d dividing L, so every unit's order divides 2^L - 1 and
+a^(2^L - 2) is its inverse.  Where 2 is primitive mod a prime r, L = r - 1 and
+this is the Fermat exponent 2^(r-1) - 2.
 """
 
 from __future__ import annotations
@@ -126,30 +139,64 @@ def _fft_len(n: int) -> int:
     return max(near, key=lambda m: (m & -m, -m))
 
 
+class _FftWorkspace:
+    """Every array the FFT product at ring size r writes, allocated once."""
+
+    def __init__(self, r: int):
+        self.s = (r + 1).bit_length()
+        self.n = _fft_len(r)
+        self.nbytes = (r + 8) // 8   # bytes of the (r+1)-bit padded vector
+        # row v packs the four bit pairs of byte v as x[2j] + B*x[2j+1]
+        bit = np.arange(256)[:, None] >> np.arange(8) & 1
+        self.pair_table = (bit[:, 0::2] + (bit[:, 1::2] << self.s)).astype(np.float64)
+        # 4 * nbytes >= h packed values per operand; those past h are pairs of
+        # bits above r, so 0
+        self.packed = np.empty((2, 4 * self.nbytes))
+        self.spectra = np.empty((2, self.n // 2 + 1), dtype=np.complex128)
+        self.inverse = np.empty(self.n)
+        self.coeffs = np.empty(r, dtype=np.int64)
+        self.even = np.empty(r, dtype=np.int64)
+        self.bits = np.zeros(((r + 1) // 2, 2), dtype=np.uint8)   # bit r, the last, stays 0
+
+
+# One workspace per ring size: 0.6 MB at L1, 2.0 MB at L5.  Four hold L1, L3,
+# L5 and one reduced ring at once.
+@lru_cache(maxsize=4)
+def _fft_workspace(r: int) -> _FftWorkspace:
+    return _FftWorkspace(r)
+
+
 def _mul_int_fft(a: int, b: int, r: int) -> int:
     # Two coefficients per float: with h = (r+1)/2 and B = 2^s, pair i of the
     # (r+1)-bit padded vector becomes x[2i] + B*x[2i+1].  The linear
     # convolution of the h packed values has r terms c_k = E_k + B*M_k +
     # B^2*O_k, whose digits E_k, O_k <= h and M_k <= r+1 are all below B, so
     # bit 2k of the plain product is the parity of E_k + O_(k-1) and bit 2k+1
-    # is the parity of M_k.
-    s = (r + 1).bit_length()
-    h = (r + 1) // 2
-    n = _fft_len(r)
-    pa, pb = (_bits_to_array(v, r + 1).reshape(h, 2) @ (1.0, 1 << s) for v in (a, b))
-    p = np.fft.irfft(np.fft.rfft(pa, n) * np.fft.rfft(pb, n), n)[:r]
-    c = np.rint(p).astype(np.int64)
-    if np.abs(p - c).max() >= 0.25:
+    # is the parity of M_k.  Each step writes into the ring's workspace.
+    ws = _fft_workspace(r)
+    s, n, h = ws.s, ws.n, (r + 1) // 2
+    for row, v in zip(ws.packed, (a, b)):
+        raw = np.frombuffer(v.to_bytes(ws.nbytes, "little"), dtype=np.uint8)
+        # clip, not raise: take's default mode buffers its output
+        np.take(ws.pair_table, raw, axis=0, out=row.reshape(ws.nbytes, 4), mode="clip")
+    np.fft.rfft(ws.packed, n, out=ws.spectra)
+    np.multiply(ws.spectra[0], ws.spectra[1], out=ws.spectra[0])
+    # irfft's return value, not ws.inverse, is what the guard must check
+    p = np.fft.irfft(ws.spectra[0], n, out=ws.inverse)[:r]
+    c = np.rint(p, out=ws.coeffs, casting="unsafe")
+    if np.abs(np.subtract(p, c, out=p), out=p).max() >= 0.25:
         raise FloatingPointError(f"FFT product is not exact at r={r}")
-    even = c.copy()
-    even[1:] += c[:-1] >> 2 * s
-    odd = c >> s
+    even = ws.even
+    even[0] = c[0]
+    np.add(c[1:], np.right_shift(c[:-1], 2 * s, out=even[1:]), out=even[1:])
+    odd = np.right_shift(c, s, out=c)
     # Fold mod x^r - 1: bit m takes bit m + r, which has the other parity as r
     # is odd; the plain product has degree <= 2r - 2, so nothing lies beyond.
-    out = np.empty((h, 2), dtype=np.uint8)
-    out[:, 0] = even[:h] ^ odd[h - 1 :]
-    out[:-1, 1] = odd[: h - 1] ^ even[h:]
-    return _array_to_bits(out.ravel()[:r] & 1)
+    # The uint8 casts keep each value's low bits, and so its parity.
+    out = ws.bits
+    np.bitwise_xor(even[:h], odd[h - 1 :], out=out[:, 0], casting="unsafe")
+    np.bitwise_xor(odd[: h - 1], even[h:], out=out[:-1, 1], casting="unsafe")
+    return _array_to_bits(np.bitwise_and(out, 1, out=out))
 
 
 def _mul_int(a: int, b: int, r: int, mask: int) -> int:

@@ -904,6 +904,40 @@ class TestDfrCommand:
         assert "psi:x" in err
 
 
+class TestOutputPaths:
+    # each command checks every output path before it computes or writes, so a
+    # refused one leaves nothing behind; before, the first output of a
+    # two-output command was written and only the second failed
+    @pytest.mark.parametrize("command", ["keygen", "encaps", "decaps", "weakkey gen",
+                                         "keycheck", "eta"])
+    def test_missing_directory_refused_before_any_output(self, tmp_path, capsys, keyfile,
+                                                         command):
+        ct = str(tmp_path / "ct.json")
+        code, _, _ = run_cli(capsys, "encaps", "--key", keyfile, "--ct-out", ct,
+                             "--ss-out", str(tmp_path / "ss.json"))
+        assert code == 0
+        before = set(tmp_path.iterdir())
+        missing = str(tmp_path / "missing" / "out")
+        fresh = str(tmp_path / "fresh")   # writable, and still never written
+        argv = {
+            "keygen": ["keygen", *TOY_ARGS, "--key-out", missing],
+            "encaps": ["encaps", "--key", keyfile, "--ct-out", fresh, "--ss-out", missing],
+            "decaps": ["decaps", "--key", keyfile, "--ct", ct, "--ss-out", fresh,
+                       "--trace-csv", missing],
+            "weakkey gen": ["weakkey", "gen", *TOY_ARGS, "--type", "1", "--f", "5",
+                            "--key-out", fresh, "--spectrum-csv", missing],
+            "keycheck": ["keycheck", "--key", keyfile, "--out", missing],
+            # every row of this range would print a note first
+            "eta": ["eta", *TOY_ARGS, "--type", "1", "--param-range", "0:3", "--out", missing],
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == (f"input error: cannot write {missing!r}: "
+                       f"{str(tmp_path / 'missing')!r} is not a writable directory\n")
+        assert set(tmp_path.iterdir()) == before
+
+
 class TestEtaCommand:
     def test_type1_table_column(self, capsys):
         code, out, _ = run_cli(capsys, "eta", "--type", "1", "--level", "1",

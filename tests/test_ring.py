@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,21 +97,51 @@ class TestMul:
             assert (a * b).bits == schoolbook_mul(a, b).bits
 
     # r + 1 is a power of two at 127 and 8191; 65521 is the largest prime
-    # that still takes the FFT product
-    @pytest.mark.parametrize("r", [127, 1283, 8191, 10009, 12323, 24659, 40973, 65521])
-    def test_fft_path_matches_rotate_xor(self, r):
+    # that still takes the FFT product.  With two rings the products
+    # alternate between them, and every result is checked only after the
+    # last product: one ring's workspace never leaks into the other's
+    # products, and a later product never changes a returned value.
+    @pytest.mark.parametrize("rs", [(127,), (1283,), (8191,), (10009,), (12323,), (24659,),
+                                    (40973,), (65521,), (1283, 12323)],
+                             ids=lambda rs: "+".join(map(str, rs)))
+    def test_fft_path_matches_rotate_xor(self, rs):
         # all-ones squared has the largest packed sums, the worst case for
         # rounding, and the product is all-ones again because r is odd
-        ring = RingParams(r)
-        rng = random.Random(5)
-        ones = DensePoly(ring, ring.mask)
-        pairs = [(ones, ones)] + [(random_dense(ring, rng), random_dense(ring, rng))
-                                  for _ in range(5)]
-        for a, b in pairs:
-            assert _mul_int_fft(a.bits, b.bits, r) == rotate_xor_mul(a, b).bits
+        per_ring = []
+        for r in rs:
+            ring = RingParams(r)
+            rng = random.Random(5)
+            ones = DensePoly(ring, ring.mask)
+            per_ring.append([(ones, ones)] + [(random_dense(ring, rng), random_dense(ring, rng))
+                                              for _ in range(5)])
+        products = [(a, b, _mul_int_fft(a.bits, b.bits, a.ring.r))
+                    for pairs in zip(*per_ring) for a, b in pairs]
+        for a, b, got in products:
+            assert got == rotate_xor_mul(a, b).bits
             if min(a.weight(), b.weight()) > _SPARSE_MUL_CUTOFF:
                 assert (a * b).bits == rotate_xor_mul(a, b).bits
-        assert _mul_int_fft(ones.bits, ones.bits, r) == ring.mask
+        for pairs in per_ring:
+            ones = pairs[0][0]
+            assert _mul_int_fft(ones.bits, ones.bits, ones.ring.r) == ones.ring.mask
+
+    def test_warm_fft_product_allocates_below_trim_threshold(self):
+        # 128 KiB is glibc's default trim and mmap threshold.  A product that
+        # allocated and freed more, as the one with per-call temporaries did
+        # (547 KiB at r=12323), could hand the heap top back to the kernel and
+        # fault it in again on the next product.
+        r = 12323
+        ring = RingParams(r)
+        rng = random.Random(7)
+        a, b = random_dense(ring, rng), random_dense(ring, rng)
+        want = _mul_int_fft(a.bits, b.bits, r)   # builds the workspace and the FFT plan
+        tracemalloc.start()
+        try:
+            got = _mul_int_fft(a.bits, b.bits, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want == rotate_xor_mul(a, b).bits
+        assert peak < 128 * 1024
 
     def test_fft_len_is_5_smooth_and_at_least_n(self):
         for n in [*range(127, 65536, 11), 65536]:
