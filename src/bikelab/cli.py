@@ -107,8 +107,7 @@ def cmd_decaps(args) -> int:
 
 def cmd_weakkey_gen(args) -> int:
     params = _params_from_args(args)
-    given = {"f": args.f, "d": args.d, "shift": args.shift, "m": args.m}
-    spec = WeakKeySpec.of(args.type, {k: v for k, v in given.items() if v is not None})
+    spec = WeakKeySpec.parse(args.spec)
     files.check_output_dir(args.key_out, args.spectrum_csv)
     sk = spec.sample(params, expand_u64_seed(args.seed))
     # weak keys drive decoding experiments, but publishing h keeps the file
@@ -308,11 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = _command(wk_sub, "gen", "cmd_weakkey_gen", "generate a weak key")
     _add_params(g)
     g.add_argument("--seed", type=int, default=0, help="64-bit seed")
-    g.add_argument("--type", type=int, required=True, choices=(1, 2, 3))
-    g.add_argument("--f", type=int)
-    g.add_argument("--d", type=int, help="step of a type-1 run or type-2 chain (default 1)")
-    g.add_argument("--shift", type=int, help="rotation of a type-1 run (default 0)")
-    g.add_argument("--m", type=int)
+    g.add_argument("--spec", required=True,
+                   help='family descriptor, e.g. "type1:f=40,d=1" (d defaults to 1, shift to 0)')
     g.add_argument("--key-out", required=True)
     g.add_argument("--spectrum-csv", help="write the h0 distance spectrum CSV")
 

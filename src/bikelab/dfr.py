@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from . import __version__, files
 from .decoder import DecoderConfig, bgf_decode
 from .errors import ParameterError, SchemaError
-from .kem import TAG_ENCAPS_M, TAG_TRIAL, XofStream, hash_H, sample_private_key
+from .kem import TAG_ENCAPS_M, TAG_TRIAL, XofStream, check_u64_seed, hash_H, sample_private_key
 from .keys import ErrorPair, PrivateKey, SystemParams
 from .ring import mul_sparse
 from .weakkeys import _check_psi, gen_psi_d_error
@@ -198,8 +198,7 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
     """
     if parallelism < 1:
         raise ParameterError("parallelism must be >= 1")
-    if not 0 <= master_seed < 1 << 64:
-        raise ParameterError("master_seed must be an unsigned 64-bit integer")
+    check_u64_seed(master_seed)
     for part in (key_class, error_source):
         part.check_params(params)
     cfg = DecoderConfig.for_params(params)

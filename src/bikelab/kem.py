@@ -97,10 +97,15 @@ class XofStream:
         return bytes(raw)
 
 
-def expand_u64_seed(seed: int) -> bytes:
-    """32-byte seed derived from a 64-bit integer (the CLI's --seed)."""
+def check_u64_seed(seed: int) -> None:
+    """ParameterError unless ``seed`` is an unsigned 64-bit integer, as the CLI's --seed."""
     if not 0 <= seed < 1 << 64:
         raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
+
+
+def expand_u64_seed(seed: int) -> bytes:
+    """32-byte seed derived from a 64-bit integer (the CLI's --seed)."""
+    check_u64_seed(seed)
     return XofStream(TAG_CLI_SEED, [seed.to_bytes(8, "big")]).read(32)
 
 

@@ -20,9 +20,10 @@ the family depend on the other block staying random).
 Before any draw, each generator refuses parameters whose planted part cannot
 fit: type 1's mapped positions; type 2's chain, and a w/2 above the most
 positions that keep exactly m pairs at distance d (:func:`_type2_capacity`);
-type 3's fill of h1; the t/2 pairs of a psi error (:func:`_check_psi`).  Each
-generator re-verifies its defining property before returning, and types 1 and
-2 resample on the rare collision, so outputs are correct by construction.
+type 3's fill of h1; the t/2 pairs of a psi error (:func:`_check_psi`).
+Type 1 fills only positions its map sends to distinct places, so one draw
+always lands; type 2 alone resamples, until its block has exactly m pairs at
+distance d; type 3 re-verifies its planted overlap before returning.
 A :class:`WeakKeySpec` is itself a DFR campaign's key class: it samples,
 describes and checks itself like ``dfr.NormalKeys``.
 Spectra and block overlaps both come from :func:`difference_counts`.
@@ -120,13 +121,6 @@ class WeakKeySpec:
         if missing:
             raise ParameterError(f"type {self.family} requires {' and '.join(missing)}")
 
-    @classmethod
-    def of(cls, family: int, given: dict[str, int]) -> "WeakKeySpec":
-        """Spec from parameters by name; where the family reads them, d defaults to 1
-        and shift to 0."""
-        return cls(family, f=given.get("f"), d=given.get("d", 1 if family in (1, 2) else None),
-                   l_shift=given.get("shift", 0), m=given.get("m"))
-
     def check_params(self, params: SystemParams) -> None:
         """ParameterError unless :meth:`sample` can plant the family at these parameters."""
         if self.family == 1:
@@ -157,10 +151,12 @@ class WeakKeySpec:
 
     @classmethod
     def parse(cls, text: str) -> "WeakKeySpec":
-        """Parse "type1:f=40,d=1" style descriptors (shift and d may be omitted)."""
+        """Parse "type1:f=40,d=1" style descriptors; where the family reads them, d
+        defaults to 1 and shift to 0."""
         head, _, rest = text.partition(":")
         if not head.startswith("type") or head[4:] not in ("1", "2", "3"):
             raise ParameterError(f"bad weak-key family in {text!r}")
+        family = int(head[4:])
         kv: dict[str, int] = {}
         if rest:
             for part in rest.split(","):
@@ -170,12 +166,8 @@ class WeakKeySpec:
                 if k in kv:
                     raise ParameterError(f"weak-key parameter {k} given twice in {text!r}")
                 kv[k] = parse_int(v, f"bad weak-key parameter {part!r}")
-        return cls.of(int(head[4:]), kv)
-
-
-def _phi_map(positions, d: int, l_shift: int, r: int) -> tuple[int, ...]:
-    """Rotate by l_shift, then send position p to p*d mod r."""
-    return tuple(sorted(((p + l_shift) % r) * d % r for p in positions))
+        return cls(family, f=kv.get("f"), d=kv.get("d", 1 if family in (1, 2) else None),
+                   l_shift=kv.get("shift", 0), m=kv.get("m"))
 
 
 def _check_type1(params: SystemParams, f: int, d: int, l_shift: int) -> None:
@@ -190,22 +182,16 @@ def _check_type1(params: SystemParams, f: int, d: int, l_shift: int) -> None:
                              f"got w/2={w2} at d={d}")
 
 
-def _plant(params: SystemParams, seed: bytes, family: int, draw, exhausted: str) -> PrivateKey:
+def _plant(params: SystemParams, seed: bytes, family: int, draw) -> PrivateKey:
     """Key with one structured block, at a fair-coin index, and one uniform block.
 
-    ``draw(stream)`` returns the structured block's support, or None to draw
-    again; _RESAMPLE_BUDGET draws without a support raise ``exhausted``.
+    ``draw(stream)`` returns the structured block's support.
     """
     stream = XofStream(TAG_WEAK, [seed, bytes([family])])
     weak_index = stream.read(1)[0] & 1
-    for _ in range(_RESAMPLE_BUDGET):
-        support = draw(stream)
-        if support is not None:
-            break
-    else:
-        raise BudgetExhaustedError(exhausted)
-    # draws give Python ints, so from_indices' int() pass (10 us per L1 key) is skipped
-    structured = SparsePoly(params.ring, tuple(sorted(support)))
+    # draws give Python ints, so from_indices' int() pass (10 us per L1 key) is skipped;
+    # the constructor still refuses a repeated position
+    structured = SparsePoly(params.ring, tuple(sorted(draw(stream))))
     free = SparsePoly(params.ring, sample_fixed_weight(stream, params.r, params.w2))
     blocks = (structured, free) if weak_index == 0 else (free, structured)
     return PrivateKey(h0=blocks[0], h1=blocks[1], sigma=sample_sigma(seed, params))
@@ -217,11 +203,11 @@ def gen_type1(params: SystemParams, f: int, d: int, l_shift: int, seed: bytes) -
     r, w2 = params.r, params.w2
 
     def draw(stream):
-        # run on positions 0..f-1; random section disjoint on f..r-1
-        fill = sample_fixed_weight(stream, r - f, w2 - f)
-        mapped = _phi_map(list(range(f)) + [f + p for p in fill], d, l_shift, r)
-        return mapped if len(set(mapped)) == w2 else None
-    return _plant(params, seed, 1, draw, "type-1 position map kept colliding")
+        # run on positions 0..f-1, fill on f..r/g-1, each rotated by l_shift and sent
+        # to p*d mod r: p and p' meet exactly when p = p' mod r/g, so none collide
+        fill = sample_fixed_weight(stream, r // math.gcd(r, d) - f, w2 - f)
+        return [((p + l_shift) % r) * d % r for p in [*range(f), *(f + q for q in fill)]]
+    return _plant(params, seed, 1, draw)
 
 
 def _type2_capacity(r: int, d: int, m: int) -> int:
@@ -266,15 +252,17 @@ def gen_type2(params: SystemParams, d: int, m: int, seed: bytes) -> PrivateKey:
     r, w2 = params.r, params.w2
 
     def draw(stream):
-        # m + 1 < r/gcd(r, d), so the chain's terms are distinct
-        [start] = stream.indices(r, 1)
-        support = {(start + j * d) % r for j in range(m + 1)}
-        while len(support) < w2:
-            support.update(stream.indices(r, w2 - len(support)))
-        return support if distance_multiplicities(support, r)[d] == m else None
-    return _plant(params, seed, 2, draw,
-                  f"no weight-{w2} block with multiplicity exactly {m} at d={d} "
-                  f"within {_RESAMPLE_BUDGET} attempts")
+        for _ in range(_RESAMPLE_BUDGET):
+            # m + 1 < r/gcd(r, d), so the chain's terms are distinct
+            [start] = stream.indices(r, 1)
+            support = {(start + j * d) % r for j in range(m + 1)}
+            while len(support) < w2:
+                support.update(stream.indices(r, w2 - len(support)))
+            if distance_multiplicities(support, r)[d] == m:
+                return support
+        raise BudgetExhaustedError(f"no weight-{w2} block with multiplicity exactly {m} "
+                                   f"at d={d} within {_RESAMPLE_BUDGET} attempts")
+    return _plant(params, seed, 2, draw)
 
 
 def _check_type3(params: SystemParams, m: int) -> None:

@@ -2,13 +2,18 @@
 
 Each reference reads one 32-bit word per step and applies the rejection rule
 itself: a word v is accepted when v < floor(2^32 / n) * n and gives v mod n.
-The weak-key references are the type-2 and type-3 generators and the psi
-sampler written this way, with the psi sampler's three nested loops: restart
-the placement, place each pair, retry one pair.  The package reads words in
-rounds through ``XofStream.indices``; these loops share none of that code, so
-agreement on outputs and stream positions checks the rounds against the plain
-rule.  The budgets are read from ``weakkeys`` at call time, so a test that
-monkeypatches ``_RESAMPLE_BUDGET`` changes both sides.
+The weak-key references are the type-1, type-2 and type-3 generators and the
+psi sampler written this way, with the psi sampler's three nested loops:
+restart the placement, place each pair, retry one pair.  The package reads
+words in rounds through ``XofStream.indices``; these loops share none of that
+code, so agreement on outputs and stream positions checks the rounds against
+the plain rule.  The budgets are read from ``weakkeys`` at call time, so a
+test that monkeypatches ``_RESAMPLE_BUDGET`` changes both sides.
+
+The type-1 reference draws its fill from all r - f positions and draws again
+when the position map sends two of them to one place.  ``gen_type1`` fills
+only the r/gcd(r, d) - f positions that the map keeps apart, so where
+gcd(r, d) = 1 the two draw the same keys, and elsewhere only their law agrees.
 """
 
 from bikelab import weakkeys
@@ -32,6 +37,24 @@ def one_word_fixed_weight(stream: XofStream, n: int, weight: int) -> tuple[int, 
     while len(chosen) < weight:
         chosen.add(one_word_index(stream, n))
     return tuple(sorted(chosen))
+
+
+def type1(params: SystemParams, f: int, d: int, l_shift: int, seed: bytes) -> PrivateKey:
+    r, w2, ring = params.r, params.w2, params.ring
+    stream = XofStream(TAG_WEAK, [seed, bytes([1])])
+    weak_index = stream.read(1)[0] & 1
+    for _ in range(weakkeys._RESAMPLE_BUDGET):
+        fill = one_word_fixed_weight(stream, r - f, w2 - f)
+        support = {((p + l_shift) % r) * d % r for p in [*range(f), *(f + q for q in fill)]}
+        if len(support) == w2:
+            break
+    else:
+        raise BudgetExhaustedError("type 1")
+    blocks = [SparsePoly.from_indices(ring, support),
+              SparsePoly(ring, one_word_fixed_weight(stream, r, w2))]
+    if weak_index:
+        blocks.reverse()
+    return PrivateKey(h0=blocks[0], h1=blocks[1], sigma=sample_sigma(seed, params))
 
 
 def type2(params: SystemParams, d: int, m: int, seed: bytes) -> PrivateKey:

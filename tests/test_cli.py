@@ -112,6 +112,28 @@ class TestKeygen:
                              "--key-out", str(tmp_path / "k.json"))
         assert code == 0 and seen == [(10, 100)]
 
+    def test_check_screens_a_redrawn_h0_again(self, tmp_path, capsys):
+        # at r=105 keygen redraws a non-invertible h0; two of the three rejections
+        # are such redraws, whose first draw had passed the screen
+        path = str(tmp_path / "k.json")
+        code, out, _ = run_cli(capsys, "keygen", "--r", "105", "--w", "14", "--t", "4",
+                               "--check", "--check-threshold", "2", "--seed", "4",
+                               "--key-out", path)
+        assert code == 0 and json.loads(out)["rejected"] == 3
+        code, out, _ = run_cli(capsys, "keycheck", "--key", path, "--threshold", "2")
+        assert code == 0 and json.loads(out)["verdict"] == "Normal"
+
+    @pytest.mark.parametrize("argv,value", [
+        (["keygen", *TOY_ARGS, "--seed", str(1 << 64), "--key-out", "never.json"], 1 << 64),
+        (["dfr", *TOY_ARGS, "--seed", "-1", "--max-trials", "1"], -1),
+    ], ids=["keygen", "dfr"])
+    def test_seed_outside_u64_refused(self, tmp_path, capsys, monkeypatch, argv, value):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"parameter error: seed must be an unsigned 64-bit integer, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_partial_custom_params_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "keygen", "--r", "613", "--seed", "1",
                                "--key-out", str(tmp_path / "k.json"))
@@ -265,6 +287,22 @@ class TestKemRoundTrip:
         assert json.loads(out)["decoder_success"] is True
         assert read_json(ss) == read_json(ss2)
 
+    def test_shared_key_length_off_a_byte_boundary(self, tmp_path, capsys):
+        # l = 255: sigma, m and the shared key fill 32 bytes, the last one masked
+        key, ct = str(tmp_path / "key.json"), str(tmp_path / "ct.json")
+        ss, ss2 = str(tmp_path / "ss.json"), str(tmp_path / "ss2.json")
+        assert run_cli(capsys, "keygen", "--r", "101", "--w", "14", "--t", "4", "--l", "255",
+                       "--seed", "3", "--key-out", key)[0] == 0
+        assert run_cli(capsys, "encaps", "--key", key, "--seed", "4", "--ct-out", ct,
+                       "--ss-out", ss)[0] == 0
+        code, out, _ = run_cli(capsys, "decaps", "--key", key, "--ct", ct, "--ss-out", ss2,
+                               "--diagnostics")
+        assert code == 0 and json.loads(out)["decoder_success"] is True
+        assert read_json(ss) == read_json(ss2)
+        for raw in (read_json(key)["sigma_hex"], read_json(ss)["shared_key_hex"]):
+            data = bytes.fromhex(raw)
+            assert len(data) == 32 and data[-1] < 0x80
+
     def test_tampered_c1_changes_key_but_exits_zero(self, tmp_path, capsys, keyfile):
         ct = str(tmp_path / "ct.json")
         ss = str(tmp_path / "ss.json")
@@ -386,8 +424,8 @@ class TestKemRoundTrip:
 class TestWeakkeyAndKeycheck:
     def test_weak_key_flagged(self, tmp_path, capsys):
         wkey = str(tmp_path / "wkey.json")
-        code, _, _ = run_cli(capsys, "weakkey", "gen", "--type", "1", "--f", "12",
-                             "--d", "2", "--r", "1019", "--w", "42", "--t", "30",
+        code, _, _ = run_cli(capsys, "weakkey", "gen", "--spec", "type1:f=12,d=2",
+                             "--r", "1019", "--w", "42", "--t", "30",
                              "--seed", "3", "--key-out", wkey)
         assert code == 0
         code, out, _ = run_cli(capsys, "keycheck", "--key", wkey, "--threshold", "10")
@@ -404,7 +442,7 @@ class TestWeakkeyAndKeycheck:
     def test_spectrum_csv_matches_library(self, tmp_path, capsys):
         wkey = str(tmp_path / "wkey.json")
         csv_path = str(tmp_path / "spec.csv")
-        run_cli(capsys, "weakkey", "gen", "--type", "2", "--d", "3", "--m", "9",
+        run_cli(capsys, "weakkey", "gen", "--spec", "type2:d=3,m=9",
                 "--r", "1019", "--w", "42", "--t", "30", "--seed", "4",
                 "--key-out", wkey, "--spectrum-csv", csv_path)
         _, sk, _ = files.read_key(wkey)
@@ -418,7 +456,7 @@ class TestWeakkeyAndKeycheck:
 
     def test_weak_key_file_supports_encaps(self, tmp_path, capsys):
         wkey = str(tmp_path / "wkey.json")
-        run_cli(capsys, "weakkey", "gen", "--type", "3", "--m", "9", *TOY_ARGS,
+        run_cli(capsys, "weakkey", "gen", "--spec", "type3:m=9", *TOY_ARGS,
                 "--seed", "5", "--key-out", wkey)
         code, _, _ = run_cli(capsys, "encaps", "--key", wkey, "--seed", "6",
                              "--ct-out", str(tmp_path / "ct.json"),
@@ -426,62 +464,63 @@ class TestWeakkeyAndKeycheck:
         assert code == 0
 
 
-    @pytest.mark.parametrize("argv,descriptor", [
-        (["--type", "1", "--f", "4", "--r", "105", "--seed", "0"], "type1:f=4"),
-        (["--type", "3", "--m", "3", "--r", "127", "--seed", "3"], "type3:m=3"),
+    @pytest.mark.parametrize("r,descriptor,seed", [
+        (105, "type1:f=4", 0),
+        (127, "type3:m=3", 3),
     ], ids=["type1-r105", "type3-r127"])
-    def test_non_invertible_h0_is_a_parameter_error(self, tmp_path, capsys, argv, descriptor):
-        params = custom_params(r=int(argv[5]), w=14, t=4)
-        h0 = WeakKeySpec.parse(descriptor).sample(params, expand_u64_seed(int(argv[7]))).h0
+    def test_non_invertible_h0_is_a_parameter_error(self, tmp_path, capsys, r, descriptor,
+                                                    seed):
+        params = custom_params(r=r, w=14, t=4)
+        h0 = WeakKeySpec.parse(descriptor).sample(params, expand_u64_seed(seed)).h0
         with pytest.raises(NotInvertibleError):
             invert_oracle(h0.to_dense())  # the Euclid oracle agrees: h0 has no inverse
         path = tmp_path / "k.json"
-        code, _, err = run_cli(capsys, "weakkey", "gen", *argv, "--w", "14", "--t", "4",
+        code, _, err = run_cli(capsys, "weakkey", "gen", "--spec", descriptor, "--r", str(r),
+                               "--w", "14", "--t", "4", "--seed", str(seed),
                                "--key-out", str(path))
         assert code == 2
-        assert err == (f"parameter error: h0 is not invertible at r={argv[5]}; try another "
+        assert err == (f"parameter error: h0 is not invertible at r={r}; try another "
                        "--seed, or a KEM-grade r (prime, with 2 primitive mod r)\n")
         assert not path.exists()
 
-    @pytest.mark.parametrize("descriptor,flags", [
-        ("type1:f=5,d=2,shift=3", ["--type", "1", "--f", "5", "--d", "2", "--shift", "3"]),
-        ("type1:f=5", ["--type", "1", "--f", "5"]),
-        ("type2:m=3,d=4", ["--type", "2", "--m", "3", "--d", "4"]),
-        ("type3:m=3", ["--type", "3", "--m", "3"]),
-    ])
-    def test_weak_spec_matches_the_descriptor(self, tmp_path, capsys, descriptor, flags):
-        code, out, _ = run_cli(capsys, "weakkey", "gen", *flags, *TOY_ARGS, "--seed", "4",
-                               "--key-out", str(tmp_path / "k.json"))
+    @pytest.mark.parametrize("argv", [
+        ["weakkey", "gen", "--r", "45", "--w", "30", "--t", "4", "--spec", "type1:f=2,d=3",
+         "--seed", "0", "--key-out", "KEY"],
+        ["dfr", "--r", "63", "--w", "42", "--t", "4", "--key-class", "weak:type1:f=3,d=3",
+         "--max-trials", "20"],
+    ], ids=["weakkey-gen-r45", "dfr-r63"])
+    def test_type1_at_a_step_sharing_a_factor_with_r_completes(self, tmp_path, capsys, argv):
+        # gcd(r, 3) = 3: the position map keeps only r/3 places apart, and a fill
+        # drawn from all r - f positions ran out of redraws here (exit 4)
+        key = tmp_path / "k.json"
+        code, out, err = run_cli(capsys, *[str(key) if a == "KEY" else a for a in argv])
+        assert (code, err) == (0, "")
+        if argv[0] == "dfr":
+            assert json.loads(out)["records"][0]["trials"] == 20
+        else:
+            assert files.read_key(str(key))[1].h0.weight() == 15
+
+    def test_weak_spec_is_the_parsed_descriptor(self, tmp_path, capsys):
+        descriptor = "type1:f=5,d=2,shift=3"
+        code, out, _ = run_cli(capsys, "weakkey", "gen", "--spec", descriptor, *TOY_ARGS,
+                               "--seed", "4", "--key-out", str(tmp_path / "k.json"))
         assert code == 0
         assert json.loads(out)["weak_spec"] == asdict(WeakKeySpec.parse(descriptor))
 
-    @pytest.mark.parametrize("flags", [
-        ["--type", "3", "--m", "3", "--f", "9"],
-        ["--type", "3", "--m", "3", "--d", "1"],
-        ["--type", "3", "--m", "3", "--shift", "4"],
-        ["--type", "2", "--m", "3", "--f", "4"],
-        ["--type", "1", "--f", "4", "--m", "2"],
-    ])
-    def test_parameter_the_family_does_not_read_rejected(self, tmp_path, capsys, flags):
-        code, _, err = run_cli(capsys, "weakkey", "gen", *flags, *TOY_ARGS,
-                               "--key-out", str(tmp_path / "k.json"))
-        assert code == 2
-        assert f"type {flags[1]} takes no {flags[4][2:]}" in err
-
     @pytest.mark.parametrize("flags,message", [
-        (["--type", "3", "--m", "1", "--r", "11", "--w", "14", "--t", "4"],
+        (["--spec", "type3:m=1", "--r", "11", "--w", "14", "--t", "4"],
          "type 3 needs r >= w - m = 13, got r=11"),
-        (["--type", "2", "--m", "2", "--d", "1", "--r", "11", "--w", "30", "--t", "4"],
+        (["--spec", "type2:m=2,d=1", "--r", "11", "--w", "30", "--t", "4"],
          "w/2 must be at most r, got w=30 and r=11"),
-        (["--type", "1", "--f", "4", "--d", "5", "--r", "15", "--w", "10", "--t", "4"],
+        (["--spec", "type1:f=4,d=5", "--r", "15", "--w", "10", "--t", "4"],
          "type 1 needs w/2 <= r/gcd(r, d) = 3, got w/2=5 at d=5"),
-        (["--type", "2", "--m", "2", "--d", "5", "--r", "15", "--w", "10", "--t", "4"],
+        (["--spec", "type2:m=2,d=5", "--r", "15", "--w", "10", "--t", "4"],
          "type 2 needs m + 1 < r/gcd(r, d) = 3, got m=2 at d=5"),
-        (["--type", "2", "--m", "6", "--d", "3", "--r", "21", "--w", "14", "--t", "4"],
+        (["--spec", "type2:m=6,d=3", "--r", "21", "--w", "14", "--t", "4"],
          "type 2 needs m + 1 < r/gcd(r, d) = 7, got m=6 at d=3"),
-        (["--type", "2", "--m", "1", "--d", "1", "--r", "11", "--w", "18", "--t", "4"],
+        (["--spec", "type2:m=1,d=1", "--r", "11", "--w", "18", "--t", "4"],
          "type 2 fits at most 6 positions with exactly m=1 pairs at d=1 in r=11, got w/2=9"),
-        (["--type", "2", "--m", "1", "--d", "5", "--r", "15", "--w", "14", "--t", "4"],
+        (["--spec", "type2:m=1,d=5", "--r", "15", "--w", "14", "--t", "4"],
          "type 2 fits at most 6 positions with exactly m=1 pairs at d=5 in r=15, got w/2=7"),
     ], ids=["type3-fill-short", "type2-w2-above-r", "type1-too-few-images",
             "type2-chain-overflows-cycle", "type2-chain-fills-cycle",
@@ -924,7 +963,7 @@ class TestOutputPaths:
             "encaps": ["encaps", "--key", keyfile, "--ct-out", fresh, "--ss-out", missing],
             "decaps": ["decaps", "--key", keyfile, "--ct", ct, "--ss-out", fresh,
                        "--trace-csv", missing],
-            "weakkey gen": ["weakkey", "gen", *TOY_ARGS, "--type", "1", "--f", "5",
+            "weakkey gen": ["weakkey", "gen", *TOY_ARGS, "--spec", "type1:f=5",
                             "--key-out", fresh, "--spectrum-csv", missing],
             "keycheck": ["keycheck", "--key", keyfile, "--out", missing],
             # every row of this range would print a note first
@@ -1047,8 +1086,7 @@ ACCEPTED = {
                         "--check-budget"},
     "encaps": {"--seed", "--key", "--ct-out", "--ss-out"},
     "decaps": {"--key", "--ct", "--ss-out", "--diagnostics", "--trace-csv"},
-    "weakkey gen": PARAMS | {"--seed", "--type", "--f", "--d", "--shift", "--m",
-                             "--key-out", "--spectrum-csv"},
+    "weakkey gen": PARAMS | {"--seed", "--spec", "--key-out", "--spectrum-csv"},
     "keycheck": {"--key", "--threshold", "--out"},
     "dfr": PARAMS | {"--seed", "--key-class", "--error-source", "--min-trials",
                      "--min-failures", "--max-trials", "--rs", "--extrapolate-to",
@@ -1061,7 +1099,7 @@ MINIMAL_ARGV = {
     "keygen": ["keygen", "--key-out", "k.json"],
     "encaps": ["encaps", "--key", "k.json", "--ct-out", "c.json", "--ss-out", "s.json"],
     "decaps": ["decaps", "--key", "k.json", "--ct", "c.json", "--ss-out", "s.json"],
-    "weakkey gen": ["weakkey", "gen", "--type", "1", "--key-out", "k.json"],
+    "weakkey gen": ["weakkey", "gen", "--spec", "type1:f=5", "--key-out", "k.json"],
     "keycheck": ["keycheck", "--key", "k.json"],
     "eta": ["eta", "--type", "1", "--param-range", "5"],
 }
@@ -1070,7 +1108,9 @@ REMOVED = {
     "keygen": ["--out", "--format", "--threads", "--verbose", "--no-check"],
     "encaps": [*sorted(PARAMS), "--out", "--format", "--threads", "--verbose"],
     "decaps": [*sorted(PARAMS), "--seed", "--out", "--format", "--threads", "--verbose"],
-    "weakkey gen": ["--out", "--format", "--threads", "--verbose"],
+    # the family flags before --spec took a descriptor
+    "weakkey gen": ["--out", "--format", "--threads", "--verbose", "--type", "--f", "--d",
+                    "--shift", "--m"],
     "keycheck": [*sorted(PARAMS), "--seed", "--format", "--threads", "--verbose"],
     "eta": ["--seed", "--format", "--threads", "--verbose"],
 }
@@ -1092,7 +1132,7 @@ def accepted_flags(parser, prefix=""):
 class TestOptionSurface:
     def test_each_subcommand_takes_only_the_flags_it_reads(self):
         assert accepted_flags(build_parser()) == ACCEPTED
-        assert sum(len(f) for f in ACCEPTED.values()) == 64
+        assert sum(len(f) for f in ACCEPTED.values()) == 60
 
     @pytest.mark.parametrize("command,flag",
                              [(c, f) for c, flags in REMOVED.items() for f in flags])

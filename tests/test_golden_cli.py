@@ -43,9 +43,9 @@ CASES = [
     ("keygen-l1", ["keygen", *L1, "--seed", "42", "--key-out", "key.json"]),
     ("keygen-l1-check", ["keygen", *L1, "--seed", "5", "--check", "--key-out",
                          "checked.json"]),
-    ("weakkey-gen-type1", ["weakkey", "gen", *L1, "--type", "1", "--f", "40", "--seed", "3",
+    ("weakkey-gen-type1", ["weakkey", "gen", *L1, "--spec", "type1:f=40", "--seed", "3",
                            "--key-out", "weak1.json", "--spectrum-csv", "spec1.csv"]),
-    ("weakkey-gen-type3", ["weakkey", "gen", *L1, "--type", "3", "--m", "20", "--seed", "4",
+    ("weakkey-gen-type3", ["weakkey", "gen", *L1, "--spec", "type3:m=20", "--seed", "4",
                            "--key-out", "weak3.json", "--spectrum-csv", "spec3.csv"]),
     ("keycheck-weak", ["keycheck", "--key", "weak1.json"]),
     ("keycheck-normal", ["keycheck", "--key", "key.json", "--out", "verdict.json"]),
@@ -59,7 +59,7 @@ CASES = [
                    "--queries", "8"]),
     ("dfr-l1-weak-csv", [*DFR, *L1, "--key-class", "weak:type1:f=35", "--max-trials", "5",
                          "--format", "csv", "--out", "dfr-l1.csv"]),
-    ("weakkey-gen-r1259", ["weakkey", "gen", *R1259, "--type", "1", "--f", "10",
+    ("weakkey-gen-r1259", ["weakkey", "gen", *R1259, "--spec", "type1:f=10",
                            "--seed", "3", "--key-out", "k1259.json"]),
     ("dfr-r1259-fixed-psi", [*DFR, *R1259, "--key-class", "fixed:k1259.json",
                              "--error-source", "psi:1", "--max-trials", "200",
@@ -88,13 +88,13 @@ CASES = [
     ("exit2-psi-unplaceable", [*DFR, "--r", "9", "--w", "2", "--t", "8", "--error-source",
                                "psi:3", "--max-trials", "3"]),
     ("exit2-type1-too-few-images", ["weakkey", "gen", "--r", "15", "--w", "10", "--t", "4",
-                                    "--type", "1", "--f", "4", "--d", "5",
+                                    "--spec", "type1:f=4,d=5",
                                     "--key-out", "never.json"]),
     ("exit2-type2-chain-fills-cycle", [*DFR, "--r", "19", "--w", "14", "--t", "4",
                                        "--rs", "19,21", "--key-class", "weak:type2:m=6,d=3",
                                        "--max-trials", "2"]),
     ("exit2-type2-fill-beyond-capacity", ["weakkey", "gen", "--r", "15", "--w", "14", "--t",
-                                          "4", "--type", "2", "--m", "1", "--d", "5",
+                                          "4", "--spec", "type2:m=1,d=5",
                                           "--key-out", "never.json"]),
     ("exit2-psi-unplaceable-rs", [*DFR, "--r", "23", "--w", "2", "--t", "22", "--rs", "23,25",
                                   "--error-source", "psi:5", "--max-trials", "300"]),
@@ -115,7 +115,7 @@ CASES = [
     ("dfr-dropped", [*DFR, "--r", "523", "--w", "30", "--t", "18", "--rs", "523,541,547,1019",
                      "--max-trials", "64", "--min-failures", "1000000", "--seed", "13",
                      "--extrapolate-to", "12323"]),
-    ("weakkey-gen-type2", ["weakkey", "gen", *L1, "--type", "2", "--m", "5", "--d", "3",
+    ("weakkey-gen-type2", ["weakkey", "gen", *L1, "--spec", "type2:m=5,d=3",
                            "--seed", "6", "--key-out", "weak2.json"]),
 ]
 

@@ -77,13 +77,15 @@ def _sites(found):
     lambda tree: [t for t in _raise_texts(tree) if "equal weight" in t],
     # r is odd and at least 3
     lambda tree: [t for t in _raise_texts(tree) if "must be odd" in t],
+    # a seed is an unsigned 64-bit integer, for keygen's --seed and a campaign's master seed
+    lambda tree: [t for t in _raise_texts(tree) if "unsigned 64-bit" in t],
     # a dense element's bits lie in [0, 2^r): the one comparison against a ring's mask
     lambda tree: [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
                   and ".mask" in ast.unparse(node)],
     # the decoder's (2, w/2) array of the key's supports
     lambda tree: [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
                   and ast.unparse(node.func) == "np.array" and ".support" in ast.unparse(node)],
-], ids=["equal-weight", "odd-r", "dense-range", "support-array"])
+], ids=["equal-weight", "odd-r", "u64-seed", "dense-range", "support-array"])
 def test_one_owner_per_validity_rule(found):
     sites = _sites(found)
     assert len(sites) == 1, sites

@@ -11,7 +11,7 @@ from bikelab import (BudgetExhaustedError, KeyCheckConfig, ParameterError, count
                      count_type2_upper, count_type3_upper, custom_params, distance,
                      gen_psi_d_error, gen_type1, gen_type2, gen_type3, key_check, level_params,
                      log2_count, reconstruct_from_spectrum, spectrum, weakkeys)
-from bikelab.kem import expand_u64_seed
+from bikelab.kem import TAG_WEAK, XofStream, expand_u64_seed
 from bikelab.ring import RingParams, SparsePoly
 from bikelab.weakkeys import DistanceSpectrum, WeakKeySpec, difference_counts, log2_density
 
@@ -132,6 +132,30 @@ class TestGenType1:
 
     def test_deterministic(self):
         assert gen_type1(TOY, 10, 2, 0, seed(4)) == gen_type1(TOY, 10, 2, 0, seed(4))
+
+    def test_fill_law_where_the_map_is_not_one_to_one(self):
+        # gcd(21, 3) = 3: the run maps to {0, 3} and the fill to one of the five
+        # other multiples of 3 that the map reaches, each equally likely
+        params, n = custom_params(r=21, w=6, t=4), 5000
+        family = [(0, 3, x) if x > 3 else (0, x, 3) for x in (6, 9, 12, 15, 18)]
+        family = [tuple(sorted(b)) for b in family]
+        counts = dict.fromkeys(family, 0)
+        for i in range(n):
+            key = gen_type1(params, 2, 3, 0, seed(i))
+            weak_index = XofStream(TAG_WEAK, [seed(i), bytes([1])]).read(1)[0] & 1
+            counts[(key.h0, key.h1)[weak_index].support] += 1
+        assert list(counts) == family   # no structured block outside the family
+        chi2 = sum((c - n / 5) ** 2 / (n / 5) for c in counts.values())
+        assert chi2 < 18.47, counts     # 4 degrees of freedom, p = 0.001
+
+    def test_one_draw_where_the_earlier_redraws_ran_out(self):
+        # w/2 = r/gcd(r, d) = 15, so the block is every multiple of 3; the reference,
+        # which fills from all r - f positions and redraws on a collision, runs out
+        params = custom_params(r=45, w=30, t=4)
+        with pytest.raises(BudgetExhaustedError):
+            draw_oracle.type1(params, 2, 3, 0, seed(0))
+        key = gen_type1(params, 2, 3, 0, seed(0))
+        assert tuple(range(0, 45, 3)) in (key.h0.support, key.h1.support)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -302,6 +326,18 @@ R43 = custom_params(r=43, w=10, t=36)
 
 class TestOneWordReference:
     """Each generator against its one-word reference loop in ``draw_oracle``."""
+
+    @pytest.mark.parametrize("params,steps", [
+        (custom_params(r=101, w=14, t=4), (1, 2, 7)),
+        (custom_params(r=1259, w=42, t=30), (1,)),
+        (level_params(1), (1,)),
+    ], ids=["r101", "r1259", "l1"])
+    def test_type1(self, params, steps):
+        # gcd(r, d) = 1: the earlier draw never redrew, so the keys are unchanged
+        for i in range(200):
+            f, d, l_shift = 2 + i % (params.w2 - 1), steps[i % len(steps)], (37 * i) % params.r
+            assert gen_type1(params, f, d, l_shift, seed(i)) == \
+                draw_oracle.type1(params, f, d, l_shift, seed(i))
 
     @pytest.mark.parametrize("params", [TOY, R43], ids=["r1019", "r43"])
     def test_type2(self, params):
@@ -566,8 +602,8 @@ class TestWeakKeySpecParsing:
         assert WeakKeySpec.parse("type3:m=1_0").m == 10
 
     def test_parameters_the_family_does_not_read_rejected(self):
-        for text in ("type2:m=3,shift=5,f=4", "type3:m=3,d=1", "type3:m=3,f=9",
-                     "type1:f=4,m=2"):
+        for text in ("type2:m=3,shift=5,f=4", "type2:m=3,f=4", "type3:m=3,d=1",
+                     "type3:m=3,f=9", "type3:m=3,shift=4", "type1:f=4,m=2"):
             with pytest.raises(ParameterError, match="takes no"):
                 WeakKeySpec.parse(text)
 
