@@ -22,7 +22,7 @@ from .decoder import IterationTrace
 from .errors import (BudgetExhaustedError, NotInvertibleError, ParameterError, SchemaError,
                      parse_int)
 from .kem import decaps_with_diagnostics, encaps, expand_u64_seed, keygen, public_key
-from .keycheck import KeyCheckConfig, key_check, keygen_checked
+from .keycheck import DEFAULT_BUDGET, DEFAULT_T, KeyCheckConfig, key_check, keygen_checked
 from .keys import SystemParams, custom_params, level_params, params_with_r
 from .weakkeys import (WeakKeySpec, count_type1, count_type2_upper, count_type3_upper,
                        log2_count, log2_density, spectrum)
@@ -66,8 +66,8 @@ def cmd_keygen(args) -> int:
         raise ParameterError("--check-threshold and --check-budget are read only with --check")
     files.check_output_dir(args.key_out)
     if args.check:
-        threshold = 10 if args.check_threshold is None else args.check_threshold
-        budget = 100 if args.check_budget is None else args.check_budget
+        threshold = DEFAULT_T if args.check_threshold is None else args.check_threshold
+        budget = DEFAULT_BUDGET if args.check_budget is None else args.check_budget
         sk, pk, rejected = keygen_checked(params, seed, KeyCheckConfig(threshold), budget)
     else:
         sk, pk = keygen(params, seed)
@@ -285,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="64-bit seed")
     p.add_argument("--key-out", required=True)
     p.add_argument("--check", action="store_true", help="reject weak candidates")
-    p.add_argument("--check-threshold", type=int, help="read only with --check (default 10)")
-    p.add_argument("--check-budget", type=int, help="read only with --check (default 100)")
+    with_check = "read only with --check (default {})"
+    p.add_argument("--check-threshold", type=int, help=with_check.format(DEFAULT_T))
+    p.add_argument("--check-budget", type=int, help=with_check.format(DEFAULT_BUDGET))
 
     p = _command(sub, "encaps", "cmd_encaps", "encapsulate a shared key")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed")
@@ -308,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(g)
     g.add_argument("--seed", type=int, default=0, help="64-bit seed")
     g.add_argument("--spec", required=True,
-                   help='family descriptor, e.g. "type1:f=40,d=1" (d defaults to 1, shift to 0)')
+                   help='family descriptor, e.g. "type1:f=40,d=1" (d defaults to 1)')
     g.add_argument("--key-out", required=True)
     g.add_argument("--spectrum-csv", help="write the h0 distance spectrum CSV")
 
     p = _command(sub, "keycheck", "cmd_keycheck", "classify a key as Weak or Normal")
     p.add_argument("--key", required=True)
-    p.add_argument("--threshold", type=int, default=10)
+    p.add_argument("--threshold", type=int, default=DEFAULT_T)
     p.add_argument("--out", help="write the verdict here instead of stdout")
 
     p = _command(sub, "dfr", "cmd_dfr", "measure decoding failure rates")

@@ -15,18 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kem
-from .errors import BudgetExhaustedError, ParameterError
+from .errors import BudgetExhaustedError, NotInvertibleError, ParameterError
 from .kem import TAG_CHECKED_SUBSEED, XofStream, keygen
 from .keys import PrivateKey, PublicKey, SystemParams
 from .ring import SparsePoly, _check_key_blocks
 from .weakkeys import difference_counts, distance_multiplicities, pair_differences
+
+# the screen's defaults, for the API and the CLI alike
+DEFAULT_T = 10
+DEFAULT_BUDGET = 100
 
 
 @dataclass(frozen=True)
 class KeyCheckConfig:
     """Multiplicity/intersection threshold; keys exceeding it are Weak."""
 
-    threshold_T: int = 10
+    threshold_T: int = DEFAULT_T
 
     def __post_init__(self):
         if self.threshold_T < 1:
@@ -76,26 +80,27 @@ def key_check(h0: SparsePoly, h1: SparsePoly, cfg: KeyCheckConfig) -> KeyVerdict
 
 
 def keygen_checked(params: SystemParams, seed: bytes, cfg: KeyCheckConfig,
-                   budget: int = 100) -> tuple[PrivateKey, PublicKey, int]:
+                   budget: int = DEFAULT_BUDGET) -> tuple[PrivateKey, PublicKey, int]:
     """Generate keys until one passes the check; returns (sk, pk, rejected).
 
-    Candidates are screened on their sampled blocks before the public key is
-    derived, so rejected candidates never pay for an inversion.
+    Each candidate is drawn once and screened before its public key is derived,
+    so rejected candidates never pay for an inversion.  Only an h0 that does not
+    invert (an experimental ring) hands the seed to :func:`keygen`, whose redrawn
+    h0 is screened again.
     """
     if budget < 1:
         raise ParameterError(f"check budget must be >= 1, got {budget}")
     rejected = 0
     for i in range(budget):
         sub_seed = XofStream(TAG_CHECKED_SUBSEED, [seed, i.to_bytes(4, "big")]).read(32)
-        candidate = kem.sample_private_key(params, sub_seed)
-        if key_check(candidate.h0, candidate.h1, cfg).is_weak:
-            rejected += 1
-            continue
-        sk, pk = keygen(params, sub_seed)
-        if sk.h0 != candidate.h0 and key_check(sk.h0, sk.h1, cfg).is_weak:
-            # an experimental ring resampled h0 past the screened draw
-            rejected += 1
-            continue
-        return sk, pk, rejected
+        sk = kem.sample_private_key(params, sub_seed)
+        if not key_check(sk.h0, sk.h1, cfg).is_weak:
+            try:
+                return sk, kem.public_key(sk.h0, sk.h1), rejected
+            except NotInvertibleError:
+                sk, pk = keygen(params, sub_seed)
+                if not key_check(sk.h0, sk.h1, cfg).is_weak:
+                    return sk, pk, rejected
+        rejected += 1
     raise BudgetExhaustedError(
         f"no key passed the check in {budget} attempts (T={cfg.threshold_T})")

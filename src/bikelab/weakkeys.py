@@ -3,8 +3,9 @@
 Three families of dangerous private keys are generated constructively:
 
   type 1  one block carries a run of f support positions at constant step d
-          (plus random fill), giving distance d a multiplicity of at least
-          f - 1 in that block; the other block is uniformly random;
+          from position 0 (plus random fill), giving distance d a
+          multiplicity of at least f - 1 in that block; the other block is
+          uniformly random;
   type 2  one block whose spectrum has multiplicity exactly m at one
           distance, planted as an (m+1)-term arithmetic chain and verified;
           the other block is uniformly random;
@@ -95,8 +96,8 @@ def spectrum(h: SparsePoly) -> DistanceSpectrum:
     return DistanceSpectrum(r=r, mult=dict(enumerate(mult, start=1)))
 
 
-# the parameters each family reads, by their descriptor and CLI names
-_FAMILY_PARAMS = {1: ("f", "d", "shift"), 2: ("m", "d"), 3: ("m",)}
+# the parameters each family reads, by their descriptor names
+_FAMILY_PARAMS = {1: ("f", "d"), 2: ("m", "d"), 3: ("m",)}
 
 
 @dataclass(frozen=True)
@@ -106,25 +107,24 @@ class WeakKeySpec:
     family: int
     f: int | None = None
     d: int | None = None
-    l_shift: int = 0
     m: int | None = None
 
     def __post_init__(self):
         if self.family not in _FAMILY_PARAMS:
             raise ParameterError(f"unknown weak-key family {self.family}")
         reads = _FAMILY_PARAMS[self.family]
-        given = {"f": self.f, "d": self.d, "shift": self.l_shift or None, "m": self.m}
+        given = {"f": self.f, "d": self.d, "m": self.m}
         unread = [k for k, v in given.items() if v is not None and k not in reads]
         if unread:
             raise ParameterError(f"type {self.family} takes no {', '.join(unread)}")
-        missing = [k for k in reads if k != "shift" and given[k] is None]
+        missing = [k for k in reads if given[k] is None]
         if missing:
             raise ParameterError(f"type {self.family} requires {' and '.join(missing)}")
 
     def check_params(self, params: SystemParams) -> None:
         """ParameterError unless :meth:`sample` can plant the family at these parameters."""
         if self.family == 1:
-            _check_type1(params, self.f, self.d, self.l_shift)
+            _check_type1(params, self.f, self.d)
         elif self.family == 2:
             _check_type2(params, self.d, self.m)
         else:
@@ -133,7 +133,7 @@ class WeakKeySpec:
     def sample(self, params: SystemParams, seed: bytes) -> PrivateKey:
         # through the module globals, where a tracer may wrap the generators
         if self.family == 1:
-            return gen_type1(params, self.f, self.d, self.l_shift, seed)
+            return gen_type1(params, self.f, self.d, seed)
         if self.family == 2:
             return gen_type2(params, self.d, self.m, seed)
         return gen_type3(params, self.m, seed)
@@ -151,8 +151,8 @@ class WeakKeySpec:
 
     @classmethod
     def parse(cls, text: str) -> "WeakKeySpec":
-        """Parse "type1:f=40,d=1" style descriptors; where the family reads them, d
-        defaults to 1 and shift to 0."""
+        """Parse "type1:f=40,d=1" style descriptors; where the family reads d, it
+        defaults to 1."""
         head, _, rest = text.partition(":")
         if not head.startswith("type") or head[4:] not in ("1", "2", "3"):
             raise ParameterError(f"bad weak-key family in {text!r}")
@@ -161,21 +161,18 @@ class WeakKeySpec:
         if rest:
             for part in rest.split(","):
                 k, _, v = part.partition("=")
-                if k not in ("f", "d", "m", "shift"):
+                if k not in ("f", "d", "m"):
                     raise ParameterError(f"bad weak-key parameter {part!r}")
                 if k in kv:
                     raise ParameterError(f"weak-key parameter {k} given twice in {text!r}")
                 kv[k] = parse_int(v, f"bad weak-key parameter {part!r}")
-        return cls(family, f=kv.get("f"), d=kv.get("d", 1 if family in (1, 2) else None),
-                   l_shift=kv.get("shift", 0), m=kv.get("m"))
+        return cls(family, **{"d": 1 if family in (1, 2) else None, **kv})
 
 
-def _check_type1(params: SystemParams, f: int, d: int, l_shift: int) -> None:
+def _check_type1(params: SystemParams, f: int, d: int) -> None:
     r, w2 = params.r, params.w2
     _check_range("f", f, 2, w2)
     _check_range("d", d, 1, r // 2)
-    if not 0 <= l_shift < r:
-        raise ParameterError(f"shift must be in [0, {r}), got {l_shift}")
     if w2 > r // math.gcd(r, d):
         # p -> p*d mod r hits only the r/gcd(r, d) multiples of gcd(r, d)
         raise ParameterError(f"type 1 needs w/2 <= r/gcd(r, d) = {r // math.gcd(r, d)}, "
@@ -197,16 +194,20 @@ def _plant(params: SystemParams, seed: bytes, family: int, draw) -> PrivateKey:
     return PrivateKey(h0=blocks[0], h1=blocks[1], sigma=sample_sigma(seed, params))
 
 
-def gen_type1(params: SystemParams, f: int, d: int, l_shift: int, seed: bytes) -> PrivateKey:
-    """One block with f support positions at constant step d plus random fill."""
-    _check_type1(params, f, d, l_shift)
+def gen_type1(params: SystemParams, f: int, d: int, seed: bytes) -> PrivateKey:
+    """One block with f support positions at constant step d plus random fill.
+
+    The run starts at position 0: a run started at s would be this block rotated
+    by s*d, which changes no spectrum, overlap or failure count.
+    """
+    _check_type1(params, f, d)
     r, w2 = params.r, params.w2
 
     def draw(stream):
-        # run on positions 0..f-1, fill on f..r/g-1, each rotated by l_shift and sent
-        # to p*d mod r: p and p' meet exactly when p = p' mod r/g, so none collide
+        # run on positions 0..f-1, fill on f..r/g-1, each sent to p*d mod r:
+        # p and p' meet exactly when p = p' mod r/g, so none collide
         fill = sample_fixed_weight(stream, r // math.gcd(r, d) - f, w2 - f)
-        return [((p + l_shift) % r) * d % r for p in [*range(f), *(f + q for q in fill)]]
+        return [p * d % r for p in [*range(f), *(f + q for q in fill)]]
     return _plant(params, seed, 1, draw)
 
 

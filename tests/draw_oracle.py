@@ -14,6 +14,8 @@ The type-1 reference draws its fill from all r - f positions and draws again
 when the position map sends two of them to one place.  ``gen_type1`` fills
 only the r/gcd(r, d) - f positions that the map keeps apart, so where
 gcd(r, d) = 1 the two draw the same keys, and elsewhere only their law agrees.
+The reference also starts its run at ``l_shift``, where ``gen_type1`` starts
+at 0; the two structured blocks then differ by a rotation of l_shift*d.
 """
 
 from bikelab import weakkeys

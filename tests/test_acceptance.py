@@ -2,8 +2,8 @@
 
 Each test prints a summary line; the terminal summary block (see conftest)
 repeats one PASS/FAIL line per criterion.  The whole module takes about
-40-55 s on a 2-vCPU VM; criterion 4's 1000 level-1 KEM round trips take
-18-25 s of it.
+19-24 s on a 2-vCPU VM (Python 3.11, numpy 2.4); criterion 4's 1000
+level-1 KEM round trips take 10-12 s of it.
 """
 
 import json
@@ -207,7 +207,7 @@ def test_criterion_7_key_check_soundness(capsys):
     cfg = KeyCheckConfig(threshold_T=10)
 
     weak_specs = {
-        "type1 f=12": lambda i: gen_type1(L1, 12, 1 + i % 50, i % L1.r, expand_u64_seed(70_000 + i)),
+        "type1 f=12": lambda i: gen_type1(L1, 12, 1 + i % 50, expand_u64_seed(70_000 + i)),
         "type2 m=12": lambda i: gen_type2(L1, 1 + i % 50, 12, expand_u64_seed(71_000 + i)),
         "type3 m=12": lambda i: gen_type3(L1, 12, expand_u64_seed(72_000 + i)),
     }

@@ -501,11 +501,20 @@ class TestWeakkeyAndKeycheck:
             assert files.read_key(str(key))[1].h0.weight() == 15
 
     def test_weak_spec_is_the_parsed_descriptor(self, tmp_path, capsys):
-        descriptor = "type1:f=5,d=2,shift=3"
+        descriptor = "type1:f=5,d=2"
         code, out, _ = run_cli(capsys, "weakkey", "gen", "--spec", descriptor, *TOY_ARGS,
                                "--seed", "4", "--key-out", str(tmp_path / "k.json"))
         assert code == 0
         assert json.loads(out)["weak_spec"] == asdict(WeakKeySpec.parse(descriptor))
+
+    def test_shift_is_no_parameter(self, tmp_path, capsys):
+        # a type-1 run started at s is the block rotated by s*d: no measured quantity moves
+        path = tmp_path / "w.json"
+        code, out, err = run_cli(capsys, "weakkey", "gen", "--r", "101", "--w", "14", "--t", "4",
+                                 "--spec", "type1:f=4,shift=3", "--key-out", str(path))
+        assert (code, out) == (2, "")
+        assert err == "parameter error: bad weak-key parameter 'shift=3'\n"
+        assert not path.exists()
 
     @pytest.mark.parametrize("flags,message", [
         (["--spec", "type3:m=1", "--r", "11", "--w", "14", "--t", "4"],

@@ -320,7 +320,7 @@ def _cases(params, n, weak_f=None):
     out = []
     for i in range(n):
         seed = expand_u64_seed(1000 * params.r + i)
-        key = (gen_type1(params, weak_f, 1, 0, seed) if weak_f
+        key = (gen_type1(params, weak_f, 1, seed) if weak_f
                else sample_private_key(params, seed))
         out.append((key.h0, key.h1, HonestErrors().sample(params, seed[::-1])))
     return out

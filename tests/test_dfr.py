@@ -517,12 +517,13 @@ class TestRecord:
              "thr_floor": floor, "mask_threshold": None, "black_gray": True})
 
     def test_checkpoint_tag_frozen(self, tmp_path):
-        # an existing checkpoint resumes only under the same tag
+        # an existing checkpoint resumes only under the same tag, a hash that
+        # covers the key class's description
         path = str(tmp_path / "ckpt.json")
         run_dfr(custom_params(r=1259, w=42, t=30), WeakKeySpec.parse("type1:f=10"),
                 HonestErrors(), StopRule(max_trials=1), master_seed=7, checkpoint_path=path)
         tag = json.load(open(path))["tag"]
-        assert tag == "fb05b11e34caeedf1d905347146ef4c2dfc11dcc2ac94d68e977a52c2a60034a"
+        assert tag == "16b0bcb541f1194f7031002ecb83bb61a8f1ca962e1606e9357cebeb543c35b6"
 
     def test_checkpoint_is_canonical_json(self, tmp_path):
         path = tmp_path / "ckpt.json"

@@ -2,10 +2,14 @@
 
 At small r a fixed key can be decoded against every weight-t error, which
 gives the key's exact failure rate (Sendrier and Vasseur, "On the decoding
-failure rate of QC-MDPC bit-flipping decoders", PQCrypto 2019).  Three checks
+failure rate of QC-MDPC bit-flipping decoders", PQCrypto 2019).  Four checks
 rest on it:
 
 * the exact failure counts of two fixed keys;
+* the symmetries that keep a key's exact count: rotating each block, swapping
+  the blocks, and multiplying both blocks' positions by one unit of Z_r.  A
+  type-1 run started at s is its block rotated by s*d, so these are why the
+  family has no start parameter;
 * ``bgf_decode`` against the ``reference_bgf_decode`` oracle on every
   enumerated error, in outcome, error and iterations;
 * ``run_dfr`` with honest errors, a uniform draw of a weight-t error, whose
@@ -18,6 +22,7 @@ the outcome is deterministic.
 """
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -77,12 +82,37 @@ def test_exact_failures_r43(r43_decodes):
     assert (sum(failed(out, err) for _s, err, out in decodes), len(decodes)) == EXACT[43, 10, 2]
 
 
-def test_exact_failures_r31():
-    params, key = fixed_key(31, 10, 2)
+def exact_count(params, key) -> tuple[int, int]:
+    """(failures, errors) over every weight-t error."""
     cfg = DecoderConfig.for_params(params)
     outcomes = [failed(bgf_decode(s, key.h0, key.h1, cfg), err)
                 for s, err in every_error(params, key)]
-    assert (sum(outcomes), len(outcomes)) == EXACT[31, 10, 2]
+    return sum(outcomes), len(outcomes)
+
+
+def test_exact_failures_r31():
+    assert exact_count(*fixed_key(31, 10, 2)) == EXACT[31, 10, 2]
+
+
+# name -> (map of the supports (a, b) of (h0, h1), positions mod r; failures after it)
+MOVES = {
+    "rotate-h0-by-5-h1-by-11": (lambda a, b: ([p + 5 for p in a], [p + 11 for p in b]), 558),
+    "swap-blocks": (lambda a, b: (b, a), 558),
+    "both-times-3": (lambda a, b: ([3 * p for p in a], [3 * p for p in b]), 558),
+    "both-times-minus-1": (lambda a, b: ([-p for p in a], [-p for p in b]), 558),
+    # the control: a unit applied to one block only is no symmetry
+    "h0-alone-times-3": (lambda a, b: ([3 * p for p in a], b), 310),
+}
+
+
+@pytest.mark.parametrize("move", MOVES)
+def test_exact_failures_under_a_block_map(move):
+    params, key = fixed_key(31, 10, 2)
+    move_supports, failures = MOVES[move]
+    a, b = move_supports(key.h0.support, key.h1.support)
+    moved = replace(key, h0=SparsePoly.from_indices(params.ring, (p % params.r for p in a)),
+                    h1=SparsePoly.from_indices(params.ring, (p % params.r for p in b)))
+    assert exact_count(params, moved) == (failures, EXACT[31, 10, 2][1])
 
 
 def test_decoder_matches_reference_on_every_error(r43_decodes):

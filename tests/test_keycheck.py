@@ -57,7 +57,7 @@ class TestVerdictShape:
 class TestKeyCheckSoundness:
     def test_type1_weak_when_f_minus_1_exceeds_t(self):
         for i in range(10):
-            key = gen_type1(TOY, 12, 1 + i % 7, 0, seed(i))
+            key = gen_type1(TOY, 12, 1 + i % 7, seed(i))
             verdict = key_check(key.h0, key.h1, T10)
             assert verdict.is_weak
 
@@ -94,7 +94,7 @@ class TestKeyCheckSoundness:
                         and verdict.reason["multiplicity"] == 10)
 
     def test_rotation_invariance(self):
-        key = gen_type1(TOY, 12, 3, 0, seed(4))
+        key = gen_type1(TOY, 12, 3, seed(4))
         k = 77
         rot = PrivateKey(
             h0=SparsePoly(TOY.ring, tuple(sorted((p + k) % TOY.r for p in key.h0.support))),
@@ -141,7 +141,7 @@ class TestRotationOracle:
         keys = []
         for i in range(4):
             keys += [sample_private_key(TOY, seed(300 + i)),
-                     gen_type1(TOY, 12, 1 + i, i, seed(300 + i)),
+                     gen_type1(TOY, 12, 1 + i, seed(300 + i)),
                      gen_type2(TOY, 2 + i, 10 + i % 3, seed(300 + i)),
                      gen_type3(TOY, 10 + i % 3, seed(300 + i))]
         kinds = set()

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,7 +106,7 @@ def structured_blocks(key, predicate):
 class TestGenType1:
     def test_multiplicity_ladder(self):
         f, d = 9, 4
-        key = gen_type1(TOY, f, d, 100, seed(1))
+        key = gen_type1(TOY, f, d, seed(1))
         def has_ladder(h):
             spec = spectrum(h)
             return all(spec.mult[min(j * d % TOY.r, (-j * d) % TOY.r)] >= f - j
@@ -117,21 +118,21 @@ class TestGenType1:
         f = 8
         for i in range(100):
             d = 1 + i % 13
-            key = gen_type1(TOY, f, d, (37 * i) % TOY.r, seed(300 + i))
+            key = gen_type1(TOY, f, d, seed(300 + i))
             dd = min(d, TOY.r - d)
             assert any(spectrum(h).mult[dd] >= f - 1 for h in (key.h0, key.h1))
 
     def test_weights_exact(self):
-        key = gen_type1(TOY, 12, 3, 0, seed(2))
+        key = gen_type1(TOY, 12, 3, seed(2))
         assert key.h0.weight() == TOY.w2 and key.h1.weight() == TOY.w2
 
     def test_f_equals_w2_is_pure_progression(self):
-        key = gen_type1(TOY, TOY.w2, 5, 7, seed(3))
-        expect = tuple(sorted(((p + 7) % TOY.r) * 5 % TOY.r for p in range(TOY.w2)))
+        key = gen_type1(TOY, TOY.w2, 5, seed(3))
+        expect = tuple(sorted(p * 5 % TOY.r for p in range(TOY.w2)))
         assert expect in (key.h0.support, key.h1.support)
 
     def test_deterministic(self):
-        assert gen_type1(TOY, 10, 2, 0, seed(4)) == gen_type1(TOY, 10, 2, 0, seed(4))
+        assert gen_type1(TOY, 10, 2, seed(4)) == gen_type1(TOY, 10, 2, seed(4))
 
     def test_fill_law_where_the_map_is_not_one_to_one(self):
         # gcd(21, 3) = 3: the run maps to {0, 3} and the fill to one of the five
@@ -141,7 +142,7 @@ class TestGenType1:
         family = [tuple(sorted(b)) for b in family]
         counts = dict.fromkeys(family, 0)
         for i in range(n):
-            key = gen_type1(params, 2, 3, 0, seed(i))
+            key = gen_type1(params, 2, 3, seed(i))
             weak_index = XofStream(TAG_WEAK, [seed(i), bytes([1])]).read(1)[0] & 1
             counts[(key.h0, key.h1)[weak_index].support] += 1
         assert list(counts) == family   # no structured block outside the family
@@ -154,19 +155,17 @@ class TestGenType1:
         params = custom_params(r=45, w=30, t=4)
         with pytest.raises(BudgetExhaustedError):
             draw_oracle.type1(params, 2, 3, 0, seed(0))
-        key = gen_type1(params, 2, 3, 0, seed(0))
+        key = gen_type1(params, 2, 3, seed(0))
         assert tuple(range(0, 45, 3)) in (key.h0.support, key.h1.support)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
-            gen_type1(TOY, TOY.w2 + 1, 1, 0, seed(5))
+            gen_type1(TOY, TOY.w2 + 1, 1, seed(5))
         with pytest.raises(ParameterError):
-            gen_type1(TOY, 5, 0, 0, seed(5))
-        with pytest.raises(ParameterError):
-            gen_type1(TOY, 5, 1, TOY.r, seed(5))
+            gen_type1(TOY, 5, 0, seed(5))
         with pytest.raises(ParameterError, match="w/2 <= r/gcd"):
             # d = 5 maps every position of r = 15 onto the three multiples of 5
-            gen_type1(custom_params(r=15, w=10, t=4), 4, 5, 0, seed(5))
+            gen_type1(custom_params(r=15, w=10, t=4), 4, 5, seed(5))
 
 
 class TestGenType2:
@@ -333,11 +332,16 @@ class TestOneWordReference:
         (level_params(1), (1,)),
     ], ids=["r101", "r1259", "l1"])
     def test_type1(self, params, steps):
-        # gcd(r, d) = 1: the earlier draw never redrew, so the keys are unchanged
+        # gcd(r, d) = 1: the reference never redraws, so it draws the same keys, and
+        # its run started at s is the structured block rotated by s*d
+        r = params.r
         for i in range(200):
-            f, d, l_shift = 2 + i % (params.w2 - 1), steps[i % len(steps)], (37 * i) % params.r
-            assert gen_type1(params, f, d, l_shift, seed(i)) == \
-                draw_oracle.type1(params, f, d, l_shift, seed(i))
+            f, d, s = 2 + i % (params.w2 - 1), steps[i % len(steps)], (37 * i) % r
+            key = gen_type1(params, f, d, seed(i))
+            block = ("h0", "h1")[XofStream(TAG_WEAK, [seed(i), bytes([1])]).read(1)[0] & 1]
+            support = getattr(key, block).support
+            rotated = SparsePoly.from_indices(params.ring, ((p + s * d) % r for p in support))
+            assert replace(key, **{block: rotated}) == draw_oracle.type1(params, f, d, s, seed(i))
 
     @pytest.mark.parametrize("params", [TOY, R43], ids=["r1019", "r43"])
     def test_type2(self, params):
@@ -580,20 +584,21 @@ class TestReconstruction:
 
 class TestWeakKeySpecParsing:
     def test_type1(self):
-        spec = WeakKeySpec.parse("type1:f=40,d=2,shift=5")
-        assert (spec.family, spec.f, spec.d, spec.l_shift) == (1, 40, 2, 5)
+        spec = WeakKeySpec.parse("type1:f=40,d=2")
+        assert (spec.family, spec.f, spec.d) == (1, 40, 2)
 
     def test_type1_defaults(self):
         spec = WeakKeySpec.parse("type1:f=12")
-        assert (spec.d, spec.l_shift) == (1, 0)
+        assert spec.d == 1
 
     def test_type2_type3(self):
         assert WeakKeySpec.parse("type2:d=3,m=9").m == 9
         assert WeakKeySpec.parse("type3:m=7").family == 3
 
     def test_bad_inputs(self):
+        # a type-1 run started at s is the block rotated by s*d, so shift is no parameter
         for text in ("type4:m=1", "type1:q=3", "type1:f=abc", "type2:d=1", "type1:f=--5",
-                     "type1:f=\u00b2", "type1:f="):
+                     "type1:f=\u00b2", "type1:f=", "type1:f=4,shift=3", "type3:m=3,shift=0"):
             with pytest.raises(ParameterError):
                 WeakKeySpec.parse(text)
 
@@ -602,8 +607,8 @@ class TestWeakKeySpecParsing:
         assert WeakKeySpec.parse("type3:m=1_0").m == 10
 
     def test_parameters_the_family_does_not_read_rejected(self):
-        for text in ("type2:m=3,shift=5,f=4", "type2:m=3,f=4", "type3:m=3,d=1",
-                     "type3:m=3,f=9", "type3:m=3,shift=4", "type1:f=4,m=2"):
+        for text in ("type2:m=3,d=5,f=4", "type2:m=3,f=4", "type3:m=3,d=1",
+                     "type3:m=3,f=9", "type1:f=4,m=2"):
             with pytest.raises(ParameterError, match="takes no"):
                 WeakKeySpec.parse(text)
 
@@ -614,9 +619,9 @@ class TestWeakKeySpecParsing:
 
     def test_type2_and_type3_describe_no_run(self):
         assert WeakKeySpec.parse("type2:m=3").describe() == {
-            "kind": "weak", "family": 2, "f": None, "d": 1, "l_shift": 0, "m": 3}
+            "kind": "weak", "family": 2, "f": None, "d": 1, "m": 3}
         assert WeakKeySpec.parse("type3:m=3").describe() == {
-            "kind": "weak", "family": 3, "f": None, "d": None, "l_shift": 0, "m": 3}
+            "kind": "weak", "family": 3, "f": None, "d": None, "m": 3}
 
     def test_log2_eta(self):
         params = level_params(1)
@@ -629,4 +634,4 @@ class TestWeakKeySpecParsing:
 
     def test_json_round_shape(self):
         blob = WeakKeySpec.parse("type1:f=8").describe()
-        assert blob == {"kind": "weak", "family": 1, "f": 8, "d": 1, "l_shift": 0, "m": None}
+        assert blob == {"kind": "weak", "family": 1, "f": 8, "d": 1, "m": None}
