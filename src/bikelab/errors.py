@@ -2,7 +2,7 @@
 integer from command text (:func:`parse_int`).
 
 The CLI maps these onto process exit codes: ParameterError and
-NotInvertibleError (a weak key whose h0 has no inverse at that r) -> 2,
+NotInvertibleError (a key, weak or not, whose h0 has no inverse at that r) -> 2,
 SchemaError (and I/O failures) -> 3, BudgetExhaustedError -> 4.
 """
 

@@ -17,11 +17,10 @@ big-endian 4-byte length followed by the field bytes.  Domain tags:
 from __future__ import annotations
 
 import hashlib
-import itertools
 import struct
 
 from . import decoder
-from .errors import BudgetExhaustedError, NotInvertibleError, ParameterError
+from .errors import NotInvertibleError, ParameterError
 from .keys import Ciphertext, ErrorPair, PrivateKey, PublicKey, SharedKey, SystemParams
 from .ring import DensePoly, SparsePoly, mul_sparse
 
@@ -36,8 +35,6 @@ TAG_CHECKED_SUBSEED = 0x43
 TAG_WEAK = 0x57
 TAG_TRIAL = 0x54
 TAG_CLI_SEED = 0x5E
-
-KEYGEN_BUDGET = 100  # h0 draws before keygen gives up; a validated ring needs one
 
 
 class XofStream:
@@ -81,8 +78,10 @@ class XofStream:
         at most 2^32 (no modulo bias), and gives v mod n.  Each round reads as many
         words as indices are missing: a word gives at most one index, so the
         stream ends right after the k-th accepted word, where a one-word-at-a-time
-        loop would leave it.
+        loop would leave it.  n lies in [1, 2^32], where the limit is positive.
         """
+        if not 1 <= n <= 1 << 32:
+            raise ParameterError(f"index range must lie in [1, 2^32], got {n}")
         limit = (1 << 32) // n * n
         out: list[int] = []
         while len(out) < k:
@@ -128,26 +127,18 @@ def sample_sigma(seed: bytes, params: SystemParams) -> bytes:
     return XofStream(TAG_KEYGEN_SIGMA, [seed]).read_bits(params.l)
 
 
-def _key_draws(params: SystemParams, seed: bytes):
-    """The keys of one seed: fixed h1 and sigma, each key the next h0 of one stream."""
-    if len(seed) != 32:
-        raise ParameterError("keygen seed must be 32 bytes")
-    ring = params.ring
-    h0_stream = XofStream(TAG_KEYGEN_H0, [seed])
-    h1 = SparsePoly(ring, sample_fixed_weight(XofStream(TAG_KEYGEN_H1, [seed]), params.r, params.w2))
-    sigma = sample_sigma(seed, params)
-    while True:
-        h0 = SparsePoly(ring, sample_fixed_weight(h0_stream, params.r, params.w2))
-        yield PrivateKey(h0=h0, h1=h1, sigma=sigma)
-
-
 def sample_private_key(params: SystemParams, seed: bytes) -> PrivateKey:
-    """First key draw of the seed; no invertibility handling, no inversion.
+    """(h0, h1, sigma) of the seed, each from its own stream; no inversion.
 
     This is what the failure-rate laboratory samples per trial: decoding only
-    needs the private key.  :func:`keygen` starts from the same draw.
+    needs the private key.  :func:`keygen` publishes the same key.
     """
-    return next(_key_draws(params, seed))
+    if len(seed) != 32:
+        raise ParameterError("keygen seed must be 32 bytes")
+    ring, r, w2 = params.ring, params.r, params.w2
+    h0 = SparsePoly(ring, sample_fixed_weight(XofStream(TAG_KEYGEN_H0, [seed]), r, w2))
+    h1 = SparsePoly(ring, sample_fixed_weight(XofStream(TAG_KEYGEN_H1, [seed]), r, w2))
+    return PrivateKey(h0=h0, h1=h1, sigma=sample_sigma(seed, params))
 
 
 def public_key(h0: SparsePoly, h1: SparsePoly) -> PublicKey:
@@ -160,13 +151,13 @@ def public_key(h0: SparsePoly, h1: SparsePoly) -> PublicKey:
 
 
 def keygen(params: SystemParams, seed: bytes) -> tuple[PrivateKey, PublicKey]:
-    """Sample (h0, h1, sigma) and publish h = h1 * h0^-1."""
-    for sk in itertools.islice(_key_draws(params, seed), KEYGEN_BUDGET):
-        try:
-            return sk, public_key(sk.h0, sk.h1)
-        except NotInvertibleError:
-            pass  # never on a validated ring; experimental moduli redraw h0
-    raise BudgetExhaustedError(f"no invertible h0 in {KEYGEN_BUDGET} draws (r={params.r})")
+    """The seed's private key and h = h1 * h0^-1; NotInvertibleError if h0 has no inverse.
+
+    At a KEM-grade r (prime, with 2 primitive mod r) every odd-weight h0
+    inverts, so only an experimental ring can refuse a seed.
+    """
+    sk = sample_private_key(params, seed)
+    return sk, public_key(sk.h0, sk.h1)
 
 
 def hash_H(m: bytes, params: SystemParams) -> ErrorPair:

@@ -6,6 +6,7 @@ self-differences into its distance spectrum and reports the largest
 multiplicity, ties to the smallest distance (single-block families).  The
 second counts h0-minus-h1 differences, |h0 & x^s h1| at shift s, and reports
 the first offending shift in (j, k) scan order (cross-block family).
+``keygen_checked`` is keygen, then this screen, regenerating while it rejects.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kem
-from .errors import BudgetExhaustedError, NotInvertibleError, ParameterError
+from .errors import BudgetExhaustedError, ParameterError
 from .kem import TAG_CHECKED_SUBSEED, XofStream, keygen
 from .keys import PrivateKey, PublicKey, SystemParams
 from .ring import SparsePoly, _check_key_blocks
@@ -83,24 +83,18 @@ def keygen_checked(params: SystemParams, seed: bytes, cfg: KeyCheckConfig,
                    budget: int = DEFAULT_BUDGET) -> tuple[PrivateKey, PublicKey, int]:
     """Generate keys until one passes the check; returns (sk, pk, rejected).
 
-    Each candidate is drawn once and screened before its public key is derived,
-    so rejected candidates never pay for an inversion.  Only an h0 that does not
-    invert (an experimental ring) hands the seed to :func:`keygen`, whose redrawn
-    h0 is screened again.
+    Candidate i is :func:`keygen` of the i-th sub-seed, screened after its
+    inversion, so a rejected candidate pays for one.  An h0 that does not
+    invert (an experimental ring) is a parameter error, as in :func:`keygen`.
     """
     if budget < 1:
         raise ParameterError(f"check budget must be >= 1, got {budget}")
     rejected = 0
     for i in range(budget):
         sub_seed = XofStream(TAG_CHECKED_SUBSEED, [seed, i.to_bytes(4, "big")]).read(32)
-        sk = kem.sample_private_key(params, sub_seed)
+        sk, pk = keygen(params, sub_seed)
         if not key_check(sk.h0, sk.h1, cfg).is_weak:
-            try:
-                return sk, kem.public_key(sk.h0, sk.h1), rejected
-            except NotInvertibleError:
-                sk, pk = keygen(params, sub_seed)
-                if not key_check(sk.h0, sk.h1, cfg).is_weak:
-                    return sk, pk, rejected
+            return sk, pk, rejected
         rejected += 1
     raise BudgetExhaustedError(
         f"no key passed the check in {budget} attempts (T={cfg.threshold_T})")

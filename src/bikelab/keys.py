@@ -28,6 +28,8 @@ class SystemParams:
 
     def __post_init__(self):
         self.ring   # RingParams refuses an even r or one below 3
+        if self.r >= 1 << 31:  # hash_H draws from 2r positions, one 32-bit word each
+            raise ParameterError(f"r must be below 2^31, got {self.r}")
         if self.w % 2 != 0 or (self.w // 2) % 2 != 1:
             raise ParameterError(f"w must be even with w/2 odd, got {self.w}")
         if self.w // 2 > self.r:

@@ -112,16 +112,17 @@ class TestKeygen:
                              "--key-out", str(tmp_path / "k.json"))
         assert code == 0 and seen == [(10, 100)]
 
-    def test_check_screens_a_redrawn_h0_again(self, tmp_path, capsys):
-        # at r=105 keygen redraws a non-invertible h0; two of the three rejections
-        # are such redraws, whose first draw had passed the screen
-        path = str(tmp_path / "k.json")
-        code, out, _ = run_cli(capsys, "keygen", "--r", "105", "--w", "14", "--t", "4",
-                               "--check", "--check-threshold", "2", "--seed", "4",
-                               "--key-out", path)
-        assert code == 0 and json.loads(out)["rejected"] == 3
-        code, out, _ = run_cli(capsys, "keycheck", "--key", path, "--threshold", "2")
-        assert code == 0 and json.loads(out)["verdict"] == "Normal"
+    def test_check_refuses_a_non_invertible_h0(self, tmp_path, capsys):
+        # at r=105 sub-seed 0's h0 passes T=2 but does not invert: a parameter
+        # error, as in keygen without --check, with no key file written
+        path = tmp_path / "k.json"
+        code, out, err = run_cli(capsys, "keygen", "--r", "105", "--w", "14", "--t", "4",
+                                 "--check", "--check-threshold", "2", "--seed", "4",
+                                 "--key-out", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("parameter error: h0 is not invertible at r=105; try another "
+                       "--seed, or a KEM-grade r (prime, with 2 primitive mod r)\n")
+        assert not path.exists()
 
     @pytest.mark.parametrize("argv,value", [
         (["keygen", *TOY_ARGS, "--seed", str(1 << 64), "--key-out", "never.json"], 1 << 64),
@@ -164,14 +165,16 @@ class TestKeygen:
         assert read_json(tmp_path / "toy")["params"]["l"] == 256
         assert read_json(tmp_path / "toy-l128")["params"]["l"] == 128
 
-    def test_uninvertible_h0_budget_exhausted(self, tmp_path, capsys, monkeypatch):
+    def test_uninvertible_h0_is_a_parameter_error(self, tmp_path, capsys, monkeypatch):
         def never_invertible(self):
             raise NotInvertibleError("forced")
         monkeypatch.setattr(DensePoly, "invert", never_invertible)
-        code, _, err = run_cli(capsys, "keygen", *TOY_ARGS, "--seed", "1",
-                               "--key-out", str(tmp_path / "k.json"))
-        assert code == 4
-        assert "budget exhausted" in err
+        path = tmp_path / "k.json"
+        code, out, err = run_cli(capsys, "keygen", *TOY_ARGS, "--seed", "1",
+                                 "--key-out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("parameter error: h0 is not invertible at r=613; ")
+        assert not path.exists()
 
 
 def edited_copy(path, tmp_path, **fields):
@@ -580,6 +583,15 @@ class TestDfrCommand:
         extra = extrapolate(*[(rec["params"]["r"], math.log2(rec["dfr_point"]))
                               for rec in records], 12323)
         assert {**extra, "dropped": []} == blob["extrapolation"]
+
+    def test_r_beyond_one_word_refused_before_any_trial(self):
+        # in a child process with a timeout: 2r positions above 2^32 once left the
+        # error sampler no acceptable word, and the command never returned
+        proc = subprocess.run([sys.executable, "-m", "bikelab.cli", "dfr", "--r", "2147483651",
+                               "--w", "6", "--t", "4", "--max-trials", "1"],
+                              capture_output=True, text=True, timeout=60, env=src_env())
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "parameter error: r must be below 2^31, got 2147483651\n"
 
     def test_timestamp_stamped_unless_disabled(self, capsys):
         args = ["dfr", *TOY_ARGS, "--max-trials", "4", "--min-failures", "1000000"]

@@ -1,9 +1,10 @@
 import hashlib
 import random
+import re
 
 import pytest
 
-from bikelab import (BudgetExhaustedError, Ciphertext, NotInvertibleError,
+from bikelab import (Ciphertext, NotInvertibleError,
                      ParameterError, custom_params, decaps,
                      decaps_with_diagnostics, encaps, hash_H, hash_K, hash_L, keygen,
                      level_params, sample_fixed_weight, sample_private_key, syndrome)
@@ -62,6 +63,7 @@ class TestSampleFixedWeight:
     @pytest.mark.parametrize("n,k", [
         (13, 5), (1019, 40), (12323, 1), (13, 0),
         (2**31 + 1, 6),   # limit = n: almost half of all words are rejected
+        (2**32, 6),       # the widest range: every word is accepted
         (5, 20),          # more indices than values: repeats are kept, in order
     ])
     @pytest.mark.parametrize("offset", [0, 1], ids=["aligned", "odd-offset"])
@@ -74,6 +76,14 @@ class TestSampleFixedWeight:
             got = got_stream.indices(n, k)
             assert got == [one_word_index(ref_stream, n) for _ in range(k)]
             assert got_stream.read(16) == ref_stream.read(16)
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+    def test_indices_refuse_a_range_no_word_can_fill(self, n):
+        # above 2^32 the rejection limit is 0, so no word would ever be accepted;
+        # k=0 reads no word, so without the check this fails instead of hanging
+        message = f"index range must lie in [1, 2^32], got {n}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            XofStream(0x54, [b"x"]).indices(n, 0)
 
     def test_read_u32s_equals_repeated_read_u32(self):
         a, b = XofStream(0x54, [b"words"]), XofStream(0x54, [b"words"])
@@ -112,41 +122,47 @@ class TestKeygen:
         sk, _ = keygen(toy_params, seed)
         assert sample_private_key(toy_params, seed) == sk
 
-    def test_redraws_only_h0_frozen(self):
-        # at r=31, 2 has order 5 mod r, so some h0 are not invertible and keygen
-        # takes the next h0 of the same seed; the digest predates the shared draw
+    def test_non_invertible_h0_refused_frozen(self):
+        # at r=31, 2 has order 5 mod r, so some h0 are not invertible: keygen refuses
+        # those seeds, and keeps every other key as it was when a refused h0 was redrawn
         params = custom_params(r=31, w=6, t=4)
         digest = hashlib.sha256()
-        redrawn = 0
+        refused = []
         for i in range(30):
             seed = expand_u64_seed(i)
-            sk, pk = keygen(params, seed)
-            first = sample_private_key(params, seed)
-            assert (sk.h1, sk.sigma) == (first.h1, first.sigma)
-            redrawn += sk.h0 != first.h0
+            try:
+                sk, pk = keygen(params, seed)
+            except NotInvertibleError as exc:
+                assert "h0 is not invertible at r=31" in str(exc)
+                refused.append(i)
+                continue
+            assert sk == sample_private_key(params, seed)
             digest.update(repr((sk.h0.support, sk.h1.support, sk.sigma.hex(),
                                 pk.h.to_hex())).encode())
-        assert redrawn == 9
+        assert refused == [1, 2, 7, 9, 12, 14, 18, 21, 28]
         assert digest.hexdigest() == (
-            "69747c7dd2dc0000cbd2e7cf5b3784d5d5ceb182ca5665db20ec947d438d8a98")
+            "65aadb50ae53932fb2d93f0c75b7cae46d1cbd7c9bf941adac4deb955e122d6d")
 
     def test_keeps_every_invertible_h0_at_r105(self):
-        # 2 has order 12 mod 105, not a divisor of r - 1: keygen must still keep
-        # the first h0 whenever the Euclid oracle inverts it
+        # 2 has order 12 mod 105, not a divisor of r - 1: keygen must keep the
+        # first h0 whenever the Euclid oracle inverts it, and refuse it otherwise
         params = custom_params(r=105, w=14, t=4)
-        kept = 0
+        kept = refused = 0
         for i in range(30):
             seed = expand_u64_seed(i)
             first = sample_private_key(params, seed)
             try:
                 inv = invert_oracle(first.h0.to_dense())
             except NotInvertibleError:
+                with pytest.raises(NotInvertibleError, match="not invertible at r=105"):
+                    keygen(params, seed)
+                refused += 1
                 continue
             sk, pk = keygen(params, seed)
             assert sk == first
             assert pk.h == mul_sparse(sk.h1, inv)
             kept += 1
-        assert kept == 19
+        assert (kept, refused) == (19, 11)
 
     @pytest.mark.parametrize("params,seed,digest", [
         (level_params(1), 1, "d589281071fc16edd2c2969a3337681ad4fca20a317dede8a8236ba92a63a2c9"),
@@ -171,12 +187,16 @@ class TestKeygen:
         with pytest.raises(ParameterError):
             sample_private_key(toy_params, b"short")
 
-    def test_retry_is_bounded(self, toy_params, monkeypatch):
+    def test_one_inversion_then_refused(self, toy_params, monkeypatch):
+        calls = []
+
         def never_invertible(self):
+            calls.append(self)
             raise NotInvertibleError("forced")
         monkeypatch.setattr(DensePoly, "invert", never_invertible)
-        with pytest.raises(BudgetExhaustedError):
+        with pytest.raises(NotInvertibleError, match="h0 is not invertible at r=613"):
             keygen(toy_params, expand_u64_seed(5))
+        assert len(calls) == 1
 
 
 class TestPrivateKey:
@@ -205,6 +225,13 @@ class TestHashes:
             m = rng.randbytes(32)
             e = hash_H(m, l1_params)
             assert e.e0.weight() + e.e1.weight() == 134
+
+    def test_hash_h_positions_fit_one_word(self):
+        # hash_H draws from 2r positions, so r = 2^31 - 1 is the largest block size
+        e = hash_H(bytes(32), custom_params(r=2**31 - 1, w=6, t=4))
+        assert e.e0.weight() + e.e1.weight() == 4
+        with pytest.raises(ParameterError, match=re.escape("r must be below 2^31, got 2147483649")):
+            custom_params(r=2**31 + 1, w=6, t=4)
 
     def test_hash_h_frozen_golden(self, l1_params):
         # all-zero message at level 1; digest of the support lists frozen

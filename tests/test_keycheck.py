@@ -1,6 +1,6 @@
 import pytest
 
-from bikelab import (BudgetExhaustedError, KeyCheckConfig, ParameterError,
+from bikelab import (BudgetExhaustedError, KeyCheckConfig, NotInvertibleError, ParameterError,
                      custom_params, gen_type1, gen_type2, gen_type3, key_check,
                      keygen_checked, sample_private_key)
 from bikelab.kem import TAG_CHECKED_SUBSEED, XofStream, expand_u64_seed, keygen
@@ -179,18 +179,18 @@ class TestKeygenChecked:
         with pytest.raises(ParameterError, match="check budget must be >= 1"):
             keygen_checked(toy_params, seed(7), T10, budget=budget)
 
-    def test_redrawn_h0_is_screened_again(self):
-        # at r=105 sub-seed 0's first draw passes T=2, but its h0 is not
-        # invertible, and the h0 that keygen draws next makes the key Weak
+    def test_non_invertible_h0_refused_at_first_sub_seed(self):
+        # at r=105 sub-seed 0's key passes T=2, but its h0 is not invertible:
+        # keygen_checked raises there, as keygen does, and tries no other sub-seed
         params, cfg = custom_params(r=105, w=14, t=4), KeyCheckConfig(threshold_T=2)
         master = expand_u64_seed(4)
         sub_seed = XofStream(TAG_CHECKED_SUBSEED, [master, bytes(4)]).read(32)
         candidate = sample_private_key(params, sub_seed)
         assert not key_check(candidate.h0, candidate.h1, cfg).is_weak
-        sk, _ = keygen(params, sub_seed)
-        assert sk.h0 != candidate.h0 and key_check(sk.h0, sk.h1, cfg).is_weak
-        sk, _, rejected = keygen_checked(params, master, cfg)
-        assert rejected == 3 and not key_check(sk.h0, sk.h1, cfg).is_weak
+        with pytest.raises(NotInvertibleError, match="h0 is not invertible at r=105"):
+            keygen(params, sub_seed)
+        with pytest.raises(NotInvertibleError, match="h0 is not invertible at r=105"):
+            keygen_checked(params, master, cfg)
 
     def test_output_passes_check(self, toy_params):
         cfg = KeyCheckConfig(threshold_T=8)

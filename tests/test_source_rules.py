@@ -1,6 +1,7 @@
 """Rules the package source keeps: no assert statements, only stdlib and numpy
-imports, no file opened outside ``files.py``, one rejection rule, and one owner
-for each validity rule of a key and a ring element.
+imports, no file opened outside ``files.py``, one rejection rule, one owner for
+each validity rule of a key and a ring element, and one policy for an h0 that
+does not invert.
 
 An ``assert`` vanishes under ``python -O``, so nothing in the package validates
 with one.  The runtime dependencies are the standard library plus numpy.  Every
@@ -9,7 +10,8 @@ write paths live in one module.  Every index draw goes through
 ``XofStream.indices``, so the rejection limit floor(2^32 / n) is computed once.
 A key's two blocks (one ring, equal weight), the ring size (odd, at least 3),
 a dense element's range and the decoder's (2, w/2) support array are each
-written once, so no copy can drift from the others.
+written once, so no copy can drift from the others.  Only ``kem.public_key``
+(which names h0 and r) and ``cli.main`` (exit 2) catch ``NotInvertibleError``.
 """
 
 import ast
@@ -89,3 +91,26 @@ def _sites(found):
 def test_one_owner_per_validity_rule(found):
     sites = _sites(found)
     assert len(sites) == 1, sites
+
+
+def _functions_catching(tree, name):
+    """Names of the innermost functions whose ``except`` clauses name the exception."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.ExceptHandler) and node.type and name in ast.unparse(node.type):
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_policy_for_a_non_invertible_h0():
+    # public_key names h0 and r in the message, main maps it to exit 2; nothing
+    # else catches it, so no caller redraws or falls back on its own
+    sites = _sites(lambda tree: _functions_catching(tree, "NotInvertibleError"))
+    assert sorted(sites) == [("cli.py", "main"), ("kem.py", "public_key")]
