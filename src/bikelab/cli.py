@@ -21,6 +21,7 @@ from . import files
 from .decoder import IterationTrace
 from .errors import (BudgetExhaustedError, NotInvertibleError, ParameterError, SchemaError,
                      parse_int)
+from .files import output_path
 from .kem import decaps_with_diagnostics, encaps, expand_u64_seed, keygen, public_key
 from .keycheck import DEFAULT_BUDGET, DEFAULT_T, KeyCheckConfig, key_check, keygen_checked
 from .keys import SystemParams, custom_params, level_params, params_with_r
@@ -64,7 +65,6 @@ def cmd_keygen(args) -> int:
     seed = expand_u64_seed(args.seed)
     if not args.check and (args.check_threshold, args.check_budget) != (None, None):
         raise ParameterError("--check-threshold and --check-budget are read only with --check")
-    files.check_output_dir(args.key_out)
     if args.check:
         threshold = DEFAULT_T if args.check_threshold is None else args.check_threshold
         budget = DEFAULT_BUDGET if args.check_budget is None else args.check_budget
@@ -80,7 +80,6 @@ def cmd_keygen(args) -> int:
 
 def cmd_encaps(args) -> int:
     params, pk = files.read_public_key(args.key)
-    files.check_output_dir(args.ct_out, args.ss_out)
     c, k = encaps(pk, params, expand_u64_seed(args.seed))
     files.write_ciphertext(args.ct_out, c)
     files.write_shared_key(args.ss_out, k)
@@ -92,7 +91,6 @@ def cmd_encaps(args) -> int:
 def cmd_decaps(args) -> int:
     params, sk, _pk = files.read_key(args.key)
     c = files.read_ciphertext(args.ct, params)
-    files.check_output_dir(args.ss_out, args.trace_csv)
     k, outcome = decaps_with_diagnostics(sk, c, params)
     files.write_shared_key(args.ss_out, k)
     report = {"shared_key_file": args.ss_out}
@@ -108,7 +106,6 @@ def cmd_decaps(args) -> int:
 def cmd_weakkey_gen(args) -> int:
     params = _params_from_args(args)
     spec = WeakKeySpec.parse(args.spec)
-    files.check_output_dir(args.key_out, args.spectrum_csv)
     sk = spec.sample(params, expand_u64_seed(args.seed))
     # weak keys drive decoding experiments, but publishing h keeps the file
     # usable with encaps as well
@@ -123,7 +120,6 @@ def cmd_weakkey_gen(args) -> int:
 
 def cmd_keycheck(args) -> int:
     _params, sk, _pk = files.read_key(args.key)
-    files.check_output_dir(args.out)
     cfg = KeyCheckConfig(threshold_T=args.threshold)
     verdict = key_check(sk.h0, sk.h1, cfg)
     _emit(args, files.dumps_canonical(verdict.to_json_dict(cfg)))
@@ -193,7 +189,6 @@ def cmd_dfr(args) -> int:
     for params in sweep:
         for part in (key_class, error_source):
             part.check_params(params)
-    files.check_output_dir(args.out)
 
     records = []
     for params in sweep:
@@ -244,7 +239,6 @@ def cmd_eta(args) -> int:
     s_field = str(s) if args.type == 2 else ""
     # every value is counted, and so checked, before any row or note is printed
     counts = [(v, count(params, v)) for v in values]
-    files.check_output_dir(args.out)
     for v, cnt in counts:
         eta = log2_density(params, cnt)
         rows.append([args.type, v, s_field, f"{log2_count(cnt):.6f}", f"{eta:.6f}"])
@@ -256,7 +250,7 @@ def cmd_eta(args) -> int:
     return 0
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> list[int] | range:
     """Accept "5:40:5" (start:stop:step, inclusive) or "5,10,15"."""
     error = f"bad range {text!r}"
     if ":" not in text:
@@ -265,7 +259,8 @@ def _parse_range(text: str) -> list[int]:
     start, stop, step = (*parts, 1)[:3]
     if len(parts) > 3 or step <= 0 or stop < start:
         raise ParameterError(error)
-    return list(range(start, stop + 1, step))
+    # lazy, so counting stops at the first bad value of a huge range
+    return range(start, stop + 1, step)
 
 
 def _command(sub, name: str, handler: str, help: str) -> argparse.ArgumentParser:
@@ -283,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "keygen", "cmd_keygen", "generate a key pair")
     _add_params(p)
     p.add_argument("--seed", type=int, default=0, help="64-bit seed")
-    p.add_argument("--key-out", required=True)
+    p.add_argument("--key-out", required=True, type=output_path)
     p.add_argument("--check", action="store_true", help="reject weak candidates")
     with_check = "read only with --check (default {})"
     p.add_argument("--check-threshold", type=int, help=with_check.format(DEFAULT_T))
@@ -292,16 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "encaps", "cmd_encaps", "encapsulate a shared key")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed")
     p.add_argument("--key", required=True, help="key file (only params and h used)")
-    p.add_argument("--ct-out", required=True)
-    p.add_argument("--ss-out", required=True)
+    p.add_argument("--ct-out", required=True, type=output_path)
+    p.add_argument("--ss-out", required=True, type=output_path)
 
     p = _command(sub, "decaps", "cmd_decaps", "decapsulate a ciphertext")
     p.add_argument("--key", required=True)
     p.add_argument("--ct", required=True)
-    p.add_argument("--ss-out", required=True)
+    p.add_argument("--ss-out", required=True, type=output_path)
     p.add_argument("--diagnostics", action="store_true",
                    help="also report decoder success/failure")
-    p.add_argument("--trace-csv", help="write per-iteration decoder trace CSV")
+    p.add_argument("--trace-csv", type=output_path, help="write per-iteration decoder trace CSV")
 
     p = sub.add_parser("weakkey", help="weak-key utilities")
     wk_sub = p.add_subparsers(dest="weakkey_command", required=True)
@@ -310,13 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0, help="64-bit seed")
     g.add_argument("--spec", required=True,
                    help='family descriptor, e.g. "type1:f=40,d=1" (d defaults to 1)')
-    g.add_argument("--key-out", required=True)
-    g.add_argument("--spectrum-csv", help="write the h0 distance spectrum CSV")
+    g.add_argument("--key-out", required=True, type=output_path)
+    g.add_argument("--spectrum-csv", type=output_path, help="write the h0 distance spectrum CSV")
 
     p = _command(sub, "keycheck", "cmd_keycheck", "classify a key as Weak or Normal")
     p.add_argument("--key", required=True)
     p.add_argument("--threshold", type=int, default=DEFAULT_T)
-    p.add_argument("--out", help="write the verdict here instead of stdout")
+    p.add_argument("--out", type=output_path, help="write the verdict here instead of stdout")
 
     p = _command(sub, "dfr", "cmd_dfr", "measure decoding failure rates")
     _add_params(p)
@@ -340,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="per-batch progress on stderr: running DFR, 95%% CI, ETA")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", help="write the records here instead of stdout")
+    p.add_argument("--out", type=output_path, help="write the records here instead of stdout")
 
     p = _command(sub, "eta", "cmd_eta", "weak-key densities as CSV")
     _add_params(p)
@@ -348,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param-range", required=True,
                    help='f or m values: "5:40:5" or "5,10,15"')
     p.add_argument("--s", type=int, help="run-block count, type 2 only (default 2)")
-    p.add_argument("--out", help="write the CSV here instead of stdout")
+    p.add_argument("--out", type=output_path, help="write the CSV here instead of stdout")
 
     return top
 
@@ -359,8 +354,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        # an output flag's type raises OSError, which argparse lets through
+        args = _parser().parse_args(argv)
         # by name, so a wrapper set on this module's cmd_* after the first call is used
         return globals()[args.handler](args)
     except (ParameterError, NotInvertibleError) as exc:

@@ -194,13 +194,16 @@ def run_dfr(params: SystemParams, key_class, error_source, stop: StopRule,
     workers after every check passes and shuts it down before returning; when
     that minimum is 1, trials run in this process and :mod:`multiprocessing`
     is never imported.  With ``checkpoint_path`` set, a run resumes from the
-    checkpoint there and rewrites it after every batch.
+    checkpoint there and rewrites it after every batch; a path that
+    :func:`files.output_path` refuses raises before any trial.
     """
     if parallelism < 1:
         raise ParameterError("parallelism must be >= 1")
     check_u64_seed(master_seed)
     for part in (key_class, error_source):
         part.check_params(params)
+    if checkpoint_path:
+        files.output_path(checkpoint_path)
     cfg = DecoderConfig.for_params(params)
     rec = {"schema_version": RECORD_SCHEMA_VERSION, "code_version": __version__,
            "params": params.to_json_dict(), "key_class": key_class.describe(),

@@ -8,7 +8,8 @@ Key files carry both halves of the key pair:
 Ciphertext files are {"c0_hex": "...", "c1_hex": "..."}.  All JSON emitted by
 the package uses sorted keys and compact separators so identical inputs
 produce byte-identical files.  Every file the package writes, CSV included,
-goes through :func:`write_text`.
+goes through :func:`write_text`, and every output path the command line names
+is checked by :func:`output_path` when that line is parsed.
 """
 
 from __future__ import annotations
@@ -31,17 +32,20 @@ def write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def check_output_dir(*paths: str | None) -> None:
-    """OSError unless the directory each path lies in exists and is writable.
+def output_path(path: str) -> str:
+    """``path``; OSError if it is a directory or lies in no writable one.
 
-    A None path, an output not asked for, is skipped.  Nothing is opened or
-    created, so a command can check all its outputs before it computes or
-    writes any of them.
+    The argparse type of every output flag, so a bad output is refused when
+    the command line is read, before any input is opened or any work done.
+    Nothing is opened or created.  It raises OSError alone: argparse would
+    turn a ValueError into a usage error and drop its message.
     """
-    for path in filter(None, paths):
-        folder = os.path.dirname(path) or "."
-        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-            raise OSError(f"cannot write {path!r}: {folder!r} is not a writable directory")
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path!r}: it is a directory")
+    folder = os.path.dirname(path) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise OSError(f"cannot write {path!r}: {folder!r} is not a writable directory")
+    return path
 
 
 def write_json(path: str, obj) -> None:

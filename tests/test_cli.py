@@ -965,36 +965,53 @@ class TestDfrCommand:
 
 
 class TestOutputPaths:
-    # each command checks every output path before it computes or writes, so a
-    # refused one leaves nothing behind; before, the first output of a
-    # two-output command was written and only the second failed
+    # every output flag is checked when the command line is parsed, so a
+    # refused one leaves nothing behind and runs no campaign
+    def test_every_output_flag_is_checked_when_parsed(self):
+        checked = {}
+        for command, action in options(build_parser()):
+            if action.type is files.output_path:
+                checked.setdefault(command, set()).update(action.option_strings)
+            else:
+                # a new flag named like an output must take the type too
+                assert not re.search(r"-(out|csv)$", action.option_strings[-1])
+        assert checked == OUTPUTS
+
+    @pytest.mark.parametrize("bad", ["missing", "directory"])
     @pytest.mark.parametrize("command", ["keygen", "encaps", "decaps", "weakkey gen",
-                                         "keycheck", "eta"])
-    def test_missing_directory_refused_before_any_output(self, tmp_path, capsys, keyfile,
-                                                         command):
+                                         "keycheck", "dfr", "eta"])
+    def test_bad_output_refused_before_any_work(self, tmp_path, capsys, monkeypatch, keyfile,
+                                                command, bad):
         ct = str(tmp_path / "ct.json")
         code, _, _ = run_cli(capsys, "encaps", "--key", keyfile, "--ct-out", ct,
                              "--ss-out", str(tmp_path / "ss.json"))
         assert code == 0
+        (tmp_path / "dir").mkdir()
         before = set(tmp_path.iterdir())
-        missing = str(tmp_path / "missing" / "out")
+        monkeypatch.setattr(cli.dfrlab, "run_dfr",
+                            lambda *args, **kwargs: pytest.fail("a campaign ran"))
+        out_path, message = {
+            "missing": (str(tmp_path / "missing" / "out"),
+                        f"{str(tmp_path / 'missing')!r} is not a writable directory"),
+            "directory": (str(tmp_path / "dir"), "it is a directory"),
+        }[bad]
         fresh = str(tmp_path / "fresh")   # writable, and still never written
         argv = {
-            "keygen": ["keygen", *TOY_ARGS, "--key-out", missing],
-            "encaps": ["encaps", "--key", keyfile, "--ct-out", fresh, "--ss-out", missing],
+            "keygen": ["keygen", *TOY_ARGS, "--key-out", out_path],
+            "encaps": ["encaps", "--key", keyfile, "--ct-out", fresh, "--ss-out", out_path],
             "decaps": ["decaps", "--key", keyfile, "--ct", ct, "--ss-out", fresh,
-                       "--trace-csv", missing],
+                       "--trace-csv", out_path],
             "weakkey gen": ["weakkey", "gen", *TOY_ARGS, "--spec", "type1:f=5",
-                            "--key-out", fresh, "--spectrum-csv", missing],
-            "keycheck": ["keycheck", "--key", keyfile, "--out", missing],
+                            "--key-out", fresh, "--spectrum-csv", out_path],
+            "keycheck": ["keycheck", "--key", keyfile, "--out", out_path],
+            "dfr": ["dfr", *TOY_ARGS, "--max-trials", "2000", "--out", out_path],
             # every row of this range would print a note first
-            "eta": ["eta", *TOY_ARGS, "--type", "1", "--param-range", "0:3", "--out", missing],
+            "eta": ["eta", *TOY_ARGS, "--type", "1", "--param-range", "0:3", "--out", out_path],
         }[command]
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
-        assert err == (f"input error: cannot write {missing!r}: "
-                       f"{str(tmp_path / 'missing')!r} is not a writable directory\n")
+        assert err == f"input error: cannot write {out_path!r}: {message}\n"
         assert set(tmp_path.iterdir()) == before
 
 
@@ -1059,10 +1076,12 @@ class TestEtaCommand:
                             "the count bound exceeds the key space, so this row is not "
                             "a density")
 
-    def test_bad_value_refused_before_any_row_or_note(self, capsys):
+    # a huge range is counted lazily, so it stops at f=8 and is never built
+    @pytest.mark.parametrize("text", ["2:9", "2:1000000000000000"])
+    def test_bad_value_refused_before_any_row_or_note(self, capsys, text):
         # f=2 and f=3 would each print a note; f=8 lies beyond w/2 = 7
         code, out, err = run_cli(capsys, "eta", "--r", "101", "--w", "14", "--t", "4",
-                                 "--type", "1", "--param-range", "2:9")
+                                 "--type", "1", "--param-range", text)
         assert code == 2
         assert out == ""
         assert err == "parameter error: f must be in [0, 7], got 8\n"
@@ -1138,15 +1157,31 @@ REMOVED = {
 FLAG_VALUE = {"--level": ["3"], "--format": ["csv"], "--verbose": [], "--no-check": []}
 
 
-def accepted_flags(parser, prefix=""):
-    flags = {}
+OUTPUTS = {
+    "keygen": {"--key-out"},
+    "encaps": {"--ct-out", "--ss-out"},
+    "decaps": {"--ss-out", "--trace-csv"},
+    "weakkey gen": {"--key-out", "--spectrum-csv"},
+    "keycheck": {"--out"},
+    "dfr": {"--out"},
+    "eta": {"--out"},
+}
+
+
+def options(parser, prefix=""):
+    """(subcommand, action) for each flag of each subcommand, -h aside."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, child in action.choices.items():
-                flags.update(accepted_flags(child, f"{prefix} {name}".strip()))
-    own = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
-    if own:
-        flags[prefix] = own
+                yield from options(child, f"{prefix} {name}".strip())
+        elif action.option_strings and action.dest != "help":
+            yield prefix, action
+
+
+def accepted_flags(parser):
+    flags = {}
+    for command, action in options(parser):
+        flags.setdefault(command, set()).update(action.option_strings)
     return flags
 
 

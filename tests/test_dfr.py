@@ -456,6 +456,14 @@ class TestRunDfr:
             run_dfr(TOY, NormalKeys(), HonestErrors(), StopRule(max_trials=16),
                     master_seed=21, checkpoint_path=str(path))
 
+    def test_checkpoint_in_missing_directory_refused_before_the_first_trial(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dfr, "run_trial", lambda *args: pytest.fail("a trial ran"))
+        path = str(tmp_path / "missing" / "ck.json")
+        with pytest.raises(OSError, match="is not a writable directory"):
+            run_dfr(TOY, NormalKeys(), HonestErrors(), StopRule(max_trials=16),
+                    master_seed=1, checkpoint_path=path)
+
     @pytest.mark.parametrize("params", [custom_params(r=613, w=142, t=14),
                                         custom_params(r=1019, w=30, t=14),
                                         custom_params(r=613, w=30, t=14, l=128)],
