@@ -14,5 +14,5 @@ from .keys import (Ciphertext, ErrorPair, PrivateKey, PublicKey, SharedKey,
                    SystemParams, custom_params, level_params, params_with_r)
 from .ring import DensePoly, RingParams, SparsePoly, invert_counted, mul_sparse
 from .weakkeys import (DistanceSpectrum, WeakKeySpec, count_type1, count_type2_upper,
-                       count_type3_upper, distance, gen_psi_d_error, gen_type1, gen_type2,
-                       gen_type3, log2_count, reconstruct_from_spectrum, spectrum)
+                       count_type3_upper, gen_psi_d_error, gen_type1, gen_type2, gen_type3,
+                       log2_count, spectrum)

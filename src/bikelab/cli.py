@@ -319,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key-class", default="normal",
                    help='"normal", "weak:type1:f=40,d=1", or "fixed:key.json"')
     p.add_argument("--error-source", default="honest", help='"honest" or "psi:D"')
-    p.add_argument("--min-trials", type=int, default=0)
-    p.add_argument("--min-failures", type=int, default=1000)
-    p.add_argument("--max-trials", type=int, default=100_000)
+    p.add_argument("--min-trials", type=int, default=dfrlab.StopRule.min_trials)
+    p.add_argument("--min-failures", type=int, default=dfrlab.StopRule.min_failures)
+    p.add_argument("--max-trials", type=int, default=dfrlab.StopRule.max_trials)
     p.add_argument("--rs", help="comma-separated r values to sweep")
     p.add_argument("--extrapolate-to", type=int)
     p.add_argument("--eta-from", help='key-class density, e.g. "type1:f=5"')

@@ -42,14 +42,9 @@ import numpy as np
 from .errors import BudgetExhaustedError, ParameterError, parse_int
 from .kem import TAG_WEAK, XofStream, sample_fixed_weight, sample_sigma
 from .keys import ErrorPair, PrivateKey, SystemParams
-from .ring import RingParams, SparsePoly
+from .ring import SparsePoly
 
 _RESAMPLE_BUDGET = 1000
-
-
-def distance(i: int, j: int, r: int) -> int:
-    """Cyclic distance between positions i and j, in [0, r/2]."""
-    return min((i - j + r) % r, (j - i + r) % r)
 
 
 def pair_differences(p, q, r: int) -> np.ndarray:
@@ -383,56 +378,3 @@ def count_type3_upper(params: SystemParams, m: int) -> int:
     r, w2 = params.r, params.w2
     _check_range("m", m, 0, w2)
     return r * _comb(w2, m) * _comb(r - m, w2 - m)
-
-
-# -- spectrum-based reconstruction --------------------------------------------
-
-def reconstruct_from_spectrum(spec: DistanceSpectrum, target_weight: int) -> SparsePoly | None:
-    """Search for a support whose spectrum matches, up to rotation/reflection.
-
-    Places the first two positions at 0 and the smallest spectral distance,
-    then extends position by position, consuming multiplicities from the
-    remaining multiset and backtracking from dead ends.  Returns None when no
-    support realizes the spectrum.
-    """
-    r = spec.r
-    total = sum(spec.mult.values())
-    if total != target_weight * (target_weight - 1) // 2:
-        return None
-    if target_weight == 0:
-        return SparsePoly(RingParams(r), ())
-    if target_weight == 1:
-        return SparsePoly(RingParams(r), (0,))
-    remaining = dict(spec.mult)
-    # the multiplicities sum to w(w-1)/2 >= 1, so some distance occurs
-    d1 = min(d for d, mcount in spec.mult.items() if mcount > 0)
-    remaining[d1] -= 1
-    placed = [0, d1]
-
-    # Positions beyond the anchored pair are enumerated in ascending order so
-    # every candidate set is visited exactly once (not once per permutation).
-    def construct(min_next: int) -> bool:
-        if len(placed) == target_weight:
-            return True
-        for cand in range(min_next, r):
-            if cand == d1:
-                continue
-            taken = []
-            for p in placed:
-                dd = distance(cand, p, r)
-                if remaining.get(dd, 0) <= 0:
-                    break
-                remaining[dd] -= 1
-                taken.append(dd)
-            else:
-                placed.append(cand)
-                if construct(cand + 1):
-                    return True
-                placed.pop()
-            for dd in taken:
-                remaining[dd] += 1
-        return False
-
-    if construct(1):
-        return SparsePoly.from_indices(RingParams(r), placed)
-    return None

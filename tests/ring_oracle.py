@@ -58,17 +58,6 @@ def iti_mul_bound(r: int) -> int:
     return (order - 1).bit_length() - 1 + (order - 1).bit_count() - 1
 
 
-def canonical_orbit(support: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """Canonical representative of a support under rotation and reflection."""
-    best = None
-    for base in (support, tuple((-p) % r for p in support)):
-        for p in base:
-            rotated = tuple(sorted((q - p) % r for q in base))
-            if best is None or rotated < best:
-                best = rotated
-    return best
-
-
 def _deg(v: int) -> int:
     return v.bit_length() - 1
 

@@ -2,7 +2,7 @@
 
 Each test prints a summary line; the terminal summary block (see conftest)
 repeats one PASS/FAIL line per criterion.  The whole module takes about
-19-24 s on a 2-vCPU VM (Python 3.11, numpy 2.4); criterion 4's 1000
+23-27 s on a 2-vCPU VM (Python 3.11, numpy 2.4); criterion 4's 1000
 level-1 KEM round trips take 10-12 s of it.
 """
 

@@ -725,6 +725,11 @@ class TestDfrCommand:
         assert stop.expected_stop(300, 60) == 300    # already met: stops here
         assert StopRule(min_trials=300, min_failures=0).expected_stop(100, 0) == 300
 
+    def test_stop_rule_defaults_are_stop_rules_own(self):
+        args = build_parser().parse_args(["dfr"])
+        assert StopRule(min_trials=args.min_trials, min_failures=args.min_failures,
+                        max_trials=args.max_trials) == StopRule()
+
     def test_two_campaigns_in_one_process_see_a_late_wrapper(self, capsys, monkeypatch):
         args = ["dfr", "--r", "523", "--w", "30", "--t", "18", "--max-trials", "40",
                 "--min-failures", "1000000", "--seed", "14", "--no-timestamp"]

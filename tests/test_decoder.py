@@ -12,7 +12,7 @@ from bikelab.dfr import HonestErrors
 from bikelab.kem import expand_u64_seed, sample_private_key
 from bikelab.keys import ErrorPair
 from bikelab.ring import DensePoly, RingParams, SparsePoly, mul_sparse
-from bikelab.weakkeys import gen_psi_d_error, gen_type1
+from bikelab.weakkeys import distance_multiplicities, gen_psi_d_error, gen_type1
 
 from ring_oracle import shift
 
@@ -42,6 +42,9 @@ def reference_bgf_decode(s, h0, h1, cfg, mul=mul_sparse):
     The decoder's earlier body, kept as the oracle: per-block uint8 error
     arrays, the residual re-multiplied through ``mul`` at each evaluation,
     and the first iteration's Black/Gray re-check done by full UPC passes.
+    It states BGF's schedule itself (5 iterations, gray margin 3, mask
+    threshold (w/2 + 1)/2 + 1), so a change to ``decoder``'s constants shows
+    as a mismatch.
     """
     r = h0.ring.r
     mask_thr = (h0.weight() + 1) // 2 + 1
@@ -68,7 +71,7 @@ def reference_bgf_decode(s, h0, h1, cfg, mul=mul_sparse):
 
     trace = []
     iterations = 0
-    for it in range(1, decoder.NB_ITER + 1):
+    for it in range(1, 5 + 1):
         s_cur = residual_syndrome()
         if s_cur == 0:
             break
@@ -81,7 +84,7 @@ def reference_bgf_decode(s, h0, h1, cfg, mul=mul_sparse):
             flip_mask = upc[b] >= thr
             if it == 1:
                 black[b] = flip_mask
-                gray[b] = (upc[b] >= thr - decoder.TAU) & ~flip_mask
+                gray[b] = (upc[b] >= thr - 3) & ~flip_mask
             e_arr[b] ^= flip_mask
             flips += int(flip_mask.sum())
         n_black = n_gray = 0
@@ -313,6 +316,41 @@ class TestBgfDecode:
         h1 = SparsePoly(ring, tuple(range(toy_params.w2 - 2)))
         with pytest.raises(ParameterError):
             bgf_decode(DensePoly(ring, 0), h0, h1, DecoderConfig())
+
+
+R2557 = custom_params(r=2557, w=42, t=30)
+
+
+class TestPairBoundary:
+    """The error x^500 (1 + x), in the block of a type-1 key that holds the run,
+    at r=2557, w=42 and the constant threshold 12.
+
+    The pair's two columns share mult_1(h) checks of that block h, and those
+    cancel, so each of its two positions has upc w/2 - mult_1(h).  At f=10
+    (mult_1 = 9) that is 12, and both flip in iteration 1.  From f=11 on
+    (mult_1 >= 10) it is at most 11: the pair is gray but fails the mask
+    threshold 12, no other position comes near, and nothing ever flips.
+    """
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("f", [10, 11])
+    def test_decodes_below_the_trap_and_is_a_fixed_point_at_it(self, f, seed):
+        key = gen_type1(R2557, f, 1, expand_u64_seed(seed))
+        blocks = (key.h0, key.h1)
+        mult = [int(distance_multiplicities(h.support, R2557.r)[1]) for h in blocks]
+        b = mult.index(max(mult))
+        assert mult[b] == 9 if f == 10 else mult[b] >= 10
+        pair = SparsePoly(R2557.ring, (500, 501))
+        s = mul_sparse(blocks[b], pair.to_dense())
+        cfg = DecoderConfig.for_params(R2557)
+        assert threshold(s.weight(), cfg) == 12
+        out = bgf_decode(s, key.h0, key.h1, cfg)
+        if f == 10:
+            assert out.success and out.iterations_run == 1
+            assert (out.error.e0, out.error.e1)[b] == pair
+        else:
+            assert not out.success and out.iterations_run == 5
+            assert out.error.e0.weight() == out.error.e1.weight() == 0
 
 
 def _cases(params, n, weak_f=None):

@@ -1,7 +1,7 @@
 """Rules the package source keeps: no assert statements, only stdlib and numpy
 imports, no file opened outside ``files.py``, one rejection rule, one owner for
-each validity rule of a key and a ring element, and one policy for an h0 that
-does not invert.
+each validity rule of a key and a ring element, one policy for an h0 that
+does not invert, and no name that only tests reach.
 
 An ``assert`` vanishes under ``python -O``, so nothing in the package validates
 with one.  The runtime dependencies are the standard library plus numpy.  Every
@@ -12,6 +12,8 @@ A key's two blocks (one ring, equal weight), the ring size (odd, at least 3),
 a dense element's range and the decoder's (2, w/2) support array are each
 written once, so no copy can drift from the others.  Only ``kem.public_key``
 (which names h0 and r) and ``cli.main`` (exit 2) catch ``NotInvertibleError``.
+The package keeps only what the lab runs: each of its functions, classes and
+methods is named in a program, a package module or a ``perfbench`` driver.
 """
 
 import ast
@@ -20,7 +22,12 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "bikelab").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "bikelab").glob("*.py"))
+# the files that run the package: its modules (not the re-exports) and perfbench's drivers
+PROGRAMS = ([p for p in SOURCES if p.name != "__init__.py"]
+            + [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+               if not p.name.startswith("test_")])
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
@@ -114,3 +121,37 @@ def test_one_policy_for_a_non_invertible_h0():
     # else catches it, so no caller redraws or falls back on its own
     sites = _sites(lambda tree: _functions_catching(tree, "NotInvertibleError"))
     assert sorted(sites) == [("cli.py", "main"), ("kem.py", "public_key")]
+
+
+def _defined_names(tree):
+    """Top-level functions and classes, and the methods of those classes, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _used_names(tree):
+    # a string counts, because cli.main looks handlers up by name and the
+    # tracer wraps attributes by name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_package_name_has_a_program_caller():
+    used = {name for path in PROGRAMS
+            for name in _used_names(ast.parse(path.read_text(), filename=str(path)))}
+    uncalled = [f"{path.stem}.{qualified}" for path in SOURCES
+                for qualified, name in _defined_names(ast.parse(path.read_text(),
+                                                                filename=str(path)))
+                if name not in used]
+    assert uncalled == []
