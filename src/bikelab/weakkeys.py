@@ -7,24 +7,26 @@ Three families of dangerous private keys are generated constructively:
           multiplicity of at least f - 1 in that block; the other block is
           uniformly random;
   type 2  one block whose spectrum has multiplicity exactly m at one
-          distance, planted as an (m+1)-term arithmetic chain and verified;
-          the other block is uniformly random;
+          distance d: an (m+1)-term chain at step d from position 0, and a
+          fill on the chain's cycle with no two positions d apart and none
+          d from the chain; the other block is uniformly random;
   type 3  cross-block structure: m support positions of h1 are a rotation of
           m support positions of h0, so some alignment of the two blocks
           intersects in exactly m positions.
 
 Types 1 and 2 share one draw (:func:`_plant`) and differ only in how they
-draw the structured block.  Its index is a fair coin from the seed stream:
-the family's counting formulas carry a factor 2 for exactly this choice, so
-sampling the class uniformly requires it (and the measured failure rates of
-the family depend on the other block staying random).
+draw the structured block, as indices on the cycle that the d-steps trace
+through position 0.  The structured block's index is a fair coin from the
+seed stream: the family's counting formulas carry a factor 2 for exactly this
+choice, so sampling the class uniformly requires it (and the measured failure
+rates of the family depend on the other block staying random).
 Before any draw, each generator refuses parameters whose planted part cannot
 fit: type 1's mapped positions; type 2's chain, and a w/2 above the most
-positions that keep exactly m pairs at distance d (:func:`_type2_capacity`);
-type 3's fill of h1; the t/2 pairs of a psi error (:func:`_check_psi`).
-Type 1 fills only positions its map sends to distinct places, so one draw
-always lands; type 2 alone resamples, until its block has exactly m pairs at
-distance d; type 3 re-verifies its planted overlap before returning.
+positions its cycle holds with exactly m pairs at distance d
+(:func:`_type2_capacity`); type 3's fill of h1; the t/2 pairs of a psi error
+(:func:`_check_psi`).  No planted family redraws: types 1 and 2 fill their
+cycle in one draw, and type 3 re-verifies its planted overlap before
+returning.  Only the psi sampler still restarts, within a budget.
 A :class:`WeakKeySpec` is itself a DFR campaign's key class: it samples,
 describes and checks itself like ``dfr.NormalKeys``.
 Spectra and block overlaps both come from :func:`difference_counts`.
@@ -174,17 +176,20 @@ def _check_type1(params: SystemParams, f: int, d: int) -> None:
                              f"got w/2={w2} at d={d}")
 
 
-def _plant(params: SystemParams, seed: bytes, family: int, draw) -> PrivateKey:
+def _plant(params: SystemParams, seed: bytes, family: int, d: int, draw) -> PrivateKey:
     """Key with one structured block, at a fair-coin index, and one uniform block.
 
-    ``draw(stream)`` returns the structured block's support.
+    ``draw(stream)`` returns the structured block as indices on the d-cycle through
+    0, each sent to p*d mod r: p and p' meet exactly when p = p' mod r/gcd(r, d),
+    so indices below r/gcd(r, d) give distinct positions.
     """
+    r = params.r
     stream = XofStream(TAG_WEAK, [seed, bytes([family])])
     weak_index = stream.read(1)[0] & 1
     # draws give Python ints, so from_indices' int() pass (10 us per L1 key) is skipped;
     # the constructor still refuses a repeated position
-    structured = SparsePoly(params.ring, tuple(sorted(draw(stream))))
-    free = SparsePoly(params.ring, sample_fixed_weight(stream, params.r, params.w2))
+    structured = SparsePoly(params.ring, tuple(sorted(p * d % r for p in draw(stream))))
+    free = SparsePoly(params.ring, sample_fixed_weight(stream, r, params.w2))
     blocks = (structured, free) if weak_index == 0 else (free, structured)
     return PrivateKey(h0=blocks[0], h1=blocks[1], sigma=sample_sigma(seed, params))
 
@@ -199,40 +204,33 @@ def gen_type1(params: SystemParams, f: int, d: int, seed: bytes) -> PrivateKey:
     r, w2 = params.r, params.w2
 
     def draw(stream):
-        # run on positions 0..f-1, fill on f..r/g-1, each sent to p*d mod r:
-        # p and p' meet exactly when p = p' mod r/g, so none collide
+        # run on cycle indices 0..f-1, fill on f..r/g-1
         fill = sample_fixed_weight(stream, r // math.gcd(r, d) - f, w2 - f)
-        return [p * d % r for p in [*range(f), *(f + q for q in fill)]]
-    return _plant(params, seed, 1, draw)
+        return [*range(f), *(f + q for q in fill)]
+    return _plant(params, seed, 1, d, draw)
 
 
 def _type2_capacity(r: int, d: int, m: int) -> int:
-    """Largest weight of a block that holds the (m+1)-term chain at step d and has
-    exactly m pairs at distance d, for m + 1 < r/gcd(r, d).
+    """Largest weight of a block on the d-cycle through 0 that holds the (m+1)-term
+    chain at step d and has exactly m pairs at distance d, for m + 1 < r/gcd(r, d).
 
-    The d-steps split Z_r into g = gcd(r, d) cycles of odd length L = r/g.  The
-    chain's two outer neighbours stay empty, which leaves a path of L - m - 3
-    positions on its cycle for at most (L - m - 2)/2 more, and each of the
-    other g - 1 cycles holds (L - 1)/2.
+    The cycle has L = r/gcd(r, d) positions.  The chain's two outer neighbours
+    stay empty, which leaves a path of L - m - 3 positions for at most
+    (L - m - 2)/2 more, none two adjacent: (L + m)/2 in all.
     """
-    g = math.gcd(r, d)
-    return m + 1 + (r // g - m - 2) // 2 + (g - 1) * (r // g - 1) // 2
+    return (r // math.gcd(r, d) + m) // 2
 
 
 def _check_type2(params: SystemParams, d: int, m: int) -> None:
     """ParameterError unless type 2's chain closes no cycle and w/2 is within capacity.
 
-    The capacity bound is necessary but not sufficient: the fill is random, and
-    near the bound few arrangements keep exactly m pairs at distance d, so an
-    accepted draw can still exhaust its budget (``BudgetExhaustedError``, exit
-    4).  With w/2 at the capacity, for every odd r in 11..31 and every d and m
-    that ``custom_params`` accepts, 1102 of 3138 draws (3 seeds each) did, e.g.
-    r=17, w=18, d=1, m=1 at seed 0.
+    Every accepted parameter set has a family block, and ``gen_type2`` draws
+    one in a single pass.
     """
     r, w2 = params.r, params.w2
     _check_range("m", m, 1, w2 - 1)
     _check_range("d", d, 1, r // 2)
-    # the chain start, start + d, ... runs round a cycle of r/gcd(r, d) positions,
+    # the chain 0, d, ... runs round a cycle of r/gcd(r, d) positions,
     # and m + 1 terms that fill it close it into m + 1 pairs at distance d
     if m + 1 >= r // math.gcd(r, d):
         raise ParameterError(f"type 2 needs m + 1 < r/gcd(r, d) = {r // math.gcd(r, d)}, "
@@ -243,22 +241,22 @@ def _check_type2(params: SystemParams, d: int, m: int) -> None:
 
 
 def gen_type2(params: SystemParams, d: int, m: int, seed: bytes) -> PrivateKey:
-    """One block whose spectrum multiplicity at distance d is exactly m."""
+    """One block whose spectrum multiplicity at distance d is exactly m.
+
+    On the d-cycle through 0, of L = r/gcd(r, d) indices, the chain takes 0..m,
+    and the fill takes w/2 - m - 1 of the path m+2..L-2, no two adjacent, so
+    exactly the chain's m pairs lie d apart.  By stars and bars, such fills
+    match the (w/2 - m - 1)-subsets q of L - w/2 - 1 slots, with the i-th
+    smallest slot at index m + 2 + q_i + i, so one fixed-weight draw is
+    uniform over them.  The chain starts at 0 as type 1's run does.
+    """
     _check_type2(params, d, m)
     r, w2 = params.r, params.w2
 
     def draw(stream):
-        for _ in range(_RESAMPLE_BUDGET):
-            # m + 1 < r/gcd(r, d), so the chain's terms are distinct
-            [start] = stream.indices(r, 1)
-            support = {(start + j * d) % r for j in range(m + 1)}
-            while len(support) < w2:
-                support.update(stream.indices(r, w2 - len(support)))
-            if distance_multiplicities(support, r)[d] == m:
-                return support
-        raise BudgetExhaustedError(f"no weight-{w2} block with multiplicity exactly {m} "
-                                   f"at d={d} within {_RESAMPLE_BUDGET} attempts")
-    return _plant(params, seed, 2, draw)
+        fill = sample_fixed_weight(stream, r // math.gcd(r, d) - w2 - 1, w2 - m - 1)
+        return [*range(m + 1), *(m + 2 + q + i for i, q in enumerate(fill))]
+    return _plant(params, seed, 2, d, draw)
 
 
 def _check_type3(params: SystemParams, m: int) -> None:

@@ -16,14 +16,20 @@ only the r/gcd(r, d) - f positions that the map keeps apart, so where
 gcd(r, d) = 1 the two draw the same keys, and elsewhere only their law agrees.
 The reference also starts its run at ``l_shift``, where ``gen_type1`` starts
 at 0; the two structured blocks then differ by a rotation of l_shift*d.
+
+The type-2 reference lays the chain's cycle out in tiles, where ``gen_type2``
+shifts the i-th drawn slot by i; the two agree only if both follow the same
+stars-and-bars rule.
 """
+
+import math
 
 from bikelab import weakkeys
 from bikelab.errors import BudgetExhaustedError
 from bikelab.kem import TAG_WEAK, XofStream, sample_sigma
 from bikelab.keys import ErrorPair, PrivateKey, SystemParams
 from bikelab.ring import SparsePoly
-from bikelab.weakkeys import difference_counts, distance_multiplicities
+from bikelab.weakkeys import difference_counts
 
 
 def one_word_index(stream: XofStream, n: int) -> int:
@@ -60,21 +66,20 @@ def type1(params: SystemParams, f: int, d: int, l_shift: int, seed: bytes) -> Pr
 
 
 def type2(params: SystemParams, d: int, m: int, seed: bytes) -> PrivateKey:
+    """Lays the d-cycle through 0 out cell by cell: the chain, one empty cell,
+    then one tile per slot, "occupied, empty" for a chosen slot and "empty" for
+    any other, so no two occupied cells outside the chain are neighbours and
+    the last cell, next to the chain's start, stays empty."""
     r, w2, ring = params.r, params.w2, params.ring
+    cycle = r // math.gcd(r, d)
     stream = XofStream(TAG_WEAK, [seed, bytes([2])])
     weak_index = stream.read(1)[0] & 1
-    for _ in range(weakkeys._RESAMPLE_BUDGET):
-        start = one_word_index(stream, r)
-        chain = {(start + j * d) % r for j in range(m + 1)}
-        if len(chain) != m + 1:
-            continue
-        support = set(chain)
-        while len(support) < w2:
-            support.add(one_word_index(stream, r))
-        if distance_multiplicities(support, r)[d] == m:
-            break
-    else:
-        raise BudgetExhaustedError("type 2")
+    chosen = one_word_fixed_weight(stream, cycle - w2 - 1, w2 - m - 1)
+    cells = [1] * (m + 1) + [0]
+    for slot in range(cycle - w2 - 1):
+        cells += [1, 0] if slot in chosen else [0]
+    assert len(cells) == cycle
+    support = {p * d % r for p, cell in enumerate(cells) if cell}
     blocks = [SparsePoly.from_indices(ring, support),
               SparsePoly(ring, one_word_fixed_weight(stream, r, w2))]
     if weak_index:

@@ -533,7 +533,7 @@ class TestWeakkeyAndKeycheck:
         (["--spec", "type2:m=1,d=1", "--r", "11", "--w", "18", "--t", "4"],
          "type 2 fits at most 6 positions with exactly m=1 pairs at d=1 in r=11, got w/2=9"),
         (["--spec", "type2:m=1,d=5", "--r", "15", "--w", "14", "--t", "4"],
-         "type 2 fits at most 6 positions with exactly m=1 pairs at d=5 in r=15, got w/2=7"),
+         "type 2 fits at most 2 positions with exactly m=1 pairs at d=5 in r=15, got w/2=7"),
     ], ids=["type3-fill-short", "type2-w2-above-r", "type1-too-few-images",
             "type2-chain-overflows-cycle", "type2-chain-fills-cycle",
             "type2-fill-beyond-capacity-d1", "type2-fill-beyond-capacity-d5"])

@@ -5,7 +5,8 @@ gives the key's exact failure rate (Sendrier and Vasseur, "On the decoding
 failure rate of QC-MDPC bit-flipping decoders", PQCrypto 2019).  Four checks
 rest on it:
 
-* the exact failure counts of two fixed keys;
+* the exact failure counts of two fixed keys, and of a third over the errors
+  through one position, a count that moves with the gray margin ``TAU``;
 * the symmetries that keep a key's exact count: rotating each block, swapping
   the blocks, and multiplying both blocks' positions by one unit of Z_r.  A
   type-1 run started at s is its block rotated by s*d, so these are why the
@@ -44,8 +45,9 @@ def fixed_key(r, w, t):
     return params, sample_private_key(params, expand_u64_seed(KEY_SEED))
 
 
-def every_error(params, key):
-    """(syndrome, planted error) for each weight-t error over the 2r positions.
+def every_error(params, key, through_zero=False):
+    """(syndrome, planted error) for each weight-t error over the 2r positions, or
+    with ``through_zero`` for each one that holds position 0.
 
     Column k of block b is h_b rotated by k, so a syndrome is the XOR of the
     error's columns; this does not go through ``mul_sparse``.
@@ -55,7 +57,10 @@ def every_error(params, key):
     for h in (key.h0, key.h1):
         bits = h.to_dense().bits
         columns += [(bits << k | bits >> (r - k)) & ring.mask for k in range(r)]
-    for positions in combinations(range(2 * r), params.t):
+    supports = combinations(range(2 * r), params.t)
+    if through_zero:
+        supports = ((0, *rest) for rest in combinations(range(1, 2 * r), params.t - 1))
+    for positions in supports:
         s = 0
         for p in positions:
             s ^= columns[p]
@@ -82,16 +87,25 @@ def test_exact_failures_r43(r43_decodes):
     assert (sum(failed(out, err) for _s, err, out in decodes), len(decodes)) == EXACT[43, 10, 2]
 
 
-def exact_count(params, key) -> tuple[int, int]:
-    """(failures, errors) over every weight-t error."""
+def exact_count(params, key, through_zero=False) -> tuple[int, int]:
+    """(failures, errors) over every weight-t error, or every one through 0."""
     cfg = DecoderConfig.for_params(params)
     outcomes = [failed(bgf_decode(s, key.h0, key.h1, cfg), err)
-                for s, err in every_error(params, key)]
+                for s, err in every_error(params, key, through_zero)]
     return sum(outcomes), len(outcomes)
 
 
 def test_exact_failures_r31():
     assert exact_count(*fixed_key(31, 10, 2)) == EXACT[31, 10, 2]
+
+
+def test_exact_failures_move_with_the_gray_margin():
+    # the weight-2 counts above are the same under TAU = 2, 3 and 4; over the
+    # C(85, 2) weight-3 errors through position 0 at r=43, w=14, the key of seed 1
+    # fails on 2713, 2717 and 2720 of them
+    params = custom_params(43, 14, 3)
+    key = sample_private_key(params, expand_u64_seed(1))
+    assert exact_count(params, key, through_zero=True) == (2717, 3570)
 
 
 # name -> (map of the supports (a, b) of (h0, h1), positions mod r; failures after it)

@@ -127,8 +127,7 @@ class TestGenType1:
         counts = dict.fromkeys(family, 0)
         for i in range(n):
             key = gen_type1(params, 2, 3, seed(i))
-            weak_index = XofStream(TAG_WEAK, [seed(i), bytes([1])]).read(1)[0] & 1
-            counts[(key.h0, key.h1)[weak_index].support] += 1
+            counts[planted(key, 1, seed(i)).support] += 1
         assert list(counts) == family   # no structured block outside the family
         chi2 = sum((c - n / 5) ** 2 / (n / 5) for c in counts.values())
         assert chi2 < 18.47, counts     # 4 degrees of freedom, p = 0.001
@@ -180,14 +179,17 @@ class TestGenType2:
         with pytest.raises(ParameterError):
             gen_type2(TOY, 1, TOY.w2, seed(8))
         # the chain's cycle at r = 21, d = 3 has 7 positions; 7 terms close it
-        r21 = custom_params(r=21, w=14, t=4)
         with pytest.raises(ParameterError, match="m \\+ 1 < r/gcd"):
-            gen_type2(r21, 3, 6, seed(8))
-        key = gen_type2(r21, 3, 5, seed(8))
-        assert 5 in [spectrum(h).mult[3] for h in (key.h0, key.h1)]
-        # at r = 15 the 5-steps form five 3-cycles: the chain's cycle holds its
-        # pair, each other cycle one position, so 6 positions fit, not 7
+            gen_type2(custom_params(r=21, w=14, t=4), 3, 6, seed(8))
+        # six terms leave one index, next to both ends of the chain, so the block
+        # is the chain alone, and w/2 = 7 does not fit
         with pytest.raises(ParameterError, match="fits at most 6 positions"):
+            gen_type2(custom_params(r=21, w=14, t=4), 3, 5, seed(8))
+        key = gen_type2(custom_params(r=21, w=10, t=4), 3, 4, seed(8))
+        assert planted(key, 2, seed(8)).support == (0, 3, 6, 9, 12)
+        # at r = 15 the chain's cycle is {0, 5, 10}: its pair takes two positions,
+        # and the third is next to both, so 2 positions fit, not 7
+        with pytest.raises(ParameterError, match="fits at most 2 positions"):
             gen_type2(custom_params(r=15, w=14, t=4), 5, 1, seed(8))
         # w/2 = 7 is exactly the capacity at r = 13, d = 1, m = 2
         r13 = custom_params(r=13, w=14, t=4)
@@ -204,12 +206,50 @@ class TestGenType2:
                     cases += 1
         assert cases == 214
 
+    def test_every_draw_at_capacity_has_exactly_m_pairs(self):
+        # each (r, d, m) the check accepts, at the largest odd w/2 within capacity
+        draws = 0
+        for r in range(11, 32, 2):
+            for d in range(1, r // 2 + 1):
+                for m in range(1, r // math.gcd(r, d) - 1):
+                    fill = weakkeys._type2_capacity(r, d, m)
+                    params = custom_params(r=r, w=2 * (fill - 1 + fill % 2), t=4)
+                    if m >= params.w2:
+                        continue
+                    for i in range(3):
+                        block = planted(gen_type2(params, d, m, seed(i)), 2, seed(i))
+                        assert spectrum(block).mult[d] == m, (r, d, m, i)
+                        draws += 1
+        assert draws == 5970
+
+    def test_uniform_over_the_family(self):
+        # r = 13, w/2 = 5, d = m = 1: the chain {0, 1} and 3 of 3..11, no two
+        # adjacent, so C(7, 3) = 35 blocks, each equally likely
+        params, n = custom_params(r=13, w=10, t=4), 7000
+        family = [b for b in itertools.combinations(range(13), 5)
+                  if b[:2] == (0, 1) and spectrum_of(b, RingParams(13)).mult[1] == 1]
+        assert len(family) == 35
+        counts = dict.fromkeys(family, 0)
+        for i in range(n):
+            counts[planted(gen_type2(params, 1, 1, seed(i)), 2, seed(i)).support] += 1
+        assert sum(counts.values()) == n   # no structured block outside the family
+        chi2 = sum((c - n / 35) ** 2 / (n / 35) for c in counts.values())
+        assert chi2 < 65.2, counts         # 34 degrees of freedom, p = 0.001
+
+
+def planted(key, family: int, s: bytes) -> SparsePoly:
+    """The structured block of a type-1 or type-2 key, at the index its stream's
+    first coin picks."""
+    return (key.h0, key.h1)[XofStream(TAG_WEAK, [s, bytes([family])]).read(1)[0] & 1]
+
 
 def largest_fills(r, d):
-    """{m: largest weight of a subset of Z_r that holds the chain 0, d, ..., m*d and has
-    exactly m pairs at distance d}, for every m with m + 1 < r/gcd(r, d), by trying
-    every subset."""
+    """{m: largest weight of a subset of the d-cycle through 0 that holds the chain
+    0, d, ..., m*d and has exactly m pairs at distance d}, for every m with
+    m + 1 < r/gcd(r, d), by trying every subset of Z_r that lies on the cycle."""
+    cycle = sum(1 << p for p in range(0, r, math.gcd(r, d)))
     masks = np.arange(1 << r)
+    masks = masks[(masks & ~cycle) == 0]
     # bit q of masks & rotated is set when q and q - d are both in the subset
     rotated = ((masks << d) | (masks >> (r - d))) & ((1 << r) - 1)
     weight = sum((masks >> k) & 1 for k in range(r))
@@ -331,8 +371,7 @@ class TestOneWordReference:
     def test_type2(self, params):
         for i in range(100):
             d, m = 1 + i % 7, 1 + i % (params.w2 - 1)
-            assert outcome(gen_type2, params, d, m, seed(i)) == \
-                outcome(draw_oracle.type2, params, d, m, seed(i))
+            assert gen_type2(params, d, m, seed(i)) == draw_oracle.type2(params, d, m, seed(i))
 
     @pytest.mark.parametrize("params", [TOY, R43], ids=["r1019", "r43"])
     def test_type3(self, params):
@@ -369,18 +408,6 @@ class TestOneWordReference:
                 assert gen_psi_d_error(params, 1, seed(i)) == ref[0]
                 seen.add("restarted" if ref[1] else "placed")
         assert seen == paths
-
-    def test_type2_small_budget(self, monkeypatch):
-        # at r=23 an exact multiplicity often needs a redraw, so both paths fire
-        monkeypatch.setattr(weakkeys, "_RESAMPLE_BUDGET", 2)
-        params = custom_params(r=23, w=14, t=36)
-        seen = set()
-        for i in range(100):
-            d, m = 1 + i % 3, 1 + i % (params.w2 - 1)
-            ref = outcome(draw_oracle.type2, params, d, m, seed(i))
-            assert outcome(gen_type2, params, d, m, seed(i)) == ref
-            seen.add(ref is BudgetExhaustedError)
-        assert seen == {True, False}
 
 
 class TestCounting:
@@ -527,6 +554,30 @@ class TestType1Enumeration:
         for supp in supports[found[f]].tolist():
             reason = key_check(SparsePoly(ring, tuple(supp)), h1, cfg).reason
             assert (reason["kind"], reason["block"]) == ("per_block_multiplicity", 0), supp
+
+
+class TestType3Enumeration:
+    """The type-3 bound against every h1 at small r, for three fixed h0 each.
+
+    count_type3_upper counts (rotation, m shared positions, fill) choices, so an
+    h1 with several alignments or more than m shared positions is counted more
+    than once: the bound is loose below m = w/2 and exact at it, where the
+    family is the r distinct rotations of h0.
+    """
+
+    @pytest.mark.parametrize("r,w", [(11, 6), (13, 10), (17, 10)])
+    def test_bound_covers_the_family(self, r, w):
+        params, rng = custom_params(r=r, w=w, t=4), random.Random(r)
+        w2, full = params.w2, (1 << r) - 1
+        h1s = bitmasks(all_blocks(r, w2))
+        for _ in range(3):
+            h0 = int(bitmasks(np.array(rng.sample(range(r), w2))))
+            rotations = np.array([(h0 << s | h0 >> (r - s)) & full for s in range(r)])
+            best = np.bitwise_count(h1s[:, None] & rotations).max(axis=1)
+            for m in range(1, w2 + 1):
+                family = int((best >= m).sum())
+                assert count_type3_upper(params, m) >= family, (r, h0, m)
+            assert count_type3_upper(params, w2) == family == r
 
 
 class TestWeakKeySpecParsing:
